@@ -262,6 +262,12 @@ fn run_jobs(jobs: usize, run: &Run, tracer: &mut Tracer) -> Outcome {
         passes += 1;
     }
     let reference = reference.expect("at least one pass");
+    // A pass usually fills a process's share of the run, so results are
+    // compared across processes, job by job, through this digest.
+    out.digest = crate::digest(reference.iter().flat_map(|r| match r {
+        Some(r) => [r.cycles, r.events, source_code(&r.source)],
+        None => [u64::MAX; 3],
+    }));
     recheck(&workload, &reference, run.seed, tracer, &mut out);
 
     let done: Vec<&JobResult> = reference.iter().flatten().collect();
@@ -341,6 +347,14 @@ fn ms(d: std::time::Duration) -> f64 {
 /// A job that ran stages in the service (anything but a full hit).
 fn compiled(r: &JobResult) -> bool {
     r.source != "hit" && r.source != "coalesced"
+}
+
+/// A number per `cache.source` label, for the digest.
+fn source_code(source: &str) -> u64 {
+    ["miss", "hit", "coalesced", "profile_reuse", "map_reuse", "disabled"]
+        .iter()
+        .position(|&s| s == source)
+        .map_or(u64::MAX, |i| i as u64)
 }
 
 fn same_schedules(a: &[Option<JobResult>], b: &[Option<JobResult>]) -> bool {
@@ -423,7 +437,9 @@ mod tests {
         assert!(a.errors.is_empty(), "{:?}", a.errors);
         assert_eq!(a.failed, 0);
         let values = a.exact_values();
-        assert_eq!(values, quick().exact_values());
+        let b = quick();
+        assert_eq!(values, b.exact_values());
+        assert_eq!(a.digest, b.digest);
         let hit_frac = values.iter().find(|(n, _)| n == "cache.hit_frac").unwrap().1;
         assert!(hit_frac > 0.0 && hit_frac < 1.0, "hit_frac {hit_frac}");
     }

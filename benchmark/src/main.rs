@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run --release --offline -q --manifest-path benchmark/Cargo.toml -- \
-//!     --workload paper_suite|scale_curve|daemon_mix --seed N --seconds S --trace 0|1
+//!     --workload paper_suite|daemon_mix --seed N --seconds S --trace 0|1
 //! ```
 //!
 //! The command runs the workload in `PROCESSES` child processes, one
@@ -11,11 +11,11 @@
 //! With `--trace 0` it prints the end-to-end metrics; with `--trace 1`
 //! each child records layer spans, writes them to
 //! `.bench_trace/<workload>-seed<N>-<child>.json`, and the command
-//! prints the per-layer metrics. Any failed check makes `correct` false
-//! and the exit code 1. See `README.md` beside this file.
+//! prints the per-layer metrics. Any failed check, or children whose
+//! per-compile results differ, makes `correct` false and the exit code 1. See `README.md` beside this file.
 
 mod daemon_mix;
-mod inproc;
+mod paper_suite;
 mod stats;
 mod trace;
 
@@ -69,6 +69,15 @@ pub fn timed_setup<T>(mut build: impl FnMut() -> T) -> (T, f64) {
     (last.expect("SETUPS > 0"), stats::median(&times).expect("SETUPS > 0"))
 }
 
+/// FNV-1a over the bytes of `words`: a digest of a run's per-compile
+/// results, which the parent requires to be equal in every child.
+pub fn digest(words: impl IntoIterator<Item = u64>) -> u64 {
+    words
+        .into_iter()
+        .flat_map(u64::to_le_bytes)
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
 /// One reported metric; its unit is in [`E2E`] or [`LAYERS`].
 #[derive(Clone, Debug)]
 pub struct Metric {
@@ -101,6 +110,8 @@ pub struct Outcome {
     pub failed: u64,
     /// The first few failure messages.
     pub errors: Vec<String>,
+    /// [`digest`] of every compile's or job's result in the first pass.
+    pub digest: u64,
     metrics: Vec<Metric>,
 }
 
@@ -127,9 +138,8 @@ impl Outcome {
     }
 }
 
-/// Workloads the command runs. `BENCHMARK.json` lists all but
-/// `scale_curve`, which is run by hand (see `README.md`).
-const WORKLOADS: [&str; 3] = ["paper_suite", "scale_curve", "daemon_mix"];
+/// Workloads the command runs, as `BENCHMARK.json` lists them.
+const WORKLOADS: [&str; 2] = ["paper_suite", "daemon_mix"];
 
 /// End-to-end metrics and their units: every workload reports each of
 /// them with `--trace 0`.
@@ -261,6 +271,8 @@ fn parent(args: &Args) -> ExitCode {
     let mut values: BTreeMap<&str, Vec<f64>> = BTreeMap::new();
     let mut exact: BTreeMap<&str, bool> = BTreeMap::new();
     let (mut attempted, mut failed, mut correct) = (0u64, 0u64, true);
+    // Per child: result digest, operations attempted and failed.
+    let mut children: Vec<(String, u64, u64)> = Vec::new();
     for i in 0..PROCESSES {
         let line = match spawn(args, i, args.seconds / PROCESSES as f64) {
             Ok(line) => line,
@@ -274,8 +286,11 @@ fn parent(args: &Args) -> ExitCode {
             return ExitCode::FAILURE;
         };
         correct &= v.get("correct").and_then(Value::as_bool) == Some(true);
-        attempted += v.get("attempted").and_then(Value::as_u64).unwrap_or(0);
-        failed += v.get("failed").and_then(Value::as_u64).unwrap_or(0);
+        let count = |key| v.get(key).and_then(Value::as_u64).unwrap_or(0);
+        let digest = v.get("digest").and_then(Value::as_str).unwrap_or("").to_string();
+        children.push((digest, count("attempted"), count("failed")));
+        attempted += count("attempted");
+        failed += count("failed");
         for &(name, _) in names {
             let m = v.get("metrics").and_then(|m| m.get(name));
             let Some(value) = m.and_then(|m| m.get("value")).and_then(Value::as_f64) else {
@@ -287,10 +302,22 @@ fn parent(args: &Args) -> ExitCode {
             exact.insert(name, is_exact);
         }
     }
-    // Every child ran the same seed: exact metrics must agree.
-    for (name, vs) in &values {
-        if exact[name] && vs.iter().any(|v| v.to_bits() != vs[0].to_bits()) {
-            eprintln!("ecmas-perf: {name} differs between processes: {vs:?}");
+    // Every child ran the same seed: each compile's result, and so every
+    // exact metric, must agree with child 0's. A child that disagrees
+    // counts every operation it ran as failed.
+    for (i, (digest, child_attempted, child_failed)) in children.iter().enumerate().skip(1) {
+        let differ: Vec<&str> = values
+            .iter()
+            .filter(|(name, vs)| exact[*name] && vs[i].to_bits() != vs[0].to_bits())
+            .map(|(name, _)| *name)
+            .collect();
+        if *digest != children[0].0 || !differ.is_empty() {
+            eprintln!(
+                "ecmas-perf: child {i} disagrees with child 0: digest {digest} vs {}, \
+                 metrics {differ:?}",
+                children[0].0
+            );
+            failed += child_attempted - child_failed;
             correct = false;
         }
     }
@@ -323,8 +350,7 @@ fn child(args: &Args, index: usize) -> ExitCode {
     let mut tracer = Tracer::new(args.trace);
     let run = Run { seed: args.seed, seconds: args.seconds, min_passes: 1 };
     let mut out = match args.workload.as_str() {
-        "paper_suite" => inproc::run(inproc::Suite::Paper, &run, &mut tracer),
-        "scale_curve" => inproc::run(inproc::Suite::Scale, &run, &mut tracer),
+        "paper_suite" => paper_suite::run(&run, &mut tracer),
         _ => daemon_mix::run(&run, &mut tracer),
     };
     let ok_frac = (out.attempted - out.failed) as f64 / out.attempted.max(1) as f64;
@@ -361,9 +387,11 @@ fn child(args: &Args, index: usize) -> ExitCode {
         })
         .collect();
     println!(
-        "{{\"correct\":{correct},\"attempted\":{},\"failed\":{},\"metrics\":{{{}}}}}",
+        "{{\"correct\":{correct},\"attempted\":{},\"failed\":{},\"digest\":\"{:016x}\",\
+         \"metrics\":{{{}}}}}",
         out.attempted,
         out.failed,
+        out.digest,
         body.join(",")
     );
     if correct {
@@ -423,6 +451,6 @@ mod tests {
             .iter()
             .map(|w| w.get("name").and_then(Value::as_str).expect("name"))
             .collect();
-        assert!(workloads.iter().all(|w| WORKLOADS.contains(w)), "{workloads:?}");
+        assert_eq!(workloads, WORKLOADS);
     }
 }

@@ -1,18 +1,16 @@
-//! The two in-process workloads: `paper_suite` (the paper's Table I
-//! circuits, compiled from QASM text) and `scale_curve` (large layered
-//! circuits and `qft(100)`, compiled from built circuits). Both run on
-//! one thread with no service and no cache.
+//! The `paper_suite` workload: the paper's Table I circuits, compiled
+//! from QASM text on one thread with no service and no cache.
 //!
-//! A compile is parse (paper_suite only) → `Ecmas::session` →
-//! `Profiled::map` → `Mapped::schedule`. `validate_encoded` runs after
-//! the compile, outside its timing, and its result gates correctness.
+//! A compile is `qasm::parse` → `Ecmas::session` → `Profiled::map` →
+//! `Mapped::schedule`. `validate_encoded` runs after the compile, outside
+//! its timing, and its result gates correctness.
 
 use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::time::Instant;
 
 use ecmas_chip::{Chip, CodeModel};
-use ecmas_circuit::{benchmarks, qasm, random::layered, Circuit};
+use ecmas_circuit::{benchmarks, qasm, Circuit};
 use ecmas_core::session::{BandwidthDecision, CompileReport};
 use ecmas_core::{validate_encoded, Ecmas, EncodedCircuit};
 
@@ -20,20 +18,12 @@ use crate::stats::{geomean, geomean_of_row_medians, median, quantile};
 use crate::trace::Tracer;
 use crate::{Metric, Outcome, Run};
 
-/// Where a row's circuit comes from.
-enum Source {
-    /// QASM text, parsed inside the timed compile.
-    Qasm(String),
-    /// A built circuit; the compile starts at `Ecmas::session`.
-    Built(Circuit),
-}
-
-/// One compile of the workload: a circuit on a chip.
+/// One compile of the workload: a circuit's QASM text on a chip.
 struct Row {
     label: String,
-    source: Source,
+    qasm: String,
     chip: Chip,
-    /// Critical-path depth α from the generator, the lower bound on Δ.
+    /// Critical-path depth α of the circuit, the lower bound on Δ.
     depth: usize,
 }
 
@@ -52,7 +42,7 @@ fn paper_rows() -> Vec<Row> {
             for (kind, chip) in chips {
                 rows.push(Row {
                     label: format!("{}/{}/{kind}", circuit.name(), model_label(model)),
-                    source: Source::Qasm(text.clone()),
+                    qasm: text.clone(),
                     chip: chip.expect("Table I circuits fit their chips"),
                     depth: circuit.depth(),
                 });
@@ -62,45 +52,11 @@ fn paper_rows() -> Vec<Row> {
     rows
 }
 
-/// The ROADMAP size curve: layered depth-50 circuits with parallelism
-/// n/4 at n ∈ {100, 150, 200} plus `qft(100)`, on lattice-surgery
-/// min-viable chips. The layered circuits are fixed, not drawn from the
-/// workload seed: placement refinement converges faster on some circuits
-/// than on others, so seeded circuits made a run's cost swing by ±10%
-/// with the seed and hid changes in the program.
-fn scale_rows() -> Vec<Row> {
-    let mut circuits: Vec<Circuit> =
-        [100usize, 150, 200].iter().map(|&n| layered(n, 50, n / 4, n as u64)).collect();
-    circuits.push(benchmarks::qft(100));
-    circuits
-        .into_iter()
-        .map(|circuit| {
-            let chip = Chip::min_viable(CodeModel::LatticeSurgery, circuit.qubits(), 3)
-                .expect("size-curve circuits fit min-viable chips");
-            Row {
-                label: format!("{}_n{}", circuit.name(), circuit.qubits()),
-                depth: circuit.depth(),
-                source: Source::Built(circuit),
-                chip,
-            }
-        })
-        .collect()
-}
-
 fn model_label(model: CodeModel) -> &'static str {
     match model {
         CodeModel::DoubleDefect => "dd",
         _ => "ls",
     }
-}
-
-/// Which in-process workload to build.
-#[derive(Clone, Copy)]
-pub enum Suite {
-    /// `paper_suite`.
-    Paper,
-    /// `scale_curve`.
-    Scale,
 }
 
 /// Per-row results of one compile, checked across passes.
@@ -113,6 +69,9 @@ struct Fingerprint {
 /// Everything one pass measures.
 #[derive(Default)]
 struct Pass {
+    /// Wall seconds of the whole pass: every compile, its validation and
+    /// the checks.
+    wall_s: f64,
     /// Per row: compile wall ms.
     compile_ms: Vec<f64>,
     /// Per row: compile + validate wall ms.
@@ -123,25 +82,18 @@ struct Pass {
 }
 
 /// Runs one compile of `row`, recording layer spans under `request`.
-/// Returns the parsed circuit (QASM rows only), the schedule and report.
+/// Returns the parsed circuit, the schedule and the report.
 fn compile(
     ecmas: &Ecmas,
     row: &Row,
     tracer: &mut Tracer,
     request: u64,
-) -> Result<(Option<Circuit>, EncodedCircuit, CompileReport), String> {
-    let parsed = match &row.source {
-        Source::Qasm(text) => {
-            let span = tracer.begin("circuit.parse", request);
-            let circuit = qasm::parse(black_box(text)).map_err(|e| format!("parse: {e}"))?;
-            tracer.end(span);
-            Some(circuit)
-        }
-        Source::Built(_) => None,
-    };
-    let circuit = circuit_of(row, parsed.as_ref());
+) -> Result<(Circuit, EncodedCircuit, CompileReport), String> {
+    let span = tracer.begin("circuit.parse", request);
+    let circuit = qasm::parse(black_box(&row.qasm)).map_err(|e| format!("parse: {e}"))?;
+    tracer.end(span);
     let span = tracer.begin("core.profile", request);
-    let profiled = ecmas.session(circuit, &row.chip).map_err(|e| format!("session: {e}"))?;
+    let profiled = ecmas.session(&circuit, &row.chip).map_err(|e| format!("session: {e}"))?;
     tracer.end(span);
     let span = tracer.begin("partition.map", request);
     let mapped = profiled.map().map_err(|e| format!("map: {e}"))?;
@@ -150,16 +102,7 @@ fn compile(
     let scheduled = mapped.schedule().map_err(|e| format!("schedule: {e}"))?;
     tracer.end(span);
     let outcome = scheduled.into_outcome();
-    Ok((parsed, outcome.encoded, outcome.report))
-}
-
-/// The circuit a compile of `row` worked on.
-fn circuit_of<'a>(row: &'a Row, parsed: Option<&'a Circuit>) -> &'a Circuit {
-    match (&row.source, parsed) {
-        (Source::Built(circuit), _) => circuit,
-        (Source::Qasm(_), Some(circuit)) => circuit,
-        (Source::Qasm(_), None) => unreachable!("QASM rows are parsed first"),
-    }
+    Ok((circuit, outcome.encoded, outcome.report))
 }
 
 fn add_counts(counts: &mut BTreeMap<&'static str, f64>, report: &CompileReport) {
@@ -176,17 +119,14 @@ fn add_counts(counts: &mut BTreeMap<&'static str, f64>, report: &CompileReport) 
 
 /// Builds the workload's inputs and warms up (the set-up, repeated for
 /// its median), then runs whole passes for `run.seconds`.
-pub fn run(suite: Suite, run: &Run, tracer: &mut Tracer) -> Outcome {
+pub fn run(run: &Run, tracer: &mut Tracer) -> Outcome {
     let ((rows, warm_up), setup_s) = crate::timed_setup(|| {
-        let rows = match suite {
-            Suite::Paper => paper_rows(),
-            Suite::Scale => scale_rows(),
-        };
+        let rows = paper_rows();
         // Untimed warm-up, counted in set-up: the smallest row once.
-        let smallest = (0..rows.len()).min_by_key(|&i| row_size(&rows[i])).expect("rows");
-        let warm_up = compile(&Ecmas::default(), &rows[smallest], &mut Tracer::new(false), 0)
+        let smallest = rows.iter().min_by_key(|row| row.qasm.len()).expect("rows");
+        let warm_up = compile(&Ecmas::default(), smallest, &mut Tracer::new(false), 0)
             .err()
-            .map(|e| format!("warm-up {}: {e}", rows[smallest].label));
+            .map(|e| format!("warm-up {}: {e}", smallest.label));
         (rows, warm_up)
     });
     let mut out = run_rows(&rows, run, tracer);
@@ -204,6 +144,7 @@ fn run_rows(rows: &[Row], run: &Run, tracer: &mut Tracer) -> Outcome {
     let mut passes: Vec<Pass> = Vec::new();
     let mut reference: Vec<Option<Fingerprint>> = vec![None; rows.len()];
     while run.another_pass(passes.len(), timed) {
+        let pass_start = Instant::now();
         let mut pass = Pass {
             compile_ms: vec![0.0; rows.len()],
             validated_ms: vec![0.0; rows.len()],
@@ -217,7 +158,7 @@ fn run_rows(rows: &[Row], run: &Run, tracer: &mut Tracer) -> Outcome {
             let result = compile(&ecmas, row, tracer, request);
             tracer.end(span);
             let compiled = t0.elapsed();
-            let (parsed, encoded, report) = match result {
+            let (circuit, encoded, report) = match result {
                 Ok(r) => r,
                 Err(e) => {
                     out.fail(format!("{}: {e}", row.label));
@@ -225,7 +166,7 @@ fn run_rows(rows: &[Row], run: &Run, tracer: &mut Tracer) -> Outcome {
                 }
             };
             let span = tracer.begin("core.validate", request);
-            let valid = validate_encoded(circuit_of(row, parsed.as_ref()), &encoded);
+            let valid = validate_encoded(&circuit, &encoded);
             tracer.end(span);
             pass.compile_ms[i] = compiled.as_secs_f64() * 1e3;
             pass.validated_ms[i] = t0.elapsed().as_secs_f64() * 1e3;
@@ -244,17 +185,14 @@ fn run_rows(rows: &[Row], run: &Run, tracer: &mut Tracer) -> Outcome {
             pass.reported[1] += report.timings.map.as_secs_f64() * 1e3;
             pass.reported[2] += report.timings.schedule.as_secs_f64() * 1e3;
         }
+        pass.wall_s = pass_start.elapsed().as_secs_f64();
         passes.push(pass);
     }
+    out.digest = crate::digest(
+        reference.iter().flat_map(|r| r.map_or([u64::MAX; 2], |f| [f.cycles, f.events as u64])),
+    );
     summarize(rows, &passes, &reference, tracer, &mut out);
     out
-}
-
-fn row_size(row: &Row) -> usize {
-    match &row.source {
-        Source::Qasm(text) => text.len(),
-        Source::Built(c) => c.cnot_count(),
-    }
 }
 
 fn summarize(
@@ -270,13 +208,10 @@ fn summarize(
     let compile_rows = per_row(|p| &p.compile_ms);
     let validated_medians: Vec<f64> =
         per_row(|p| &p.validated_ms).iter().map(|r| median(r).unwrap_or(0.0)).collect();
-    // Throughput per pass (rows over the pass's summed compile time),
-    // then the median over passes: one slow stretch of the host moves a
-    // minority of passes, not the result.
-    let rates: Vec<f64> = passes
-        .iter()
-        .map(|p| rows.len() as f64 / (p.compile_ms.iter().sum::<f64>() / 1e3))
-        .collect();
+    // Throughput per pass (rows over the pass's wall time, validation
+    // and checks included), then the median over passes: one slow
+    // stretch of the host moves a minority of passes, not the result.
+    let rates: Vec<f64> = passes.iter().map(|p| rows.len() as f64 / p.wall_s).collect();
     let compiles_per_s = median(&rates).unwrap_or(0.0);
     let cycles: Vec<f64> = reference.iter().flatten().map(|f| f.cycles as f64).collect();
 
@@ -329,33 +264,20 @@ fn summarize(
 mod tests {
     use super::*;
 
-    fn quick(rows: Vec<Row>) -> Outcome {
-        let run = Run { seed: 0, seconds: 0.0, min_passes: 2 };
-        run_rows(&rows, &run, &mut Tracer::new(false))
-    }
-
     #[test]
     fn repeated_runs_repeat_every_count() {
-        // A cheap slice of each in-process workload: six small Table I
-        // rows and a narrow layered row.
-        let paper = || paper_rows().into_iter().take(6).collect::<Vec<_>>();
-        let a = quick(paper());
-        let b = quick(paper());
-        assert!(a.errors.is_empty(), "{:?}", a.errors);
-        assert_eq!(a.exact_values(), b.exact_values());
-        assert!(a.exact_values().iter().any(|(n, _)| n == "route.cells_expanded"));
-        let layered_row = |seed| {
-            let circuit = layered(24, 20, 6, seed);
-            Row {
-                label: "layered".into(),
-                depth: circuit.depth(),
-                chip: Chip::min_viable(CodeModel::LatticeSurgery, 24, 3).unwrap(),
-                source: Source::Built(circuit),
-            }
+        // A cheap slice of the workload: its first six Table I rows.
+        let quick = || {
+            let rows: Vec<Row> = paper_rows().into_iter().take(6).collect();
+            let run = Run { seed: 0, seconds: 0.0, min_passes: 2 };
+            run_rows(&rows, &run, &mut Tracer::new(false))
         };
-        let c = quick(vec![layered_row(9)]);
-        assert_eq!(c.exact_values(), quick(vec![layered_row(9)]).exact_values());
-        assert_eq!(c.attempted, 2);
-        assert_eq!(c.failed, 0);
+        let a = quick();
+        let b = quick();
+        assert!(a.errors.is_empty(), "{:?}", a.errors);
+        assert_eq!((a.attempted, a.failed), (12, 0));
+        assert_eq!(a.exact_values(), b.exact_values());
+        assert_eq!(a.digest, b.digest);
+        assert!(a.exact_values().iter().any(|(n, _)| n == "route.cells_expanded"));
     }
 }

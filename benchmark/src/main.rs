@@ -7,7 +7,9 @@
 //!
 //! The command runs the workload in `PROCESSES` child processes, one
 //! after another, each measuring for S/`PROCESSES` seconds, and prints
-//! the median over them as one JSON object on the last line of stdout.
+//! the median over them as one JSON object on the last line of stdout;
+//! `paper_suite`'s timing metrics instead are means over the passes of
+//! all of them.
 //! With `--trace 0` it prints the end-to-end metrics; with `--trace 1`
 //! each child records layer spans, writes them to
 //! `.bench_trace/<workload>-seed<N>-<child>.json`, and the command
@@ -26,11 +28,14 @@ use std::time::Instant;
 
 use ecmas_serve::json::{self, Value};
 
+use paper_suite::RowTimes;
 use trace::Tracer;
 
 /// Child processes per run. Each is a fresh address space and heap, so
 /// the median over them does not inherit one process's layout luck.
-const PROCESSES: usize = 6;
+/// Three leave each a third of the run: two to four `daemon_mix` passes
+/// of 3000 jobs, where a sixth held only one and sat idle for the rest.
+const PROCESSES: usize = 3;
 
 /// What a workload is asked to do.
 pub struct Run {
@@ -112,6 +117,9 @@ pub struct Outcome {
     pub errors: Vec<String>,
     /// [`digest`] of every compile's or job's result in the first pass.
     pub digest: u64,
+    /// `paper_suite`: its timed passes summed row by row, which the
+    /// parent pools over its children.
+    pub row_times: Option<RowTimes>,
     metrics: Vec<Metric>,
 }
 
@@ -265,7 +273,8 @@ fn reported(trace: bool) -> &'static [(&'static str, &'static str)] {
 }
 
 /// Runs the workload in `PROCESSES` children, one at a time, and prints
-/// the median of each metric over them.
+/// the median of each metric over them, or the pooled [`RowTimes`]
+/// metrics where the children report row times.
 fn parent(args: &Args) -> ExitCode {
     let names = reported(args.trace);
     let mut values: BTreeMap<&str, Vec<f64>> = BTreeMap::new();
@@ -273,6 +282,7 @@ fn parent(args: &Args) -> ExitCode {
     let (mut attempted, mut failed, mut correct) = (0u64, 0u64, true);
     // Per child: result digest, operations attempted and failed.
     let mut children: Vec<(String, u64, u64)> = Vec::new();
+    let mut row_times: Vec<RowTimes> = Vec::new();
     for i in 0..PROCESSES {
         let line = match spawn(args, i, args.seconds / PROCESSES as f64) {
             Ok(line) => line,
@@ -291,6 +301,18 @@ fn parent(args: &Args) -> ExitCode {
         children.push((digest, count("attempted"), count("failed")));
         attempted += count("attempted");
         failed += count("failed");
+        if let Some(t) = v.get("row_times") {
+            let column = |key| -> Vec<f64> {
+                let values = t.get(key).and_then(Value::as_array).unwrap_or(&[]);
+                values.iter().map(|x| x.as_f64().unwrap_or(0.0)).collect()
+            };
+            row_times.push(RowTimes {
+                passes: t.get("passes").and_then(Value::as_u64).unwrap_or(0),
+                wall_s: t.get("wall_s").and_then(Value::as_f64).unwrap_or(0.0),
+                compile_ms: column("compile_ms"),
+                validated_ms: column("validated_ms"),
+            });
+        }
         for &(name, _) in names {
             let m = v.get("metrics").and_then(|m| m.get(name));
             let Some(value) = m.and_then(|m| m.get("value")).and_then(Value::as_f64) else {
@@ -321,11 +343,21 @@ fn parent(args: &Args) -> ExitCode {
             correct = false;
         }
     }
+    // Row times pool over all children: means over every pass of the
+    // run, not the median of six shorter runs' means. A traced run
+    // reports the rate as its traced twin.
+    let twin = |name: String| if args.trace { format!("trace.{name}") } else { name };
+    let pooled: BTreeMap<String, f64> = RowTimes::pool(&row_times)
+        .map_or_else(BTreeMap::new, |t| {
+            t.metrics().into_iter().map(|m| (twin(m.name), m.value)).collect()
+        });
     let metrics: Vec<String> = names
         .iter()
         .map(|&(name, unit)| {
             let v = if name == "ok_frac" {
                 (attempted - failed) as f64 / attempted.max(1) as f64
+            } else if let Some(&v) = pooled.get(name) {
+                v
             } else {
                 stats::median(&values[name]).unwrap_or(0.0)
             };
@@ -386,9 +418,19 @@ fn child(args: &Args, index: usize) -> ExitCode {
             format!("\"{name}\":{{\"value\":{},\"exact\":{exact}}}", num(v))
         })
         .collect();
+    let rows = out.row_times.as_ref().map_or(String::new(), |t| {
+        let list = |v: &[f64]| v.iter().map(|&x| num(x)).collect::<Vec<_>>().join(",");
+        format!(
+            ",\"row_times\":{{\"passes\":{},\"wall_s\":{},\"compile_ms\":[{}],\"validated_ms\":[{}]}}",
+            t.passes,
+            num(t.wall_s),
+            list(&t.compile_ms),
+            list(&t.validated_ms)
+        )
+    });
     println!(
         "{{\"correct\":{correct},\"attempted\":{},\"failed\":{},\"digest\":\"{:016x}\",\
-         \"metrics\":{{{}}}}}",
+         \"metrics\":{{{}}}{rows}}}",
         out.attempted,
         out.failed,
         out.digest,

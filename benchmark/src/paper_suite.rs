@@ -14,7 +14,7 @@ use ecmas_circuit::{benchmarks, qasm, Circuit};
 use ecmas_core::session::{BandwidthDecision, CompileReport};
 use ecmas_core::{validate_encoded, Ecmas, EncodedCircuit};
 
-use crate::stats::{geomean, geomean_of_row_medians, median, quantile};
+use crate::stats::{geomean, quantile};
 use crate::trace::Tracer;
 use crate::{Metric, Outcome, Run};
 
@@ -79,6 +79,66 @@ struct Pass {
     counts: BTreeMap<&'static str, f64>,
     /// The reports' own profile, map and schedule times, summed.
     reported: [f64; 3],
+}
+
+/// A process's timed passes, summed row by row; the parent pools them
+/// over its processes with [`RowTimes::pool`] and reports the run's
+/// means.
+///
+/// The host runs in two states, one about 1.6× slower than the other,
+/// and the share of time in each drifts from run to run. A row's median
+/// jumps from one state to the other as that share crosses one half; a
+/// mean over the whole run moves only in proportion to it (see
+/// `README.md`).
+#[derive(Clone, Debug, PartialEq)]
+pub struct RowTimes {
+    /// Passes summed.
+    pub passes: u64,
+    /// Wall seconds of those passes: compiles, validation and checks.
+    pub wall_s: f64,
+    /// Per row: summed compile ms.
+    pub compile_ms: Vec<f64>,
+    /// Per row: summed compile + validate ms.
+    pub validated_ms: Vec<f64>,
+}
+
+impl RowTimes {
+    /// `compiles_per_s` (rows compiled over the timed wall time),
+    /// `compile_ms_geomean` (the geometric mean over rows of each row's
+    /// mean compile time) and `latency_ms_p50`/`_p90` (quantiles over
+    /// the rows' mean validated-compile times: the rows are a fixed set,
+    /// not a sample, so no tail rule applies).
+    pub fn metrics(&self) -> [Metric; 4] {
+        let passes = self.passes as f64;
+        let mean = |sums: &[f64]| -> Vec<f64> { sums.iter().map(|s| s / passes).collect() };
+        let validated = mean(&self.validated_ms);
+        let compiles = self.compile_ms.len() as f64 * passes;
+        [
+            Metric::measured("compiles_per_s", compiles / self.wall_s),
+            Metric::measured("compile_ms_geomean", geomean(&mean(&self.compile_ms)).unwrap_or(0.0)),
+            Metric::measured("latency_ms_p50", quantile(&validated, 0.5).unwrap_or(0.0)),
+            Metric::measured("latency_ms_p90", quantile(&validated, 0.9).unwrap_or(0.0)),
+        ]
+    }
+
+    /// The sums over the processes of a run; `None` when there are none
+    /// or their row counts differ.
+    pub fn pool(all: &[RowTimes]) -> Option<RowTimes> {
+        let first = all.first()?;
+        let n = first.compile_ms.len();
+        if all.iter().any(|t| t.compile_ms.len() != n || t.validated_ms.len() != n) {
+            return None;
+        }
+        let sum_of = |pick: fn(&RowTimes) -> &Vec<f64>| -> Vec<f64> {
+            (0..n).map(|i| all.iter().map(|t| pick(t)[i]).sum()).collect()
+        };
+        Some(RowTimes {
+            passes: all.iter().map(|t| t.passes).sum(),
+            wall_s: all.iter().map(|t| t.wall_s).sum(),
+            compile_ms: sum_of(|t| &t.compile_ms),
+            validated_ms: sum_of(|t| &t.validated_ms),
+        })
+    }
 }
 
 /// Runs one compile of `row`, recording layer spans under `request`.
@@ -202,28 +262,22 @@ fn summarize(
     tracer: &Tracer,
     out: &mut Outcome,
 ) {
-    let per_row = |pick: fn(&Pass) -> &Vec<f64>| -> Vec<Vec<f64>> {
-        (0..rows.len()).map(|i| passes.iter().map(|p| pick(p)[i]).collect()).collect()
+    let row_sum = |pick: fn(&Pass) -> &Vec<f64>| -> Vec<f64> {
+        (0..rows.len()).map(|i| passes.iter().map(|p| pick(p)[i]).sum()).collect()
     };
-    let compile_rows = per_row(|p| &p.compile_ms);
-    let validated_medians: Vec<f64> =
-        per_row(|p| &p.validated_ms).iter().map(|r| median(r).unwrap_or(0.0)).collect();
-    // Throughput per pass (rows over the pass's wall time, validation
-    // and checks included), then the median over passes: one slow
-    // stretch of the host moves a minority of passes, not the result.
-    let rates: Vec<f64> = passes.iter().map(|p| rows.len() as f64 / p.wall_s).collect();
-    let compiles_per_s = median(&rates).unwrap_or(0.0);
+    let times = RowTimes {
+        passes: passes.len() as u64,
+        wall_s: passes.iter().map(|p| p.wall_s).sum(),
+        compile_ms: row_sum(|p| &p.compile_ms),
+        validated_ms: row_sum(|p| &p.validated_ms),
+    };
+    let [compiles_per_s, ..] = times.metrics().map(|m| m.value);
     let cycles: Vec<f64> = reference.iter().flatten().map(|f| f.cycles as f64).collect();
 
-    out.push(Metric::measured("compiles_per_s", compiles_per_s));
-    out.push(Metric::measured(
-        "compile_ms_geomean",
-        geomean_of_row_medians(&compile_rows).unwrap_or(0.0),
-    ));
-    // Quantiles over the rows' median validated-compile latencies: the
-    // rows are a fixed set, not a sample, so no tail rule applies here.
-    out.push(Metric::measured("latency_ms_p50", quantile(&validated_medians, 0.5).unwrap_or(0.0)));
-    out.push(Metric::measured("latency_ms_p90", quantile(&validated_medians, 0.9).unwrap_or(0.0)));
+    for metric in times.metrics() {
+        out.push(metric);
+    }
+    out.row_times = Some(times);
     out.push(Metric::exact("cycles_geomean", geomean(&cycles).unwrap_or(0.0)));
 
     for (name, value) in &passes[0].counts {
@@ -279,5 +333,36 @@ mod tests {
         assert_eq!(a.exact_values(), b.exact_values());
         assert_eq!(a.digest, b.digest);
         assert!(a.exact_values().iter().any(|(n, _)| n == "route.cells_expanded"));
+        let times = a.row_times.expect("paper_suite reports row times");
+        assert_eq!((times.passes, times.compile_ms.len()), (2, 6));
+        assert!(times.compile_ms.iter().zip(&times.validated_ms).all(|(c, v)| 0.0 < *c && c <= v));
+    }
+
+    #[test]
+    fn pooled_row_times_are_means_over_every_pass() {
+        let a = RowTimes {
+            passes: 1,
+            wall_s: 1.0,
+            compile_ms: vec![2.0, 9.0],
+            validated_ms: vec![3.0, 10.0],
+        };
+        let b = RowTimes {
+            passes: 3,
+            wall_s: 3.0,
+            compile_ms: vec![6.0, 3.0],
+            validated_ms: vec![9.0, 6.0],
+        };
+        let pooled = RowTimes::pool(&[a.clone(), b]).unwrap();
+        assert_eq!((pooled.passes, pooled.wall_s), (4, 4.0));
+        // Row means 2 and 3 ms; validated means 3 and 4 ms.
+        let [rate, geo, p50, p90] = pooled.metrics().map(|m| m.value);
+        assert_eq!(rate, 2.0);
+        assert!((geo - 6f64.sqrt()).abs() < 1e-12);
+        assert_eq!(p50, 3.5);
+        assert!((p90 - 3.9).abs() < 1e-12);
+        let short =
+            RowTimes { passes: 1, wall_s: 1.0, compile_ms: vec![1.0], validated_ms: vec![1.0] };
+        assert_eq!(RowTimes::pool(&[a, short]), None);
+        assert_eq!(RowTimes::pool(&[]), None);
     }
 }

@@ -41,11 +41,14 @@ pub fn percentile(values: &[f64], p: f64) -> Option<f64> {
     quantile(values, p / 100.0)
 }
 
-/// Geometric mean over rows of each row's median: `rows[r]` holds the
+/// Geometric mean over rows of each row's mean: `rows[r]` holds the
 /// samples of row `r`. `None` if any row is empty or non-positive.
-pub fn geomean_of_row_medians(rows: &[Vec<f64>]) -> Option<f64> {
-    let medians: Option<Vec<f64>> = rows.iter().map(|r| median(r)).collect();
-    geomean(&medians?)
+pub fn geomean_of_row_means(rows: &[Vec<f64>]) -> Option<f64> {
+    let means: Option<Vec<f64>> = rows
+        .iter()
+        .map(|r| (!r.is_empty()).then(|| r.iter().sum::<f64>() / r.len() as f64))
+        .collect();
+    geomean(&means?)
 }
 
 #[cfg(test)]
@@ -68,12 +71,12 @@ mod tests {
     }
 
     #[test]
-    fn geomean_of_row_medians_uses_each_rows_median() {
-        // Row medians 2 and 8 -> geomean 4; the outliers do not count.
-        let rows = vec![vec![2.0, 2.0, 900.0], vec![8.0, 1.0, 8.0]];
-        let g = geomean_of_row_medians(&rows).unwrap();
+    fn geomean_of_row_means_uses_each_rows_mean() {
+        // Row means 2 and 8 -> geomean 4.
+        let rows = vec![vec![1.0, 3.0, 2.0], vec![8.0, 4.0, 12.0]];
+        let g = geomean_of_row_means(&rows).unwrap();
         assert!((g - 4.0).abs() < 1e-12);
-        assert_eq!(geomean_of_row_medians(&[vec![1.0], vec![]]), None);
+        assert_eq!(geomean_of_row_means(&[vec![1.0], vec![]]), None);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! mismatch, not just a cycle-count drift.
 
 use ecmas::session::Compiler;
-use ecmas::stable::fingerprint_encoded as fingerprint;
-use ecmas::{Ecmas, EcmasConfig};
+use ecmas::stable::{fingerprint_encoded as fingerprint, StableHasher};
+use ecmas::{CutType, Ecmas, EcmasConfig};
 use ecmas_chip::{Chip, CodeModel};
 use ecmas_circuit::{benchmarks, random};
 
@@ -72,3 +72,55 @@ const FIG12_PIN: (u64, u64) = (96, 2_927_398_374_242_846_396);
 const QFT50_PIN: (u64, u64) = (218, 2_382_745_220_330_678_997);
 const QFT10_PIN: (u64, u64) = (67, 3_604_089_234_610_369_876);
 const DNN8_PIN: (u64, u64) = (48, 12_553_267_209_557_189_557);
+
+/// FNV-1a over `Profiled::map()`'s mapping and initial cut types.
+fn map_fingerprint(h: &mut StableHasher, circuit: &ecmas_circuit::Circuit, chip: &Chip) {
+    let mapped = Ecmas::default().session(circuit, chip).unwrap().map().unwrap();
+    h.write_usize(mapped.mapping().len());
+    for &slot in mapped.mapping() {
+        h.write_usize(slot);
+    }
+    match mapped.cuts() {
+        None => h.write_u8(2),
+        Some(cuts) => {
+            for &cut in cuts {
+                h.write_bool(cut == CutType::X);
+            }
+        }
+    }
+}
+
+/// Placement pin: the mappings and cut types of the 132 Table I rows
+/// (22 circuits × {dd, ls} × {min, 4×, congested}) plus one layered
+/// n = 100 circuit on a lattice-surgery min-viable chip. Any change to
+/// bisection, refinement or restart selection that moves a single qubit
+/// shows up here before it reaches a schedule.
+#[test]
+fn table1_and_layered_n100_mappings_are_pinned() {
+    let mut h = StableHasher::new();
+    for circuit in benchmarks::table1_suite() {
+        let n = circuit.qubits();
+        for model in [CodeModel::DoubleDefect, CodeModel::LatticeSurgery] {
+            for chip in [
+                Chip::min_viable(model, n, 3),
+                Chip::four_x(model, n, 3),
+                Chip::congested(model, n, 3),
+            ] {
+                map_fingerprint(&mut h, &circuit, &chip.unwrap());
+            }
+        }
+    }
+    let table1 = h.finish();
+    let mut h = StableHasher::new();
+    let layered = random::layered(100, 50, 25, 1);
+    map_fingerprint(
+        &mut h,
+        &layered,
+        &Chip::min_viable(CodeModel::LatticeSurgery, 100, 3).unwrap(),
+    );
+    assert_eq!((table1, h.finish()), MAPPING_PIN, "placement mappings drifted");
+}
+
+// Captured on the pre-rework KL placement (HashMap subgraphs, O(n²) pair
+// scan); the view-based pruned search must reproduce it exactly.
+const MAPPING_PIN: (u64, u64) = (3_696_931_160_761_119_761, 17_787_248_104_688_351_033);

@@ -21,13 +21,21 @@ fn bench_para_finding(c: &mut Criterion) {
 }
 
 fn bench_placement(c: &mut Criterion) {
-    let qft = benchmarks::qft_n10();
-    let comm = qft.comm_graph();
-    let graph = WeightedGraph::from_edges(
-        comm.qubits(),
-        comm.edges().iter().map(|e| (e.a, e.b, u64::from(e.weight))),
-    );
-    c.bench_function("placement/qft_n10_4x4", |b| b.iter(|| place(&graph, 4, 4, 4, 7)));
+    let graph_of = |circuit: &ecmas_circuit::Circuit| {
+        let comm = circuit.comm_graph();
+        WeightedGraph::from_edges(
+            comm.qubits(),
+            comm.edges().iter().map(|e| (e.a, e.b, u64::from(e.weight))),
+        )
+    };
+    let qft = graph_of(&benchmarks::qft_n10());
+    c.bench_function("placement/qft_n10_4x4", |b| b.iter(|| place(&qft, 4, 4, 4, 7)));
+    // Paper-scale placement with the compiler's 8 restarts: a sparse
+    // communication graph (a chain) and a dense one (all pairs).
+    let ising = graph_of(&benchmarks::ising_n50());
+    c.bench_function("placement/ising_n50_8x8", |b| b.iter(|| place(&ising, 8, 8, 8, 7)));
+    let qft = graph_of(&benchmarks::qft_n50());
+    c.bench_function("placement/qft_n50_8x8", |b| b.iter(|| place(&qft, 8, 8, 8, 7)));
 }
 
 fn bench_router(c: &mut Criterion) {

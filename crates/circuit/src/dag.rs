@@ -201,27 +201,54 @@ impl GateDag {
 
     /// Exact number of transitive descendants of every gate ("remaining
     /// gates number" in §IV-B2), computed with a bitset sweep in reverse
-    /// topological order. Costs `O(g²/64)` time and transient memory.
+    /// topological order. Costs `O(g²/64)` time.
+    ///
+    /// A gate's reach row is read only by its parents, so it is recycled
+    /// once the last of them has been swept. Live rows are the sweep's
+    /// frontier, a few per qubit, so the transient memory is
+    /// `O(qubits·g/64)` rather than one row per gate.
     #[must_use]
     pub fn descendant_counts(&self) -> Vec<u32> {
         let n = self.len();
         let words = n.div_ceil(64);
-        let mut reach = vec![0u64; n * words];
+        let mut rows: Vec<u64> = Vec::new();
+        let mut free_rows: Vec<usize> = Vec::new();
+        let mut row_of = vec![0usize; n];
+        // Parents that have yet to read each gate's row.
+        let mut unread = self.parent_count.clone();
         let mut counts = vec![0u32; n];
         for id in (0..n).rev() {
-            // Split `reach` so we can borrow the row for `id` mutably while
-            // reading the (strictly later) child rows.
-            let (head, tail) = reach.split_at_mut((id + 1) * words);
-            let row = &mut head[id * words..];
+            let r = free_rows.pop().unwrap_or_else(|| {
+                rows.resize(rows.len() + words, 0);
+                rows.len() / words - 1
+            });
+            row_of[id] = r;
+            rows[r * words..(r + 1) * words].fill(0);
             for &c in self.children(id) {
                 debug_assert!(c > id, "children always have larger program order");
-                let crow = &tail[(c - id - 1) * words..(c - id) * words];
+                let cr = row_of[c];
+                // `c`'s row is live (this gate has not read it yet), so it
+                // is a different row from `id`'s.
+                let (row, crow) = if r < cr {
+                    let (head, tail) = rows.split_at_mut(cr * words);
+                    (&mut head[r * words..(r + 1) * words], &tail[..words])
+                } else {
+                    let (head, tail) = rows.split_at_mut(r * words);
+                    (&mut tail[..words], &head[cr * words..(cr + 1) * words])
+                };
                 for (w, &cw) in row.iter_mut().zip(crow) {
                     *w |= cw;
                 }
                 row[c / 64] |= 1u64 << (c % 64);
+                unread[c] -= 1;
+                if unread[c] == 0 {
+                    free_rows.push(cr);
+                }
             }
-            counts[id] = row.iter().map(|w| w.count_ones()).sum();
+            counts[id] = rows[r * words..(r + 1) * words].iter().map(|w| w.count_ones()).sum();
+            if unread[id] == 0 {
+                free_rows.push(r);
+            }
         }
         counts
     }
@@ -311,6 +338,30 @@ mod tests {
         c.cnot(2, 3); // g3 (depends on g1 and g2)
         let dag = c.dag();
         assert_eq!(dag.descendant_counts(), vec![3, 1, 1, 0]);
+    }
+
+    #[test]
+    fn descendant_counts_match_a_graph_search() {
+        for (qubits, depth, parallelism, seed) in [(6, 40, 3, 1), (11, 300, 2, 2), (20, 60, 7, 3)] {
+            let dag = crate::random::layered(qubits, depth, parallelism, seed).dag();
+            let mut seen = vec![usize::MAX; dag.len()];
+            let expected: Vec<u32> = (0..dag.len())
+                .map(|root| {
+                    let (mut stack, mut count) = (vec![root], 0);
+                    while let Some(g) = stack.pop() {
+                        for &c in dag.children(g) {
+                            if seen[c] != root {
+                                seen[c] = root;
+                                count += 1;
+                                stack.push(c);
+                            }
+                        }
+                    }
+                    count
+                })
+                .collect();
+            assert_eq!(dag.descendant_counts(), expected, "{qubits} qubits, seed {seed}");
+        }
     }
 
     #[test]

@@ -16,7 +16,10 @@
 #[derive(Clone, Debug, Default)]
 pub struct WeightedGraph {
     n: usize,
-    adj: Vec<Vec<(usize, u64)>>,
+    /// CSR row starts: the neighbors of `v` are `adj[start[v]..start[v + 1]]`.
+    start: Vec<usize>,
+    /// Every vertex's `(neighbor, weight)` list, neighbors ascending.
+    adj: Vec<(usize, u64)>,
     edges: Vec<(usize, usize, u64)>,
 }
 
@@ -30,23 +33,40 @@ impl WeightedGraph {
     /// Panics if an endpoint is `>= n`.
     #[must_use]
     pub fn from_edges(n: usize, edges: impl IntoIterator<Item = (usize, usize, u64)>) -> Self {
-        let mut merged = std::collections::HashMap::new();
-        for (a, b, w) in edges {
-            assert!(a < n && b < n, "edge endpoint out of range");
-            if a == b {
-                continue;
+        let mut edge_list: Vec<(usize, usize, u64)> = edges
+            .into_iter()
+            .inspect(|&(a, b, _)| assert!(a < n && b < n, "edge endpoint out of range"))
+            .filter(|&(a, b, _)| a != b)
+            .map(|(a, b, w)| (a.min(b), a.max(b), w))
+            .collect();
+        edge_list.sort_unstable_by_key(|&(a, b, _)| (a, b));
+        edge_list.dedup_by(|next, kept| {
+            let parallel = (next.0, next.1) == (kept.0, kept.1);
+            if parallel {
+                kept.2 += next.2;
             }
-            *merged.entry((a.min(b), a.max(b))).or_insert(0u64) += w;
+            parallel
+        });
+        // Counting sort into CSR. Edges arrive sorted by (a, b), so every
+        // row fills in ascending neighbor order: first the smaller
+        // endpoints (as `b` of an earlier edge), then the larger ones.
+        let mut start = vec![0usize; n + 1];
+        for &(a, b, _) in &edge_list {
+            start[a + 1] += 1;
+            start[b + 1] += 1;
         }
-        let mut edge_list: Vec<(usize, usize, u64)> =
-            merged.into_iter().map(|((a, b), w)| (a, b, w)).collect();
-        edge_list.sort_unstable();
-        let mut adj = vec![Vec::new(); n];
+        for v in 0..n {
+            start[v + 1] += start[v];
+        }
+        let mut fill = start.clone();
+        let mut adj = vec![(0, 0); 2 * edge_list.len()];
         for &(a, b, w) in &edge_list {
-            adj[a].push((b, w));
-            adj[b].push((a, w));
+            adj[fill[a]] = (b, w);
+            fill[a] += 1;
+            adj[fill[b]] = (a, w);
+            fill[b] += 1;
         }
-        WeightedGraph { n, adj, edges: edge_list }
+        WeightedGraph { n, start, adj, edges: edge_list }
     }
 
     /// Number of vertices.
@@ -70,13 +90,13 @@ impl WeightedGraph {
     /// Neighbors of `v` with edge weights.
     #[must_use]
     pub fn neighbors(&self, v: usize) -> &[(usize, u64)] {
-        &self.adj[v]
+        &self.adj[self.start[v]..self.start[v + 1]]
     }
 
     /// Sum of weights of edges incident to `v`.
     #[must_use]
     pub fn weighted_degree(&self, v: usize) -> u64 {
-        self.adj[v].iter().map(|&(_, w)| w).sum()
+        self.neighbors(v).iter().map(|&(_, w)| w).sum()
     }
 
     /// Total weight of edges crossing the boolean partition `side`.

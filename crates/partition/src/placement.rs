@@ -1,7 +1,7 @@
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::bisect::bisect;
+use crate::bisect::{clamp, Kl};
 use crate::graph::WeightedGraph;
 
 /// A qubit → tile-slot assignment on a `rows × cols` tile array, scored by
@@ -127,107 +127,112 @@ pub fn place_masked(
     assert_eq!(forbidden.len(), rows * cols, "defect mask must cover the tile array");
     let live = forbidden.iter().filter(|&&f| !f).count();
     assert!(n <= live, "{n} qubits do not fit in {live} live slots of a {rows}×{cols} array");
+    let mut bisector =
+        Bisector { graph, cols, forbidden, kl: Kl::new(n), spill: Vec::with_capacity(n) };
+    let mut refiner = refine_pass.then(|| Refiner::new(graph, rows, cols));
+    let mut qubits = Vec::with_capacity(n);
+    let mut slot_of = vec![usize::MAX; n];
     let mut best: Option<Placement> = None;
     for r in 0..restarts.max(1) {
         let mut rng =
             SmallRng::seed_from_u64(seed.wrapping_add(r as u64).wrapping_mul(0x9E37_79B9));
-        let mut slot_of = vec![usize::MAX; n];
-        let qubits: Vec<usize> = (0..n).collect();
-        recurse(
-            graph,
-            &qubits,
-            0,
-            rows,
-            0,
-            cols,
-            cols,
-            slot_of.as_mut_slice(),
-            forbidden,
-            &mut rng,
-        );
-        if refine_pass {
-            refine(graph, rows, cols, &mut slot_of, forbidden);
+        qubits.clear();
+        qubits.extend(0..n);
+        bisector.recurse(&mut qubits, (0, rows, 0, cols), &mut slot_of, &mut rng);
+        if let Some(refiner) = &mut refiner {
+            refiner.run(graph, &mut slot_of, forbidden);
         }
         let cost = total_cost(graph, cols, &slot_of);
         if best.as_ref().is_none_or(|b| cost < b.cost) {
-            best = Some(Placement { rows, cols, slot_of, cost });
+            best = Some(Placement { rows, cols, slot_of: slot_of.clone(), cost });
         }
     }
     best.expect("at least one restart")
 }
 
-/// Recursively bisects `qubits` into the slot region `[r0,r1)×[c0,c1)`,
-/// sizing the halves by their *live* (non-forbidden) slot counts.
-#[allow(clippy::too_many_arguments)]
-fn recurse(
-    graph: &WeightedGraph,
-    qubits: &[usize],
-    r0: usize,
-    r1: usize,
-    c0: usize,
-    c1: usize,
+/// A slot region `[r0, r1) × [c0, c1)`.
+type Region = (usize, usize, usize, usize);
+
+/// Recursive-bisection state shared by every level and restart of one
+/// placement call.
+struct Bisector<'g> {
+    graph: &'g WeightedGraph,
     cols: usize,
-    slot_of: &mut [usize],
-    forbidden: &[bool],
-    rng: &mut SmallRng,
-) {
-    if qubits.is_empty() {
-        return;
-    }
-    let region_rows = r1 - r0;
-    let region_cols = c1 - c0;
-    if region_rows * region_cols == 1 || qubits.len() == 1 {
-        // Base case: drop remaining qubits into the region's live slots
-        // row-major. (At most one qubit remains unless the region is a
-        // single slot.)
-        let mut slots =
-            (r0..r1).flat_map(|r| (c0..c1).map(move |c| r * cols + c)).filter(|&s| !forbidden[s]);
-        for &q in qubits {
-            slot_of[q] = slots.next().expect("region has room");
+    forbidden: &'g [bool],
+    kl: Kl,
+    /// The right half of a region's qubits while its slice is partitioned.
+    spill: Vec<usize>,
+}
+
+impl Bisector<'_> {
+    /// Recursively bisects `qubits` (ascending) into `region`, sizing the
+    /// halves by their *live* (non-forbidden) slot counts. Each half is
+    /// partitioned stably in place, so it stays ascending — the vertex
+    /// order the KL view numbers positions by.
+    fn recurse(
+        &mut self,
+        qubits: &mut [usize],
+        (r0, r1, c0, c1): Region,
+        slot_of: &mut [usize],
+        rng: &mut SmallRng,
+    ) {
+        if qubits.is_empty() {
+            return;
         }
-        return;
+        let (cols, forbidden) = (self.cols, self.forbidden);
+        let region_rows = r1 - r0;
+        let region_cols = c1 - c0;
+        if region_rows * region_cols == 1 || qubits.len() == 1 {
+            // Base case: drop remaining qubits into the region's live slots
+            // row-major. (At most one qubit remains unless the region is a
+            // single slot.)
+            let mut slots = (r0..r1)
+                .flat_map(|r| (c0..c1).map(move |c| r * cols + c))
+                .filter(|&s| !forbidden[s]);
+            for &q in qubits.iter() {
+                slot_of[q] = slots.next().expect("region has room");
+            }
+            return;
+        }
+
+        let live_in = |r0: usize, r1: usize, c0: usize, c1: usize| -> usize {
+            (r0..r1).map(|r| (c0..c1).filter(|&c| !forbidden[r * cols + c]).count()).sum()
+        };
+
+        // Split the longer dimension.
+        let (a_slots, regions) = if region_rows >= region_cols {
+            let rm = r0 + region_rows / 2;
+            (live_in(r0, rm, c0, c1), ((r0, rm, c0, c1), (rm, r1, c0, c1)))
+        } else {
+            let cm = c0 + region_cols / 2;
+            (live_in(r0, r1, c0, cm), ((r0, r1, c0, cm), (r0, r1, cm, c1)))
+        };
+        let total_slots = live_in(r0, r1, c0, c1);
+        let b_slots = total_slots - a_slots;
+
+        // Target sizes proportional to slot counts, clamped to fit.
+        let k = qubits.len();
+        let mut ka = (k * a_slots + total_slots / 2) / total_slots;
+        ka = ka.min(a_slots).max(k.saturating_sub(b_slots));
+
+        // Bisect the region's qubits as a view of the whole graph, then
+        // move the right side behind the left one.
+        let side = self.kl.bisect(self.graph, qubits, ka, rng);
+        self.spill.clear();
+        let mut kept = 0;
+        for i in 0..k {
+            if side[i] {
+                self.spill.push(qubits[i]);
+            } else {
+                qubits[kept] = qubits[i];
+                kept += 1;
+            }
+        }
+        qubits[kept..].copy_from_slice(&self.spill);
+        let (left, right) = qubits.split_at_mut(kept);
+        self.recurse(left, regions.0, slot_of, rng);
+        self.recurse(right, regions.1, slot_of, rng);
     }
-
-    let live_in = |r0: usize, r1: usize, c0: usize, c1: usize| -> usize {
-        (r0..r1).map(|r| (c0..c1).filter(|&c| !forbidden[r * cols + c]).count()).sum()
-    };
-
-    // Split the longer dimension.
-    let (a_slots, regions) = if region_rows >= region_cols {
-        let rm = r0 + region_rows / 2;
-        (live_in(r0, rm, c0, c1), ((r0, rm, c0, c1), (rm, r1, c0, c1)))
-    } else {
-        let cm = c0 + region_cols / 2;
-        (live_in(r0, r1, c0, cm), ((r0, r1, c0, cm), (r0, r1, cm, c1)))
-    };
-    let total_slots = live_in(r0, r1, c0, c1);
-    let b_slots = total_slots - a_slots;
-
-    // Target sizes proportional to slot counts, clamped to fit.
-    let k = qubits.len();
-    let mut ka = (k * a_slots + total_slots / 2) / total_slots;
-    ka = ka.min(a_slots).max(k.saturating_sub(b_slots));
-
-    // Bisect the induced subgraph.
-    let mut index_of = vec![usize::MAX; graph.len()];
-    for (i, &q) in qubits.iter().enumerate() {
-        index_of[q] = i;
-    }
-    let sub_edges =
-        graph.edges().iter().filter_map(|&(a, b, w)| match (index_of[a], index_of[b]) {
-            (ia, ib) if ia != usize::MAX && ib != usize::MAX => Some((ia, ib, w)),
-            _ => None,
-        });
-    let sub = WeightedGraph::from_edges(k, sub_edges);
-    let side = bisect(&sub, ka, rng);
-
-    let left: Vec<usize> =
-        qubits.iter().enumerate().filter(|&(i, _)| !side[i]).map(|(_, &q)| q).collect();
-    let right: Vec<usize> =
-        qubits.iter().enumerate().filter(|&(i, _)| side[i]).map(|(_, &q)| q).collect();
-    let ((ar0, ar1, ac0, ac1), (br0, br1, bc0, bc1)) = regions;
-    recurse(graph, &left, ar0, ar1, ac0, ac1, cols, slot_of, forbidden, rng);
-    recurse(graph, &right, br0, br1, bc0, bc1, cols, slot_of, forbidden, rng);
 }
 
 /// Best-improvement local search: swap two qubits or move a qubit to a free
@@ -237,117 +242,146 @@ fn recurse(
 /// Manhattan distance separates into row and column terms, so the weighted
 /// distance from a candidate slot `(r, c)` to all of `q`'s neighbors is
 /// `A_q(r) + B_q(c)`, and both profiles come from a weighted histogram of
-/// the neighbors' current rows/columns in two prefix passes. Each round
-/// then costs `O(E + n·(rows + cols) + n·slots)` instead of a graph scan
-/// per candidate, while producing the *same integers* — and therefore the
-/// same move sequence and final mapping — as the naive
-/// `Σ w·(d(to, s_u) − d(from, s_u))` evaluation.
-fn refine(
-    graph: &WeightedGraph,
+/// the neighbors' current rows/columns in two prefix passes. A profile
+/// changes only when a neighbor moves, so after each move only the movers'
+/// neighbors are rebuilt. Each round then costs `O(n·slots)` plus the
+/// rebuilds instead of a graph scan per candidate, while producing the
+/// *same integers* — and therefore the same move sequence and final
+/// mapping — as the naive `Σ w·(d(to, s_u) − d(from, s_u))` evaluation.
+///
+/// The scratch, including the dense pair-weight table, is built once per
+/// placement call and reused by every restart.
+struct Refiner {
     rows: usize,
     cols: usize,
-    slot_of: &mut [usize],
-    forbidden: &[bool],
-) {
-    let n = graph.len();
-    let slots = rows * cols;
-    let mut occupant: Vec<Option<usize>> = vec![None; slots];
-    for (q, &s) in slot_of.iter().enumerate() {
-        occupant[s] = Some(q);
-    }
-    let clamp = |w: u64| i64::try_from(w).unwrap_or(i64::MAX);
-    // Dense pair-weight table for the swap correction term (γ_qp): a swap
-    // leaves the q–p edge length unchanged, so its contribution must be
-    // backed out of the two one-sided deltas. n is a tile-array
-    // population, so n² stays small.
-    let mut weight = vec![0i64; n * n];
-    for q in 0..n {
-        for &(u, w) in graph.neighbors(q) {
-            weight[q * n + u] = clamp(w);
+    /// Dense pair-weight table for the swap correction term (γ_qp): a
+    /// swap leaves the q–p edge length unchanged, so its contribution
+    /// must be backed out of the two one-sided deltas. n is a tile-array
+    /// population, so n² stays small.
+    weight: Vec<i64>,
+    occupant: Vec<Option<usize>>,
+    row_hist: Vec<i64>,
+    col_hist: Vec<i64>,
+    row_profile: Vec<i64>,
+    col_profile: Vec<i64>,
+    /// Qubits whose profiles are stale.
+    stale: Vec<bool>,
+}
+
+impl Refiner {
+    fn new(graph: &WeightedGraph, rows: usize, cols: usize) -> Self {
+        let n = graph.len();
+        let mut weight = vec![0i64; n * n];
+        for q in 0..n {
+            for &(u, w) in graph.neighbors(q) {
+                weight[q * n + u] = clamp(w);
+            }
         }
-    }
-    let mut row_hist = vec![0i64; rows];
-    let mut col_hist = vec![0i64; cols];
-    let mut row_profile = vec![0i64; n * rows];
-    let mut col_profile = vec![0i64; n * cols];
-    // `A(x) = Σ_u w_u·|x − x_u|` for every coordinate `x`, from the
-    // neighbors' weighted coordinate histogram in two sweeps.
-    fn fill_profile(hist: &[i64], out: &mut [i64]) {
-        let (mut below, mut acc) = (0i64, 0i64);
-        for (x, o) in out.iter_mut().enumerate() {
-            acc += below;
-            *o = acc;
-            below += hist[x];
-        }
-        let (mut above, mut acc) = (0i64, 0i64);
-        for (x, o) in out.iter_mut().enumerate().rev() {
-            acc += above;
-            *o += acc;
-            above += hist[x];
+        Refiner {
+            rows,
+            cols,
+            weight,
+            occupant: vec![None; rows * cols],
+            row_hist: vec![0; rows],
+            col_hist: vec![0; cols],
+            row_profile: vec![0; n * rows],
+            col_profile: vec![0; n * cols],
+            stale: vec![true; n],
         }
     }
 
-    for _round in 0..4 * n.max(1) {
-        for q in 0..n {
-            row_hist.fill(0);
-            col_hist.fill(0);
-            for &(u, w) in graph.neighbors(q) {
-                let s = slot_of[u];
-                row_hist[s / cols] += clamp(w);
-                col_hist[s % cols] += clamp(w);
-            }
-            fill_profile(&row_hist, &mut row_profile[q * rows..(q + 1) * rows]);
-            fill_profile(&col_hist, &mut col_profile[q * cols..(q + 1) * cols]);
+    fn run(&mut self, graph: &WeightedGraph, slot_of: &mut [usize], forbidden: &[bool]) {
+        let (n, rows, cols) = (graph.len(), self.rows, self.cols);
+        self.occupant.fill(None);
+        for (q, &s) in slot_of.iter().enumerate() {
+            self.occupant[s] = Some(q);
         }
-        let attraction = |q: usize, slot: usize| -> i64 {
-            row_profile[q * rows + slot / cols] + col_profile[q * cols + slot % cols]
-        };
-        let mut best: Option<(usize, Option<usize>, usize, i64)> = None; // (q, partner, target_slot, delta)
-        for q in 0..n {
-            let from = slot_of[q];
-            let a_from = attraction(q, from);
-            for (target, &occ) in occupant.iter().enumerate() {
-                if target == from || forbidden[target] {
+        self.stale.fill(true);
+
+        for _round in 0..4 * n.max(1) {
+            for q in 0..n {
+                if !std::mem::take(&mut self.stale[q]) {
                     continue;
                 }
-                match occ {
-                    None => {
-                        let d = attraction(q, target) - a_from;
-                        if best.is_none_or(|(_, _, _, bd)| d < bd) {
-                            best = Some((q, None, target, d));
-                        }
+                self.row_hist.fill(0);
+                self.col_hist.fill(0);
+                for &(u, w) in graph.neighbors(q) {
+                    let s = slot_of[u];
+                    self.row_hist[s / cols] += clamp(w);
+                    self.col_hist[s % cols] += clamp(w);
+                }
+                fill_profile(&self.row_hist, &mut self.row_profile[q * rows..(q + 1) * rows]);
+                fill_profile(&self.col_hist, &mut self.col_profile[q * cols..(q + 1) * cols]);
+            }
+            let attraction = |q: usize, slot: usize| -> i64 {
+                self.row_profile[q * rows + slot / cols] + self.col_profile[q * cols + slot % cols]
+            };
+            let mut best: Option<(usize, Option<usize>, usize, i64)> = None; // (q, partner, target_slot, delta)
+            for (q, &from) in slot_of.iter().enumerate() {
+                let a_from = attraction(q, from);
+                for (target, &occ) in self.occupant.iter().enumerate() {
+                    if target == from || forbidden[target] {
+                        continue;
                     }
-                    Some(p) => {
-                        if p <= q {
-                            continue; // each unordered pair once
+                    match occ {
+                        None => {
+                            let d = attraction(q, target) - a_from;
+                            if best.is_none_or(|(_, _, _, bd)| d < bd) {
+                                best = Some((q, None, target, d));
+                            }
                         }
-                        // The q–p edge length is unchanged by a swap; the
-                        // profiles counted its endpoints moving apart and
-                        // together, so restore 2·γ_qp·d(from, target).
-                        let d = (attraction(q, target) - a_from)
-                            + (attraction(p, from) - attraction(p, target))
-                            + 2 * weight[q * n + p] * manhattan(cols, from, target) as i64;
-                        if best.is_none_or(|(_, _, _, bd)| d < bd) {
-                            best = Some((q, Some(p), target, d));
+                        Some(p) => {
+                            if p <= q {
+                                continue; // each unordered pair once
+                            }
+                            // The q–p edge length is unchanged by a swap;
+                            // the profiles counted its endpoints moving
+                            // apart and together, so restore
+                            // 2·γ_qp·d(from, target).
+                            let d = (attraction(q, target) - a_from)
+                                + (attraction(p, from) - attraction(p, target))
+                                + 2 * self.weight[q * n + p] * manhattan(cols, from, target) as i64;
+                            if best.is_none_or(|(_, _, _, bd)| d < bd) {
+                                best = Some((q, Some(p), target, d));
+                            }
                         }
                     }
                 }
             }
-        }
-        match best {
-            Some((q, partner, target, d)) if d < 0 => {
-                let from = slot_of[q];
-                slot_of[q] = target;
-                occupant[target] = Some(q);
-                if let Some(p) = partner {
-                    slot_of[p] = from;
-                    occupant[from] = Some(p);
-                } else {
-                    occupant[from] = None;
+            let Some((q, partner, target, d)) = best else { break };
+            if d >= 0 {
+                break;
+            }
+            let from = slot_of[q];
+            slot_of[q] = target;
+            self.occupant[target] = Some(q);
+            self.occupant[from] = partner;
+            if let Some(p) = partner {
+                slot_of[p] = from;
+            }
+            for moved in std::iter::once(q).chain(partner) {
+                for &(u, _) in graph.neighbors(moved) {
+                    self.stale[u] = true;
                 }
             }
-            _ => break,
         }
+    }
+}
+
+/// `A(x) = Σ_u w_u·|x − x_u|` for every coordinate `x`, from the
+/// neighbors' weighted coordinate histogram in two sweeps.
+fn fill_profile(hist: &[i64], out: &mut [i64]) {
+    let (mut below, mut acc) = (0i64, 0i64);
+    for (x, o) in out.iter_mut().enumerate() {
+        acc += below;
+        *o = acc;
+        below += hist[x];
+    }
+    let (mut above, mut acc) = (0i64, 0i64);
+    for (x, o) in out.iter_mut().enumerate().rev() {
+        acc += above;
+        *o += acc;
+        above += hist[x];
     }
 }
 
@@ -444,6 +478,62 @@ mod tests {
                 assert!(seen.insert(s), "seed {seed}: slot {s} reused");
             }
         }
+    }
+
+    /// A seeded random weighted graph with zero-weight edges and many
+    /// repeated weights.
+    pub(crate) fn random_graph(seed: u64, n: usize, density: f64) -> WeightedGraph {
+        use rand::Rng;
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut edges = Vec::new();
+        for a in 0..n {
+            for b in a + 1..n {
+                if rng.gen_bool(density) {
+                    edges.push((a, b, rng.gen_range(0..4u64)));
+                }
+            }
+        }
+        WeightedGraph::from_edges(n, edges)
+    }
+
+    /// Defect-masked placements on seeded random graphs, fingerprinted
+    /// (FNV-1a over every slot and the cost) on the subgraph-building KL
+    /// with the exhaustive pair scan. The view-based KL must reproduce
+    /// them exactly, with and without refinement.
+    #[test]
+    fn masked_placements_match_the_reference_results() {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut write = |v: u64| {
+            for byte in v.to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+            }
+        };
+        for (case, &(n, rows, cols, density)) in
+            [(9, 3, 4, 0.5), (14, 4, 5, 0.3), (20, 5, 5, 0.2), (31, 6, 7, 0.15), (40, 7, 7, 0.6)]
+                .iter()
+                .enumerate()
+        {
+            let g = random_graph(case as u64, n, density);
+            let mut mask_rng = SmallRng::seed_from_u64(100 + case as u64);
+            let mut forbidden = vec![false; rows * cols];
+            // Kill about a third of the spare slots.
+            let mut dead = 0;
+            while dead < (rows * cols - n).div_ceil(3) {
+                let s = rand::Rng::gen_range(&mut mask_rng, 0..rows * cols);
+                if !forbidden[s] {
+                    forbidden[s] = true;
+                    dead += 1;
+                }
+            }
+            for refine_pass in [false, true] {
+                let p = place_masked(&g, rows, cols, 4, case as u64, refine_pass, &forbidden);
+                for &s in p.slot_of() {
+                    write(s as u64);
+                }
+                write(p.cost());
+            }
+        }
+        assert_eq!(h, 10_623_006_945_943_559_861);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!
 //! | op       | fields |
 //! |----------|--------|
-//! | `submit` | a circuit source — `"qasm"` (inline source), `"file"` (path), or `"random"` (`{qubits, depth, parallelism, seed}`) — plus optional `"chip"`, `"model"`, `"deadline_ms"`, `"tag"`, `"analyze"` (run the static analyzer; the result line's report carries the diagnostics), and a defect mask: `"defects"` (explicit `"r,c;r,c"` coordinates) or `"defect_percent"` + `"defect_seed"` (seeded random dead tiles, capped so the circuit still fits) |
+//! | `submit` | a circuit source — `"qasm"` (inline source), `"file"` (path), or `"random"` (`{qubits, depth, parallelism, seed}`; `seed` defaults to 0 and must be an integer below 2^53) — plus optional `"chip"`, `"model"`, `"deadline_ms"`, `"tag"`, `"analyze"` (run the static analyzer; the result line's report carries the diagnostics), and a defect mask: `"defects"` (explicit `"r,c;r,c"` coordinates) or `"defect_percent"` + `"defect_seed"` (seeded random dead tiles, capped so the circuit still fits) |
 //! | `status` | `"job"` — non-blocking lifecycle probe |
 //! | `cancel` | `"job"` — cooperative cancellation |
 //! | `result` | `"job"` — blocking wait; emits the job's result line now |
@@ -734,7 +734,14 @@ fn build_circuit(request: &Value) -> Result<Circuit, BuildError> {
         let qubits = field("qubits")?;
         let depth = field("depth")?;
         let parallelism = field("parallelism")?;
-        let seed = random.get("seed").and_then(Value::as_u64).unwrap_or(0);
+        // A missing seed means 0; one the f64 wire cannot carry exactly
+        // is refused rather than silently replaced.
+        let seed = match random.get("seed") {
+            None => 0,
+            Some(seed) => seed.as_u64().ok_or_else(|| {
+                BuildError::plain("random source needs an integer \"seed\" in [0, 2^53)")
+            })?,
+        };
         if parallelism == 0 || 2 * parallelism > qubits || depth == 0 {
             return Err(BuildError::plain(format!(
                 "random source out of range: qubits={qubits} depth={depth} \
@@ -746,12 +753,19 @@ fn build_circuit(request: &Value) -> Result<Circuit, BuildError> {
     Err(BuildError::plain("submit needs a circuit source: \"qasm\", \"file\", or \"random\""))
 }
 
+/// The integers below 2^53: the seeds an `ecmasd` line carries exactly.
+const WIRE_SEED_MASK: u64 = (1 << 53) - 1;
+
 /// Renders a seeded [`StressWorkload`] as an `ecmasd` input stream:
 /// one `submit` per job (via the `random` source, so the daemon
 /// regenerates the identical circuit), a `cancel` after every
 /// `cancel_every`-th submit (targeting the job just submitted — it is
 /// honored whenever the job is still queued when the daemon reads the
 /// next line), and a final `drain`.
+///
+/// Job seeds are masked to their low 53 bits, the integers the protocol's
+/// f64 numbers carry exactly, so the daemon builds the circuit of the
+/// emitted seed.
 ///
 /// With a nonzero `spec.defect_percent` every submit also carries
 /// `"defect_percent"` and its per-job `"defect_seed"`, so each job's
@@ -780,7 +794,10 @@ pub fn stress_stream(
         out.push_str(&format!(
             "{{\"op\":\"submit\",\"tag\":\"stress{i}\",\"random\":{{\"qubits\":{},\
              \"depth\":{},\"parallelism\":{},\"seed\":{}}}{defects}{deadline}}}\n",
-            job.qubits, job.depth, job.parallelism, job.seed
+            job.qubits,
+            job.depth,
+            job.parallelism,
+            job.seed & WIRE_SEED_MASK
         ));
         if let Some(every) = cancel_every {
             if every > 0 && number % every == 0 {
@@ -1117,5 +1134,51 @@ mod tests {
         }
         assert!(lines[3].contains("\"cancel\"") && lines[3].contains("\"job\":3"));
         assert!(lines.last().unwrap().contains("drain"));
+    }
+
+    #[test]
+    fn stress_stream_seeds_survive_the_wire() {
+        let spec = StressSpec { jobs: 200, ..StressSpec::new(200, 16, 5) };
+        let jobs = StressWorkload::new(&spec);
+        let stream = stress_stream(&spec, None, None);
+        let submits = stream.lines().filter(|line| line.contains("\"submit\""));
+        let mut wide = 0;
+        for (job, line) in jobs.jobs().iter().zip(submits) {
+            let v = json::parse(line).unwrap();
+            let seed = v.get("random").unwrap().get("seed").unwrap().as_u64();
+            assert_eq!(seed, Some(job.seed & WIRE_SEED_MASK), "{line}");
+            wide += usize::from(job.seed > WIRE_SEED_MASK);
+        }
+        assert!(wide > 150, "the workload's seeds are mostly wider than 53 bits");
+    }
+
+    #[test]
+    fn unrepresentable_seeds_are_refused_and_a_missing_seed_is_zero() {
+        let mut d = daemon(1);
+        for seed in ["1152921504606846976", "9007199254740992", "-1", "1.5", "\"7\""] {
+            let line = format!(
+                r#"{{"op":"submit","random":{{"qubits":4,"depth":4,"parallelism":1,"seed":{seed}}}}}"#
+            );
+            let resp = one(d.handle_line(&line));
+            assert_eq!(resp.get("op").unwrap().as_str(), Some("error"), "seed {seed}");
+            assert!(resp.get("error").unwrap().as_str().unwrap().contains("seed"), "seed {seed}");
+        }
+        let submit = |random: &str| {
+            format!(
+                r#"{{"op":"submit","random":{{"qubits":4,"depth":4,"parallelism":1{random}}}}}"#
+            )
+        };
+        let mut reports = Vec::new();
+        for line in [submit(""), submit(r#","seed":0"#), submit(r#","seed":9007199254740991"#)] {
+            let resp = one(d.handle_line(&line));
+            assert_eq!(resp.get("op").unwrap().as_str(), Some("submitted"), "{line}");
+            let job = resp.get("job").unwrap().as_u64().unwrap();
+            let result = one(d.handle_line(&format!(r#"{{"op":"result","job":{job}}}"#)));
+            assert_eq!(result.get("status").unwrap().as_str(), Some("done"), "{line}");
+            let report = result.get("report").unwrap();
+            let count = |key: &str| report.get(key).unwrap().as_u64();
+            reports.push((count("cycles"), count("events")));
+        }
+        assert_eq!(reports[0], reports[1], "a missing seed is seed 0");
     }
 }

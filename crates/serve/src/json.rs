@@ -64,11 +64,13 @@ impl Value {
         }
     }
 
-    /// The number as an exact non-negative integer.
+    /// The number as an exact non-negative integer: below 2^53, where
+    /// every integer has its own `f64` (2^53 is also the rounding of
+    /// 2^53 + 1).
     #[must_use]
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) =>
+            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < 2f64.powi(53) =>
             {
                 #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
                 Some(*n as u64)
@@ -418,6 +420,8 @@ mod tests {
         assert_eq!(parse("3.5").unwrap().as_u64(), None);
         assert_eq!(parse("-1").unwrap().as_u64(), None);
         assert_eq!(parse("42").unwrap().as_usize(), Some(42));
+        assert_eq!(parse("9007199254740991").unwrap().as_u64(), Some((1 << 53) - 1));
+        assert_eq!(parse("9007199254740993").unwrap().as_u64(), None);
         assert_eq!(parse("true").unwrap().as_f64(), None);
     }
 }

@@ -43,11 +43,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use ecmas::cut::CutType;
 use ecmas::encoded::EncodedCircuit;
-use ecmas::engine::{schedule_limited_with_stats, CutPolicy, GateOrder, ScheduleConfig};
+use ecmas::engine::{schedule_limited, CutPolicy, GateOrder, ScheduleConfig};
 use ecmas::error::CompileError;
 use ecmas::mapping::snake_mapping;
 use ecmas::session::{
@@ -157,13 +158,13 @@ impl Compiler for AutoBraid {
             1,
             chip.code_distance(),
         )?;
-        let mapping = snake_mapping(n, clamped.tile_rows(), clamped.tile_cols());
+        let mapping = snake_mapping(n, &clamped);
         let cuts = vec![CutType::X; n];
         let map_time = t_map.elapsed();
         let t_schedule = Instant::now();
-        let (encoded, stats) = schedule_limited_with_stats(
+        let (encoded, stats) = schedule_limited(
             &circuit.dag(),
-            &clamped,
+            &Arc::new(clamped),
             &mapping,
             Some(&cuts),
             ScheduleConfig { order: GateOrder::Priority, cut_policy: CutPolicy::NeverModify },
@@ -250,12 +251,12 @@ impl Compiler for Edpci {
         }
         let t_map = Instant::now();
         let dense = Self::dense_view(chip)?;
-        let mapping = snake_mapping(n, dense.tile_rows(), dense.tile_cols());
+        let mapping = snake_mapping(n, &dense);
         let map_time = t_map.elapsed();
         let t_schedule = Instant::now();
-        let (encoded, stats) = schedule_limited_with_stats(
+        let (encoded, stats) = schedule_limited(
             &circuit.dag(),
-            &dense,
+            &Arc::new(dense),
             &mapping,
             None,
             ScheduleConfig { order: GateOrder::Priority, cut_policy: CutPolicy::NeverModify },

@@ -29,13 +29,19 @@ fn bench_placement(c: &mut Criterion) {
         )
     };
     let qft = graph_of(&benchmarks::qft_n10());
-    c.bench_function("placement/qft_n10_4x4", |b| b.iter(|| place(&qft, 4, 4, 4, 7)));
+    c.bench_function("placement/qft_n10_4x4", |b| {
+        b.iter(|| place(&qft, 4, 4, 4, 7, true, &[false; 16]));
+    });
     // Paper-scale placement with the compiler's 8 restarts: a sparse
     // communication graph (a chain) and a dense one (all pairs).
     let ising = graph_of(&benchmarks::ising_n50());
-    c.bench_function("placement/ising_n50_8x8", |b| b.iter(|| place(&ising, 8, 8, 8, 7)));
+    c.bench_function("placement/ising_n50_8x8", |b| {
+        b.iter(|| place(&ising, 8, 8, 8, 7, true, &[false; 64]));
+    });
     let qft = graph_of(&benchmarks::qft_n50());
-    c.bench_function("placement/qft_n50_8x8", |b| b.iter(|| place(&qft, 8, 8, 8, 7)));
+    c.bench_function("placement/qft_n50_8x8", |b| {
+        b.iter(|| place(&qft, 8, 8, 8, 7, true, &[false; 64]));
+    });
 }
 
 fn bench_router(c: &mut Criterion) {
@@ -66,6 +72,7 @@ fn bench_router(c: &mut Criterion) {
                 router.block_tile(t);
             }
             let mut routed = 0;
+            let mut outcomes = Vec::new();
             for cycle in 0..8u64 {
                 let requests: Vec<RouteRequest> = (8 * cycle..8 * (cycle + 1))
                     .filter_map(|k| {
@@ -74,7 +81,8 @@ fn bench_router(c: &mut Criterion) {
                         (from != to).then(|| RouteRequest::route(from, to, 1))
                     })
                     .collect();
-                routed += router.route_ready_by_distance(&requests, cycle).iter().flatten().count();
+                router.route_ready_by_distance(&requests, cycle, &mut outcomes);
+                routed += outcomes.iter().flatten().count();
             }
             routed
         });
@@ -119,7 +127,7 @@ fn bench_congested_router(c: &mut Criterion) {
             let mut routed = 0;
             let mut outcomes = Vec::new();
             for (cycle, batch) in batches.iter().enumerate() {
-                router.route_ready_by_distance_into(batch, cycle as u64, &mut outcomes);
+                router.route_ready_by_distance(batch, cycle as u64, &mut outcomes);
                 routed += outcomes.iter().flatten().count();
             }
             (routed, router.stats().cache_hits)

@@ -236,9 +236,12 @@ pub fn diagnostics_to_json(diags: &[Diagnostic]) -> String {
     out
 }
 
-/// Minimal JSON string escape (mirrors `ecmas_serve::json::escape`,
-/// which this crate cannot depend on without a cycle).
-pub(crate) fn escape(s: &str) -> String {
+/// Escapes `s` for embedding in a JSON string literal: quotes,
+/// backslash, and the control characters JSON forbids raw (`\n`, `\r`,
+/// `\t` by name, the rest as `\u00XX`). The one string escape every
+/// JSON writer in the workspace uses.
+#[must_use]
+pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for ch in s.chars() {
         match ch {

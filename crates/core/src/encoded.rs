@@ -118,23 +118,11 @@ impl EncodedCircuit {
     /// Assembles an encoded circuit; Δ is the max event end.
     ///
     /// `mapping[q]` is the tile slot of logical qubit `q`;
-    /// `initial_cuts` must be `Some` for the double-defect model.
+    /// `initial_cuts` must be `Some` for the double-defect model. The chip
+    /// is shared, so a compilation carries one `Arc<Chip>` from the
+    /// session through every schedule candidate into the result.
     #[must_use]
     pub fn new(
-        chip: Chip,
-        mapping: Vec<usize>,
-        initial_cuts: Option<Vec<CutType>>,
-        events: Vec<Event>,
-    ) -> Self {
-        Self::new_shared(Arc::new(chip), mapping, initial_cuts, events)
-    }
-
-    /// [`new`](Self::new) over an already-shared chip — the form the
-    /// schedulers use, so a compilation carries one `Arc<Chip>` from the
-    /// session through every schedule candidate into the result instead
-    /// of cloning the chip per run.
-    #[must_use]
-    pub fn new_shared(
         chip: Arc<Chip>,
         mapping: Vec<usize>,
         initial_cuts: Option<Vec<CutType>>,
@@ -910,7 +898,7 @@ mod tests {
     fn valid_braid_schedule_passes() {
         let (c, chip, mapping, path) = two_qubit_setup();
         let enc = EncodedCircuit::new(
-            chip,
+            Arc::new(chip),
             mapping,
             Some(vec![CutType::X, CutType::Z]),
             vec![Event { gate: Some(0), start: 0, kind: EventKind::Braid { path } }],
@@ -923,7 +911,7 @@ mod tests {
     fn braid_between_equal_cuts_rejected() {
         let (c, chip, mapping, path) = two_qubit_setup();
         let enc = EncodedCircuit::new(
-            chip,
+            Arc::new(chip),
             mapping,
             Some(vec![CutType::X, CutType::X]),
             vec![Event { gate: Some(0), start: 0, kind: EventKind::Braid { path } }],
@@ -935,7 +923,7 @@ mod tests {
     fn direct_same_cut_between_equal_cuts_passes() {
         let (c, chip, mapping, path) = two_qubit_setup();
         let enc = EncodedCircuit::new(
-            chip,
+            Arc::new(chip),
             mapping,
             Some(vec![CutType::X, CutType::X]),
             vec![Event { gate: Some(0), start: 0, kind: EventKind::DirectSameCut { path } }],
@@ -948,7 +936,7 @@ mod tests {
     fn modification_then_braid_passes() {
         let (c, chip, mapping, path) = two_qubit_setup();
         let enc = EncodedCircuit::new(
-            chip,
+            Arc::new(chip),
             mapping,
             Some(vec![CutType::X, CutType::X]),
             vec![
@@ -963,7 +951,12 @@ mod tests {
     #[test]
     fn missing_gate_detected() {
         let (c, chip, mapping, _) = two_qubit_setup();
-        let enc = EncodedCircuit::new(chip, mapping, Some(vec![CutType::X, CutType::Z]), vec![]);
+        let enc = EncodedCircuit::new(
+            Arc::new(chip),
+            mapping,
+            Some(vec![CutType::X, CutType::Z]),
+            vec![],
+        );
         assert_eq!(
             validate_encoded(&c, &enc),
             Err(ValidateError::GateCoverage { gate: 0, times: 0 })
@@ -984,7 +977,7 @@ mod tests {
         let p01 = router.find_tile_path(0, 1, 0).unwrap();
         let p12 = router.find_tile_path(1, 2, 5).unwrap();
         let enc = EncodedCircuit::new(
-            chip,
+            Arc::new(chip),
             mapping,
             Some(vec![CutType::X, CutType::Z, CutType::X]),
             vec![
@@ -1006,7 +999,7 @@ mod tests {
         // DAG-ordered, so modification-vs-gate is the real overlap case.)
         let (c, chip, mapping, path) = two_qubit_setup();
         let enc = EncodedCircuit::new(
-            chip,
+            Arc::new(chip),
             mapping,
             Some(vec![CutType::X, CutType::Z]),
             vec![
@@ -1049,7 +1042,7 @@ mod tests {
             ],
         );
         let enc = EncodedCircuit::new(
-            chip,
+            Arc::new(chip),
             mapping,
             Some(vec![CutType::X, CutType::Z, CutType::X, CutType::Z]),
             vec![
@@ -1064,7 +1057,7 @@ mod tests {
     fn duplicate_mapping_rejected() {
         let (c, chip, _, path) = two_qubit_setup();
         let enc = EncodedCircuit::new(
-            chip,
+            Arc::new(chip),
             vec![0, 0],
             Some(vec![CutType::X, CutType::Z]),
             vec![Event { gate: Some(0), start: 0, kind: EventKind::Braid { path } }],
@@ -1077,7 +1070,7 @@ mod tests {
         let (c, _, mapping, path) = two_qubit_setup();
         let ls_chip = Chip::uniform(CodeModel::LatticeSurgery, 1, 2, 1, 3).unwrap();
         let enc = EncodedCircuit::new(
-            ls_chip,
+            Arc::new(ls_chip),
             mapping,
             None,
             vec![Event { gate: Some(0), start: 0, kind: EventKind::Braid { path } }],
@@ -1116,7 +1109,7 @@ mod tests {
             ],
         );
         let enc = EncodedCircuit::new(
-            chip,
+            Arc::new(chip),
             mapping,
             Some(vec![CutType::X, CutType::X, CutType::X, CutType::Z]),
             vec![

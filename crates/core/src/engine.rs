@@ -88,7 +88,11 @@ const DIRECT_PATH_HOLD: u64 = 2;
 const MODIFY_LATENCY: u64 = 3;
 
 /// Runs Algorithm 1: schedules every CNOT of `dag` on `chip` under the
-/// given `mapping` and (for double defect) `initial_cuts`.
+/// given `mapping` and (for double defect) `initial_cuts`, returning the
+/// schedule with the router's effort/conflict counters.
+///
+/// The chip is shared: a session's one `Arc<Chip>` flows through every
+/// schedule candidate into the [`EncodedCircuit`] without a chip clone.
 ///
 /// # Errors
 ///
@@ -96,42 +100,8 @@ const MODIFY_LATENCY: u64 = 3;
 ///   wrong model.
 /// * [`CompileError::ScheduleStuck`] if the scheduler stops making progress
 ///   (defensive; indicates a model bug, not a user error).
-pub fn schedule_limited(
-    dag: &GateDag,
-    chip: &Chip,
-    mapping: &[usize],
-    initial_cuts: Option<&[CutType]>,
-    config: ScheduleConfig,
-) -> Result<EncodedCircuit, CompileError> {
-    schedule_limited_with_stats(dag, chip, mapping, initial_cuts, config).map(|(enc, _)| enc)
-}
-
-/// [`schedule_limited`] plus the router's effort/conflict counters — the
-/// instrumented entry point the session pipeline's `CompileReport` uses.
-///
-/// # Errors
-///
-/// As [`schedule_limited`].
-pub fn schedule_limited_with_stats(
-    dag: &GateDag,
-    chip: &Chip,
-    mapping: &[usize],
-    initial_cuts: Option<&[CutType]>,
-    config: ScheduleConfig,
-) -> Result<(EncodedCircuit, RouterStats), CompileError> {
-    schedule_limited_shared(dag, &Arc::new(chip.clone()), mapping, initial_cuts, config)
-}
-
-/// [`schedule_limited_with_stats`] over an already-shared chip — the
-/// session pipeline's entry point: the one `Arc<Chip>` taken at session
-/// start flows through every schedule candidate into the
-/// [`EncodedCircuit`] without another chip clone.
-///
-/// # Errors
-///
-/// As [`schedule_limited`].
 #[allow(clippy::too_many_lines)]
-pub fn schedule_limited_shared(
+pub fn schedule_limited(
     dag: &GateDag,
     chip: &Arc<Chip>,
     mapping: &[usize],
@@ -360,7 +330,7 @@ pub fn schedule_limited_shared(
         cycle += 1;
     }
 
-    let encoded = EncodedCircuit::new_shared(
+    let encoded = EncodedCircuit::new(
         Arc::clone(chip),
         mapping.to_vec(),
         initial_cuts.map(<[CutType]>::to_vec),
@@ -400,7 +370,7 @@ fn flush_routed_batch(ctx: FlushCtx<'_>) {
     if ctx.batch.is_empty() {
         return;
     }
-    ctx.router.route_ready_into(ctx.batch, ctx.cycle, ctx.outcomes);
+    ctx.router.route_ready(ctx.batch, ctx.cycle, ctx.outcomes);
     for (&(idx, g), outcome) in ctx.batch_items.iter().zip(ctx.outcomes.drain(..)) {
         let Some(path) = outcome else { continue };
         let gate = ctx.dag.gate(g);
@@ -560,12 +530,12 @@ mod tests {
     use crate::encoded::validate_encoded;
     use ecmas_circuit::Circuit;
 
-    fn dd_chip(n: usize) -> Chip {
-        Chip::min_viable(CodeModel::DoubleDefect, n, 3).unwrap()
+    fn dd_chip(n: usize) -> Arc<Chip> {
+        Arc::new(Chip::min_viable(CodeModel::DoubleDefect, n, 3).unwrap())
     }
 
-    fn ls_chip(n: usize) -> Chip {
-        Chip::min_viable(CodeModel::LatticeSurgery, n, 3).unwrap()
+    fn ls_chip(n: usize) -> Arc<Chip> {
+        Arc::new(Chip::min_viable(CodeModel::LatticeSurgery, n, 3).unwrap())
     }
 
     fn identity_mapping(n: usize) -> Vec<usize> {
@@ -589,7 +559,8 @@ mod tests {
             Some(&cuts),
             ScheduleConfig::default(),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(enc.cycles(), 1);
         validate_encoded(&c, &enc).unwrap();
     }
@@ -607,7 +578,8 @@ mod tests {
             Some(&cuts),
             ScheduleConfig { order: GateOrder::Priority, cut_policy: CutPolicy::NeverModify },
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(enc.cycles(), 3);
         validate_encoded(&c, &enc).unwrap();
     }
@@ -625,7 +597,8 @@ mod tests {
             Some(&cuts),
             ScheduleConfig { order: GateOrder::Priority, cut_policy: CutPolicy::ChannelFirst },
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(enc.cycles(), 4);
         assert_eq!(enc.modification_count(), 1);
         validate_encoded(&c, &enc).unwrap();
@@ -643,7 +616,8 @@ mod tests {
             Some(&cuts),
             ScheduleConfig::default(),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(enc.cycles() as usize, c.depth(), "bipartite chain ⇒ Δ = α");
         validate_encoded(&c, &enc).unwrap();
     }
@@ -660,7 +634,8 @@ mod tests {
             Some(&cuts),
             ScheduleConfig { order: GateOrder::Priority, cut_policy: CutPolicy::NeverModify },
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(enc.cycles() as usize, 3 * c.depth(), "AutoBraid signature: 3α");
         validate_encoded(&c, &enc).unwrap();
     }
@@ -676,7 +651,8 @@ mod tests {
             None,
             ScheduleConfig::default(),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(enc.cycles() as usize, c.depth());
         validate_encoded(&c, &enc).unwrap();
     }
@@ -694,7 +670,8 @@ mod tests {
             None,
             ScheduleConfig::default(),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(enc.cycles(), 1, "two disjoint gates fit one cycle");
         validate_encoded(&c, &enc).unwrap();
     }
@@ -733,7 +710,8 @@ mod tests {
             None,
             ScheduleConfig::default(),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(enc.cycles(), 0);
         validate_encoded(&c, &enc).unwrap();
     }
@@ -750,7 +728,8 @@ mod tests {
                 None,
                 ScheduleConfig { order, cut_policy: CutPolicy::Adaptive },
             )
-            .unwrap();
+            .unwrap()
+            .0;
             validate_encoded(&c, &enc).unwrap();
             assert!(enc.cycles() as usize >= c.depth());
         }
@@ -770,6 +749,7 @@ mod tests {
                 ScheduleConfig { order: GateOrder::Priority, cut_policy: policy },
             )
             .unwrap()
+            .0
         };
         let adaptive = run(CutPolicy::Adaptive);
         let never = run(CutPolicy::NeverModify);
@@ -798,11 +778,12 @@ mod policy_tests {
         let mut c = Circuit::new(2);
         c.cnot(0, 1);
         c.cnot(0, 1);
-        let chip = Chip::min_viable(CodeModel::DoubleDefect, 2, 3).unwrap();
+        let chip = Arc::new(Chip::min_viable(CodeModel::DoubleDefect, 2, 3).unwrap());
         let cuts = vec![CutType::X, CutType::X];
         let enc =
             schedule_limited(&c.dag(), &chip, &[0, 1], Some(&cuts), ScheduleConfig::default())
-                .unwrap();
+                .unwrap()
+                .0;
         validate_encoded(&c, &enc).unwrap();
         assert_eq!(enc.modification_count(), 1);
         assert_eq!(enc.cycles(), 5, "flip(3) + braid(1) + braid(1)");
@@ -813,11 +794,12 @@ mod policy_tests {
     fn adaptive_keeps_one_shot_pairs_direct() {
         let mut c = Circuit::new(2);
         c.cnot(0, 1);
-        let chip = Chip::min_viable(CodeModel::DoubleDefect, 2, 3).unwrap();
+        let chip = Arc::new(Chip::min_viable(CodeModel::DoubleDefect, 2, 3).unwrap());
         let cuts = vec![CutType::X, CutType::X];
         let enc =
             schedule_limited(&c.dag(), &chip, &[0, 1], Some(&cuts), ScheduleConfig::default())
-                .unwrap();
+                .unwrap()
+                .0;
         assert_eq!(enc.modification_count(), 0);
         assert_eq!(enc.cycles(), 3);
     }
@@ -832,11 +814,12 @@ mod policy_tests {
         c.cnot(0, 1);
         c.cnot(1, 2);
         c.cnot(1, 2);
-        let chip = Chip::min_viable(CodeModel::DoubleDefect, 3, 3).unwrap();
+        let chip = Arc::new(Chip::min_viable(CodeModel::DoubleDefect, 3, 3).unwrap());
         let cuts = vec![CutType::X, CutType::X, CutType::Z];
         let enc =
             schedule_limited(&c.dag(), &chip, &[0, 1, 2], Some(&cuts), ScheduleConfig::default())
-                .unwrap();
+                .unwrap()
+                .0;
         validate_encoded(&c, &enc).unwrap();
         let flipped: Vec<usize> = enc
             .events()
@@ -853,7 +836,7 @@ mod policy_tests {
     fn time_first_flips_only_when_blocked() {
         // On an uncongested chip TimeFirst never modifies.
         let c = ecmas_circuit::benchmarks::qft(6);
-        let chip = Chip::min_viable(CodeModel::DoubleDefect, 6, 3).unwrap();
+        let chip = Arc::new(Chip::min_viable(CodeModel::DoubleDefect, 6, 3).unwrap());
         let cuts = crate::cut::initialize_cuts(
             &c.dag(),
             &c.comm_graph(),
@@ -866,7 +849,8 @@ mod policy_tests {
             Some(&cuts),
             ScheduleConfig { order: GateOrder::Priority, cut_policy: CutPolicy::TimeFirst },
         )
-        .unwrap();
+        .unwrap()
+        .0;
         validate_encoded(&c, &enc).unwrap();
         // qft on 6 qubits at min-viable rarely congests; if no gate was
         // ever blocked, no modifications occurred.
@@ -882,10 +866,11 @@ mod policy_tests {
         c.cnot(1, 2);
         c.cnot(2, 3);
         c.cnot(4, 5); // loose gate
-        let chip = Chip::min_viable(CodeModel::LatticeSurgery, 6, 3).unwrap();
+        let chip = Arc::new(Chip::min_viable(CodeModel::LatticeSurgery, 6, 3).unwrap());
         let enc =
             schedule_limited(&c.dag(), &chip, &[0, 1, 2, 3, 4, 5], None, ScheduleConfig::default())
-                .unwrap();
+                .unwrap()
+                .0;
         validate_encoded(&c, &enc).unwrap();
         assert_eq!(enc.cycles() as usize, c.depth(), "chain must not be delayed");
     }

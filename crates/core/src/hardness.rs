@@ -168,6 +168,7 @@ mod tests {
     use crate::cut::CutType;
     use crate::engine::{schedule_limited, ScheduleConfig};
     use ecmas_chip::{Chip, CodeModel};
+    use std::sync::Arc;
 
     fn one_clause() -> SatInstance {
         SatInstance { vars: 3, clauses: vec![[Lit::pos(0), Lit::neg(1), Lit::pos(2)]] }
@@ -236,11 +237,12 @@ mod tests {
             cuts[layout.ideal(v)] = if assignment[v] { CutType::X } else { CutType::Z };
             cuts[layout.ideal_ancilla(v)] = cuts[layout.ideal(v)].flipped();
         }
-        let chip = Chip::sufficient(CodeModel::DoubleDefect, n, 8, 3).unwrap();
+        let chip = Arc::new(Chip::sufficient(CodeModel::DoubleDefect, n, 8, 3).unwrap());
         let mapping: Vec<usize> = (0..n).collect();
         let enc =
             schedule_limited(&c.dag(), &chip, &mapping, Some(&cuts), ScheduleConfig::default())
-                .unwrap();
+                .unwrap()
+                .0;
         enc.cycles()
     }
 

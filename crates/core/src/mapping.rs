@@ -13,7 +13,7 @@
 
 use ecmas_chip::Chip;
 use ecmas_circuit::CommGraph;
-use ecmas_partition::{place_masked, WeightedGraph};
+use ecmas_partition::{place, WeightedGraph};
 
 use crate::error::CompileError;
 
@@ -48,11 +48,11 @@ type ShapeKey = (usize, usize, usize);
 /// the chip (ties: smaller area, then fewer rows), and returns it with its
 /// centered offset — the paper's *shape determining* step.
 ///
-/// On a chip with defective tiles the region must hold `n` *live* slots:
+/// The region must hold `n` *live* slots: on a chip with defective tiles
 /// each candidate shape may grow its width past `⌈n/a⌉` and slide off
 /// center to clear the defects (the offset nearest the centered one
-/// wins). Defect-free chips take the paper's exact search, so the chosen
-/// region — and everything downstream — is bit-identical.
+/// wins). On a defect-free chip the first width `⌈n/a⌉` and the centered
+/// offset always qualify, so this is the paper's exact search.
 ///
 /// # Errors
 ///
@@ -63,33 +63,10 @@ pub fn determine_shape(chip: &Chip, n: usize) -> Result<SubArray, CompileError> 
     if n > chip.live_tiles() {
         return Err(CompileError::TooManyQubits { qubits: n, slots: chip.live_tiles() });
     }
-    if chip.defect_count() == 0 {
-        let mut best: Option<(usize, usize, usize)> = None; // (perimeter, area, rows)
-        let mut shape = (rows, cols);
-        for a in 1..=rows {
-            let b = n.div_ceil(a);
-            if b > cols {
-                continue;
-            }
-            let key = (2 * (a + b), a * b, a);
-            if best.is_none_or(|k| key < k) {
-                best = Some(key);
-                shape = (a, b);
-            }
-        }
-        let (a, b) = shape;
-        return Ok(SubArray {
-            rows: a,
-            cols: b,
-            row_offset: (rows - a) / 2,
-            col_offset: (cols - b) / 2,
-        });
-    }
-
-    // Defect-aware search: for each height `a`, the narrowest width `b`
-    // for which *some* placement of the window contains `n` live slots;
-    // among window positions the one closest to the centered offset wins
-    // (then top-most, then left-most), so a mask with conveniently-placed
+    // For each height `a`, the narrowest width `b` for which *some*
+    // placement of the window contains `n` live slots; among window
+    // positions the one closest to the centered offset wins (then
+    // top-most, then left-most), so a mask with conveniently-placed
     // defects still yields a near-centered region.
     let live_at = |r0: usize, c0: usize, a: usize, b: usize| -> usize {
         (r0..r0 + a).map(|r| (c0..c0 + b).filter(|&c| !chip.is_dead(r * cols + c)).count()).sum()
@@ -167,55 +144,33 @@ pub fn initial_mapping(
     let mapping = match strategy {
         LocationStrategy::Ecmas { restarts, seed } => {
             let region = determine_shape(chip, n)?;
-            // Region-local defect mask: all-false on a defect-free chip,
-            // in which case `place_masked` is `place_opts` bit for bit.
+            // Region-local defect mask (all-false on a defect-free chip).
             let forbidden: Vec<bool> = (0..region.rows * region.cols)
                 .map(|local| chip.is_dead(region.to_chip_slot(local, chip)))
                 .collect();
             let placement =
-                place_masked(&graph, region.rows, region.cols, restarts, seed, true, &forbidden);
+                place(&graph, region.rows, region.cols, restarts, seed, true, &forbidden);
             placement.slot_of().iter().map(|&local| region.to_chip_slot(local, chip)).collect()
         }
         LocationStrategy::Partitioner { seed } => {
             let forbidden: Vec<bool> = (0..rows * cols).map(|s| chip.is_dead(s)).collect();
-            let placement = place_masked(&graph, rows, cols, 1, seed, false, &forbidden);
+            let placement = place(&graph, rows, cols, 1, seed, false, &forbidden);
             placement.slot_of().to_vec()
         }
-        LocationStrategy::Trivial if chip.defect_count() == 0 => snake_mapping(n, rows, cols),
-        LocationStrategy::Trivial => snake_mapping_live(n, chip),
+        LocationStrategy::Trivial => snake_mapping(n, chip),
     };
     Ok(mapping)
 }
 
-/// The twisting layout of the paper's Table II / EDPCI: qubit `q` goes to
-/// row `q / cols`, sweeping left-to-right on even rows and right-to-left on
-/// odd rows, so consecutive qubits stay adjacent.
-///
-/// # Panics
-///
-/// Panics if `n > rows * cols`.
-#[must_use]
-pub fn snake_mapping(n: usize, rows: usize, cols: usize) -> Vec<usize> {
-    assert!(n <= rows * cols, "snake mapping does not fit");
-    (0..n)
-        .map(|q| {
-            let r = q / cols;
-            let c = q % cols;
-            let c = if r.is_multiple_of(2) { c } else { cols - 1 - c };
-            r * cols + c
-        })
-        .collect()
-}
-
-/// [`snake_mapping`] on a chip with defective tiles: walks the same snake
-/// order but skips dead slots, so consecutive qubits stay as adjacent as
-/// the defects allow. With no defects this is exactly [`snake_mapping`].
+/// The twisting layout of the paper's Table II / EDPCI: qubits fill row 0
+/// left-to-right, row 1 right-to-left, and so on, skipping dead slots, so
+/// consecutive qubits stay as adjacent as the defects allow.
 ///
 /// # Panics
 ///
 /// Panics if `n` exceeds the chip's live-tile count.
 #[must_use]
-pub fn snake_mapping_live(n: usize, chip: &Chip) -> Vec<usize> {
+pub fn snake_mapping(n: usize, chip: &Chip) -> Vec<usize> {
     assert!(n <= chip.live_tiles(), "snake mapping does not fit the live tiles");
     let (rows, cols) = (chip.tile_rows(), chip.tile_cols());
     (0..rows * cols)
@@ -358,7 +313,7 @@ mod tests {
 
     #[test]
     fn snake_keeps_consecutive_adjacent() {
-        let m = snake_mapping(9, 3, 3);
+        let m = snake_mapping(9, &chip(3, 3, 1));
         assert_eq!(m, vec![0, 1, 2, 5, 4, 3, 6, 7, 8]);
         for w in m.windows(2) {
             let (r0, c0) = (w[0] / 3, w[0] % 3);
@@ -489,9 +444,75 @@ mod shape_edge_cases {
 
     #[test]
     fn snake_full_coverage_is_permutation() {
-        let m = snake_mapping(12, 3, 4);
+        let m = snake_mapping(12, &Chip::uniform(CodeModel::DoubleDefect, 3, 4, 1, 3).unwrap());
         let mut sorted = m.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..12).collect::<Vec<_>>());
+    }
+}
+
+/// The closed-form defect-free searches the general ones must reproduce.
+#[cfg(test)]
+mod defect_free_reference {
+    use super::*;
+    use ecmas_chip::CodeModel;
+
+    /// The paper's exact shape search on a defect-free `rows × cols` array.
+    fn reference_shape(rows: usize, cols: usize, n: usize) -> SubArray {
+        let mut best: Option<(usize, usize, usize)> = None; // (perimeter, area, rows)
+        let mut shape = (rows, cols);
+        for a in 1..=rows {
+            let b = n.div_ceil(a);
+            if b > cols {
+                continue;
+            }
+            let key = (2 * (a + b), a * b, a);
+            if best.is_none_or(|k| key < k) {
+                best = Some(key);
+                shape = (a, b);
+            }
+        }
+        let (a, b) = shape;
+        SubArray { rows: a, cols: b, row_offset: (rows - a) / 2, col_offset: (cols - b) / 2 }
+    }
+
+    /// The snake formula on a defect-free `rows × cols` array.
+    fn reference_snake(n: usize, cols: usize) -> Vec<usize> {
+        (0..n)
+            .map(|q| {
+                let (r, c) = (q / cols, q % cols);
+                r * cols + if r.is_multiple_of(2) { c } else { cols - 1 - c }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn defect_free_shapes_match_the_closed_form_search() {
+        for rows in 1..=12 {
+            for cols in 1..=12 {
+                let chip = Chip::uniform(CodeModel::LatticeSurgery, rows, cols, 1, 3).unwrap();
+                for n in 0..=rows * cols {
+                    assert_eq!(
+                        determine_shape(&chip, n).unwrap(),
+                        reference_shape(rows, cols, n),
+                        "{rows}×{cols}, n={n}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn defect_free_snake_matches_the_formula() {
+        for (rows, cols) in [(1, 1), (1, 7), (3, 3), (3, 4), (5, 2), (6, 9)] {
+            let chip = Chip::uniform(CodeModel::DoubleDefect, rows, cols, 1, 3).unwrap();
+            for n in 0..=rows * cols {
+                assert_eq!(
+                    snake_mapping(n, &chip),
+                    reference_snake(n, cols),
+                    "{rows}×{cols}, n={n}"
+                );
+            }
+        }
     }
 }

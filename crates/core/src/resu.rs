@@ -26,30 +26,14 @@ use crate::encoded::{EncodedCircuit, Event, EventKind};
 use crate::error::CompileError;
 use crate::profile::ExecutionScheme;
 
-/// Schedules `scheme` on a sufficient-resources chip. See the module docs
-/// for the per-model behaviour.
+/// Schedules `scheme` on a sufficient-resources chip, returning the
+/// schedule with the router's effort/conflict counters. See the module
+/// docs for the per-model behaviour.
 ///
 /// Routing failures (which Theorem 2 rules out at sufficient bandwidth,
 /// but which can occur if the caller supplies a smaller chip) spill the
 /// affected gates into extra cycles rather than failing, so the result is
 /// always a valid encoded circuit.
-///
-/// # Errors
-///
-/// Returns [`CompileError::ScheduleStuck`] only if a single gate cannot be
-/// routed even on an otherwise idle chip (a malformed chip/mapping).
-pub fn schedule_sufficient(
-    dag: &GateDag,
-    scheme: &ExecutionScheme,
-    chip: &Chip,
-    mapping: &[usize],
-) -> Result<EncodedCircuit, CompileError> {
-    schedule_sufficient_with_stats(dag, scheme, chip, mapping, None).map(|(enc, _)| enc)
-}
-
-/// [`schedule_sufficient`] plus the router's effort/conflict counters —
-/// the instrumented entry point the session pipeline's `CompileReport`
-/// uses.
 ///
 /// `initial_cuts` (double defect only) seeds the tiles' starting cut
 /// types: the first batch then pays the usual 3-cycle remap when its
@@ -58,27 +42,11 @@ pub fn schedule_sufficient(
 ///
 /// # Errors
 ///
-/// As [`schedule_sufficient`], plus [`CompileError::CutTypesMismatch`]
-/// when `initial_cuts` is supplied for a lattice-surgery chip or has the
-/// wrong length.
-pub fn schedule_sufficient_with_stats(
-    dag: &GateDag,
-    scheme: &ExecutionScheme,
-    chip: &Chip,
-    mapping: &[usize],
-    initial_cuts: Option<&[CutType]>,
-) -> Result<(EncodedCircuit, RouterStats), CompileError> {
-    schedule_sufficient_shared(dag, scheme, &Arc::new(chip.clone()), mapping, initial_cuts)
-}
-
-/// [`schedule_sufficient_with_stats`] over an already-shared chip — the
-/// session pipeline's entry point, so the result reuses the session's
-/// `Arc<Chip>` instead of cloning the chip into the schedule.
-///
-/// # Errors
-///
-/// As [`schedule_sufficient_with_stats`].
-pub fn schedule_sufficient_shared(
+/// * [`CompileError::ScheduleStuck`] only if a single gate cannot be
+///   routed even on an otherwise idle chip (a malformed chip/mapping).
+/// * [`CompileError::CutTypesMismatch`] when `initial_cuts` is supplied
+///   for a lattice-surgery chip or has the wrong length.
+pub fn schedule_sufficient(
     dag: &GateDag,
     scheme: &ExecutionScheme,
     chip: &Arc<Chip>,
@@ -127,7 +95,7 @@ fn schedule_sufficient_ls(
             |path| EventKind::LatticeCnot { path },
         )?;
     }
-    let encoded = EncodedCircuit::new_shared(Arc::clone(chip), mapping.to_vec(), None, events);
+    let encoded = EncodedCircuit::new(Arc::clone(chip), mapping.to_vec(), None, events);
     Ok((encoded, router.stats()))
 }
 
@@ -168,7 +136,7 @@ fn route_layer_batched(
             let gate = dag.gate(g);
             RouteRequest::route(mapping[gate.control], mapping[gate.target], 1)
         }));
-        router.route_ready_by_distance_into(&scratch.requests, cycle, &mut scratch.outcomes);
+        router.route_ready_by_distance(&scratch.requests, cycle, &mut scratch.outcomes);
         scratch.still.clear();
         for (&g, outcome) in scratch.pending.iter().zip(scratch.outcomes.drain(..)) {
             match outcome {
@@ -300,7 +268,7 @@ fn schedule_sufficient_dd(
         i = j;
     }
 
-    let encoded = EncodedCircuit::new_shared(Arc::clone(chip), mapping.to_vec(), initial, events);
+    let encoded = EncodedCircuit::new(Arc::clone(chip), mapping.to_vec(), initial, events);
     Ok((encoded, router.stats()))
 }
 
@@ -311,8 +279,8 @@ mod tests {
     use crate::profile::para_finding;
     use ecmas_circuit::{benchmarks, random, Circuit};
 
-    fn sufficient_chip(model: CodeModel, c: &Circuit, gpm: usize) -> Chip {
-        Chip::sufficient(model, c.qubits(), gpm, 3).unwrap()
+    fn sufficient_chip(model: CodeModel, c: &Circuit, gpm: usize) -> Arc<Chip> {
+        Arc::new(Chip::sufficient(model, c.qubits(), gpm, 3).unwrap())
     }
 
     fn identity(n: usize) -> Vec<usize> {
@@ -325,7 +293,8 @@ mod tests {
             let dag = c.dag();
             let scheme = para_finding(&dag);
             let chip = sufficient_chip(CodeModel::LatticeSurgery, &c, scheme.gpm());
-            let enc = schedule_sufficient(&dag, &scheme, &chip, &identity(c.qubits())).unwrap();
+            let enc =
+                schedule_sufficient(&dag, &scheme, &chip, &identity(c.qubits()), None).unwrap().0;
             assert_eq!(enc.cycles() as usize, dag.depth(), "{}: LS ReSu must hit α", c.name());
             validate_encoded(&c, &enc).unwrap();
         }
@@ -337,7 +306,8 @@ mod tests {
             let dag = c.dag();
             let scheme = para_finding(&dag);
             let chip = sufficient_chip(CodeModel::DoubleDefect, &c, scheme.gpm());
-            let enc = schedule_sufficient(&dag, &scheme, &chip, &identity(c.qubits())).unwrap();
+            let enc =
+                schedule_sufficient(&dag, &scheme, &chip, &identity(c.qubits()), None).unwrap().0;
             validate_encoded(&c, &enc).unwrap();
             let bound = (5 * dag.depth()).div_ceil(2) + 3;
             assert!(
@@ -356,7 +326,7 @@ mod tests {
         let dag = c.dag();
         let scheme = para_finding(&dag);
         let chip = sufficient_chip(CodeModel::DoubleDefect, &c, scheme.gpm());
-        let enc = schedule_sufficient(&dag, &scheme, &chip, &identity(c.qubits())).unwrap();
+        let enc = schedule_sufficient(&dag, &scheme, &chip, &identity(c.qubits()), None).unwrap().0;
         assert_eq!(enc.modification_count(), 0, "bipartite comm graph: single batch");
         assert_eq!(enc.cycles() as usize, dag.depth());
     }
@@ -373,7 +343,7 @@ mod tests {
         let dag = c.dag();
         let scheme = para_finding(&dag);
         let chip = sufficient_chip(CodeModel::DoubleDefect, &c, scheme.gpm().max(2));
-        let enc = schedule_sufficient(&dag, &scheme, &chip, &identity(3)).unwrap();
+        let enc = schedule_sufficient(&dag, &scheme, &chip, &identity(3), None).unwrap().0;
         validate_encoded(&c, &enc).unwrap();
         assert!(enc.modification_count() > 0, "odd cycles force remapping");
         assert!(enc.cycles() as usize > dag.depth());
@@ -386,7 +356,7 @@ mod tests {
         let scheme = para_finding(&dag);
         let chip = sufficient_chip(CodeModel::LatticeSurgery, &c, scheme.gpm());
         assert!(chip.communication_capacity() >= scheme.gpm());
-        let enc = schedule_sufficient(&dag, &scheme, &chip, &identity(16)).unwrap();
+        let enc = schedule_sufficient(&dag, &scheme, &chip, &identity(16), None).unwrap().0;
         assert_eq!(enc.cycles() as usize, 10, "sufficient bandwidth ⇒ no spill");
         validate_encoded(&c, &enc).unwrap();
     }
@@ -397,7 +367,7 @@ mod tests {
         let dag = c.dag();
         let scheme = para_finding(&dag);
         let chip = sufficient_chip(CodeModel::LatticeSurgery, &c, 1);
-        let enc = schedule_sufficient(&dag, &scheme, &chip, &identity(4)).unwrap();
+        let enc = schedule_sufficient(&dag, &scheme, &chip, &identity(4), None).unwrap().0;
         assert_eq!(enc.cycles(), 0);
     }
 }
@@ -427,9 +397,10 @@ mod orientation_tests {
         }
         let dag = c.dag();
         let scheme = para_finding(&dag);
-        let chip = Chip::sufficient(CodeModel::DoubleDefect, 6, scheme.gpm().max(2), 3).unwrap();
+        let chip =
+            Arc::new(Chip::sufficient(CodeModel::DoubleDefect, 6, scheme.gpm().max(2), 3).unwrap());
         let mapping: Vec<usize> = (0..6).collect();
-        let enc = schedule_sufficient(&dag, &scheme, &chip, &mapping).unwrap();
+        let enc = schedule_sufficient(&dag, &scheme, &chip, &mapping, None).unwrap().0;
         validate_encoded(&c, &enc).unwrap();
         // The odd-cycle edge forces at least one remap, but never a
         // wholesale flip of all six tiles.
@@ -449,9 +420,10 @@ mod orientation_tests {
         }
         let dag = c.dag();
         let scheme = para_finding(&dag);
-        let chip = Chip::sufficient(CodeModel::DoubleDefect, 4, scheme.gpm().max(2), 3).unwrap();
+        let chip =
+            Arc::new(Chip::sufficient(CodeModel::DoubleDefect, 4, scheme.gpm().max(2), 3).unwrap());
         let mapping: Vec<usize> = (0..4).collect();
-        let enc = schedule_sufficient(&dag, &scheme, &chip, &mapping).unwrap();
+        let enc = schedule_sufficient(&dag, &scheme, &chip, &mapping, None).unwrap().0;
         validate_encoded(&c, &enc).unwrap();
         // Remap batches cost 3 cycles each; with L layers and batches of
         // ≥2 layers, total ≤ L + 3·⌈L/2⌉ (Theorem 3's counting).

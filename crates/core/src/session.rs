@@ -57,12 +57,12 @@ use crate::compiler::Ecmas;
 use crate::cut::{initialize_cuts, CutType};
 use crate::diag::{diagnostics_to_json, Diagnostic};
 use crate::encoded::EncodedCircuit;
-use crate::engine::{schedule_limited_shared, ScheduleConfig};
+use crate::engine::{schedule_limited, ScheduleConfig};
 use crate::error::CompileError;
 use crate::mapping::{adjust_bandwidth, initial_mapping, LocationStrategy};
 use crate::profile::{para_finding, ExecutionScheme};
 use crate::resources::ResourceEstimate;
-use crate::resu::schedule_sufficient_shared;
+use crate::resu::schedule_sufficient;
 
 /// Which scheduling algorithm produced the encoded circuit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -776,7 +776,7 @@ impl<'c> Mapped<'c> {
             cut_policy: self.profiled.config.cut_policy,
         };
         let chip = &self.profiled.chip;
-        let (base, base_stats) = schedule_limited_shared(
+        let (base, base_stats) = schedule_limited(
             &self.profiled.dag,
             chip,
             &self.mapping,
@@ -795,7 +795,7 @@ impl<'c> Mapped<'c> {
             if adjusted_chip == **chip {
                 (base, base_stats, BandwidthDecision::Unchanged)
             } else {
-                let (adjusted, adj_stats) = schedule_limited_shared(
+                let (adjusted, adj_stats) = schedule_limited(
                     &self.profiled.dag,
                     &Arc::new(adjusted_chip),
                     &self.mapping,
@@ -842,7 +842,7 @@ impl<'c> Mapped<'c> {
             (Arc::clone(chip), BandwidthDecision::Disabled)
         };
         let injected = if self.cuts_injected { self.cuts.as_deref() } else { None };
-        let (encoded, stats) = schedule_sufficient_shared(
+        let (encoded, stats) = schedule_sufficient(
             &self.profiled.dag,
             &self.profiled.scheme,
             &chip,

@@ -46,4 +46,4 @@ pub use bisect::bisect;
 pub use dsu::ParityDsu;
 pub use graph::WeightedGraph;
 pub use maxcut::max_cut_one_exchange;
-pub use placement::{place, place_masked, place_opts, Placement};
+pub use placement::{place, Placement};

@@ -56,9 +56,18 @@ fn total_cost(graph: &WeightedGraph, cols: usize, slot_of: &[usize]) -> u64 {
 /// wins. This is the *mapping establishing* step of the paper (§IV-B1),
 /// with the recursive bisectioner substituting for Metis.
 ///
+/// `refine = false` skips the swap refinement, reproducing a bare
+/// recursive-bisection (Metis-style) mapping — the "Metis" baseline of the
+/// paper's Table II.
+///
+/// No vertex is ever assigned to a slot whose `forbidden` (defective) flag
+/// is set: the bisection targets are proportional to *live* slot counts,
+/// and the base-case drop and the refinement moves skip dead slots.
+///
 /// # Panics
 ///
-/// Panics if `graph.len() > rows * cols`.
+/// Panics if `forbidden.len() != rows * cols` or if `graph.len()` exceeds
+/// the number of live slots.
 ///
 /// # Example
 ///
@@ -67,7 +76,7 @@ fn total_cost(graph: &WeightedGraph, cols: usize, slot_of: &[usize]) -> u64 {
 ///
 /// // A 4-path placed on a 2×2 array: every edge can be adjacent.
 /// let g = WeightedGraph::from_edges(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)]);
-/// let p = place(&g, 2, 2, 4, 7);
+/// let p = place(&g, 2, 2, 4, 7, true, &[false; 4]);
 /// assert_eq!(p.cost(), 3);
 /// ```
 #[must_use]
@@ -77,50 +86,7 @@ pub fn place(
     cols: usize,
     restarts: usize,
     seed: u64,
-) -> Placement {
-    place_opts(graph, rows, cols, restarts, seed, true)
-}
-
-/// [`place`] with the swap-refinement pass optional. `refine = false`
-/// reproduces a bare recursive-bisection (Metis-style) mapping, used as the
-/// "Metis" baseline of the paper's Table II.
-///
-/// # Panics
-///
-/// Panics if `graph.len() > rows * cols`.
-#[must_use]
-pub fn place_opts(
-    graph: &WeightedGraph,
-    rows: usize,
-    cols: usize,
-    restarts: usize,
-    seed: u64,
-    refine_pass: bool,
-) -> Placement {
-    place_masked(graph, rows, cols, restarts, seed, refine_pass, &vec![false; rows * cols])
-}
-
-/// [`place_opts`] over a tile array with forbidden (defective) slots: no
-/// qubit is ever assigned to a slot whose `forbidden` flag is set, by the
-/// bisection targets (proportional to *live* slot counts), the base-case
-/// drop, and the refinement moves alike.
-///
-/// With an all-false mask every live count equals the geometric slot
-/// count, so this runs the exact `place_opts` arithmetic — same random
-/// stream, same mapping, bit for bit.
-///
-/// # Panics
-///
-/// Panics if `forbidden.len() != rows * cols` or if `graph.len()` exceeds
-/// the number of live slots.
-#[must_use]
-pub fn place_masked(
-    graph: &WeightedGraph,
-    rows: usize,
-    cols: usize,
-    restarts: usize,
-    seed: u64,
-    refine_pass: bool,
+    refine: bool,
     forbidden: &[bool],
 ) -> Placement {
     let n = graph.len();
@@ -129,7 +95,7 @@ pub fn place_masked(
     assert!(n <= live, "{n} qubits do not fit in {live} live slots of a {rows}×{cols} array");
     let mut bisector =
         Bisector { graph, cols, forbidden, kl: Kl::new(n), spill: Vec::with_capacity(n) };
-    let mut refiner = refine_pass.then(|| Refiner::new(graph, rows, cols));
+    let mut refiner = refine.then(|| Refiner::new(graph, rows, cols));
     let mut qubits = Vec::with_capacity(n);
     let mut slot_of = vec![usize::MAX; n];
     let mut best: Option<Placement> = None;
@@ -392,7 +358,7 @@ mod tests {
     #[test]
     fn placement_is_injective_and_in_range() {
         let g = WeightedGraph::from_edges(7, (0..6).map(|i| (i, i + 1, 1)));
-        let p = place(&g, 3, 3, 3, 11);
+        let p = place(&g, 3, 3, 3, 11, true, &[false; 9]);
         let mut seen = std::collections::HashSet::new();
         for &s in p.slot_of() {
             assert!(s < 9);
@@ -405,14 +371,14 @@ mod tests {
         // An 8-ring on a 3×3 array can be laid out with every edge adjacent
         // (cost 8). Allow a small slack for the heuristic.
         let g = WeightedGraph::from_edges(8, (0..8).map(|i| (i, (i + 1) % 8, 1)));
-        let p = place(&g, 3, 3, 8, 5);
+        let p = place(&g, 3, 3, 8, 5, true, &[false; 9]);
         assert!(p.cost() <= 10, "ring cost {} too high", p.cost());
     }
 
     #[test]
     fn heavy_pair_lands_adjacent() {
         let g = WeightedGraph::from_edges(5, [(0, 1, 100), (2, 3, 1), (3, 4, 1)]);
-        let p = place(&g, 3, 3, 4, 3);
+        let p = place(&g, 3, 3, 4, 3, true, &[false; 9]);
         assert_eq!(manhattan(3, p.slot_of()[0], p.slot_of()[1]), 1);
     }
 
@@ -422,15 +388,15 @@ mod tests {
             9,
             (0..9).flat_map(|a| ((a + 1)..9).map(move |b| (a, b, ((a * b) % 5 + 1) as u64))),
         );
-        let one = place(&g, 3, 3, 1, 17);
-        let many = place(&g, 3, 3, 12, 17);
+        let one = place(&g, 3, 3, 1, 17, true, &[false; 9]);
+        let many = place(&g, 3, 3, 12, 17, true, &[false; 9]);
         assert!(many.cost() <= one.cost());
     }
 
     #[test]
     fn cost_matches_direct_computation() {
         let g = WeightedGraph::from_edges(4, [(0, 1, 2), (1, 2, 3), (0, 3, 1)]);
-        let p = place(&g, 2, 2, 2, 1);
+        let p = place(&g, 2, 2, 2, 1, true, &[false; 4]);
         assert_eq!(p.cost(), total_cost(&g, 2, p.slot_of()));
     }
 
@@ -438,26 +404,16 @@ mod tests {
     #[should_panic(expected = "do not fit")]
     fn rejects_overfull_array() {
         let g = WeightedGraph::from_edges(5, []);
-        let _ = place(&g, 2, 2, 1, 0);
+        let _ = place(&g, 2, 2, 1, 0, true, &[false; 4]);
     }
 
     #[test]
     fn deterministic_for_fixed_seed() {
         let g = WeightedGraph::from_edges(6, (0..5).map(|i| (i, i + 1, 1)));
-        assert_eq!(place(&g, 3, 2, 3, 9), place(&g, 3, 2, 3, 9));
-    }
-
-    #[test]
-    fn all_false_mask_is_bit_identical_to_unmasked() {
-        let g = WeightedGraph::from_edges(
-            9,
-            (0..9).flat_map(|a| ((a + 1)..9).map(move |b| (a, b, ((a * b) % 5 + 1) as u64))),
+        assert_eq!(
+            place(&g, 3, 2, 3, 9, true, &[false; 6]),
+            place(&g, 3, 2, 3, 9, true, &[false; 6])
         );
-        for refine_pass in [false, true] {
-            let unmasked = place_opts(&g, 4, 3, 6, 13, refine_pass);
-            let masked = place_masked(&g, 4, 3, 6, 13, refine_pass, &[false; 12]);
-            assert_eq!(unmasked, masked, "refine={refine_pass}");
-        }
     }
 
     #[test]
@@ -471,7 +427,7 @@ mod tests {
             forbidden[dead] = true;
         }
         for seed in 0..8u64 {
-            let p = place_masked(&g, 4, 4, 4, seed, true, &forbidden);
+            let p = place(&g, 4, 4, 4, seed, true, &forbidden);
             let mut seen = std::collections::HashSet::new();
             for &s in p.slot_of() {
                 assert!(!forbidden[s], "seed {seed}: qubit placed on dead slot {s}");
@@ -526,7 +482,7 @@ mod tests {
                 }
             }
             for refine_pass in [false, true] {
-                let p = place_masked(&g, rows, cols, 4, case as u64, refine_pass, &forbidden);
+                let p = place(&g, rows, cols, 4, case as u64, refine_pass, &forbidden);
                 for &s in p.slot_of() {
                     write(s as u64);
                 }
@@ -541,6 +497,6 @@ mod tests {
     fn rejects_overfull_live_capacity() {
         // 4 slots, 1 dead: 4 qubits no longer fit.
         let g = WeightedGraph::from_edges(4, []);
-        let _ = place_masked(&g, 2, 2, 1, 0, true, &[true, false, false, false]);
+        let _ = place(&g, 2, 2, 1, 0, true, &[true, false, false, false]);
     }
 }

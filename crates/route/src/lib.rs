@@ -42,9 +42,7 @@
 //! Schedulers submit each cycle's requests as one batch through
 //! [`Router::route_ready`], which can also order the batch by estimated
 //! distance ([`Router::route_ready_by_distance`]) so short paths are laid
-//! down before long greedy ones block them; the `*_into` variants
-//! ([`Router::route_ready_into`],
-//! [`Router::route_ready_by_distance_into`]) write outcomes into
+//! down before long greedy ones block them. Both write outcomes into
 //! caller-owned scratch so a scheduler's cycle loop performs no
 //! per-cycle allocation.
 //!
@@ -329,7 +327,7 @@ pub struct Router {
     region: Vec<u32>,
     region_queue: Vec<u32>,
     region_cycle: Option<u64>,
-    // Scratch for `route_ready_by_distance*` request ordering.
+    // Scratch for `route_ready_by_distance` request ordering.
     order_scratch: Vec<u32>,
     // Highest cycle any search or commit has used — the
     // reservations-start-now invariant that makes search durations
@@ -775,18 +773,11 @@ impl Router {
     /// [`commit`](Self::commit) per request — earlier requests' commits are
     /// visible to later searches, exactly as in sequential routing — but
     /// hands the router the whole cycle at once, so schedulers stop
-    /// driving the hot path one gate at a time. Outcomes are indexed like
-    /// `requests`; `None` marks a blocked request.
-    pub fn route_ready(&mut self, requests: &[RouteRequest], cycle: u64) -> Vec<Option<Path>> {
-        let mut out = Vec::with_capacity(requests.len());
-        self.route_ready_into(requests, cycle, &mut out);
-        out
-    }
-
-    /// [`route_ready`](Self::route_ready) writing the outcomes into
-    /// caller-owned scratch (cleared first, then indexed like
-    /// `requests`) — the allocation-free form scheduler cycle loops use.
-    pub fn route_ready_into(
+    /// driving the hot path one gate at a time. Outcomes go into
+    /// caller-owned scratch `out` (cleared first, then indexed like
+    /// `requests`), so a scheduler's cycle loop allocates nothing; `None`
+    /// marks a blocked request.
+    pub fn route_ready(
         &mut self,
         requests: &[RouteRequest],
         cycle: u64,
@@ -800,21 +791,10 @@ impl Router {
     /// order: requests are served shortest-estimated-distance first
     /// (Manhattan between the endpoint tiles, ties in batch order), so a
     /// long greedy path laid down early cannot block several short ones.
-    /// Outcomes are still indexed by the *original* request positions.
+    /// Outcomes are still indexed by the *original* request positions; the
+    /// ordering permutation lives in router-owned scratch, so steady-state
+    /// batches allocate nothing.
     pub fn route_ready_by_distance(
-        &mut self,
-        requests: &[RouteRequest],
-        cycle: u64,
-    ) -> Vec<Option<Path>> {
-        let mut out = Vec::with_capacity(requests.len());
-        self.route_ready_by_distance_into(requests, cycle, &mut out);
-        out
-    }
-
-    /// [`route_ready_by_distance`](Self::route_ready_by_distance) writing
-    /// into caller-owned scratch; the ordering permutation lives in
-    /// router-owned scratch, so steady-state batches allocate nothing.
-    pub fn route_ready_by_distance_into(
         &mut self,
         requests: &[RouteRequest],
         cycle: u64,
@@ -1273,27 +1253,26 @@ mod tests {
     }
 
     #[test]
-    fn route_ready_into_reuses_caller_scratch() {
+    fn route_ready_clears_stale_outcomes() {
         let reqs =
             [RouteRequest::route(0, 3, 1), RouteRequest::probe(1, 2), RouteRequest::route(1, 2, 1)];
-        let mut r = router(2, 2, 1, Disjointness::Node);
-        let mut r2 = router(2, 2, 1, Disjointness::Node);
-        for t in 0..4 {
-            r.block_tile(t);
-            r2.block_tile(t);
+        for by_distance in [false, true] {
+            let run = |out: &mut Vec<Option<Path>>| {
+                let mut r = router(2, 2, 1, Disjointness::Node);
+                for t in 0..4 {
+                    r.block_tile(t);
+                }
+                if by_distance {
+                    r.route_ready_by_distance(&reqs, 0, out);
+                } else {
+                    r.route_ready(&reqs, 0, out);
+                }
+            };
+            let (mut stale, mut fresh) = (vec![None; 17], Vec::new());
+            run(&mut stale);
+            run(&mut fresh);
+            assert_eq!(stale, fresh, "by_distance={by_distance}");
         }
-        let mut out = vec![None; 17]; // stale content must be cleared
-        r.route_ready_into(&reqs, 0, &mut out);
-        assert_eq!(out, r2.route_ready(&reqs, 0));
-        let mut out_dist = Vec::new();
-        let mut r3 = router(2, 2, 1, Disjointness::Node);
-        let mut r4 = router(2, 2, 1, Disjointness::Node);
-        for t in 0..4 {
-            r3.block_tile(t);
-            r4.block_tile(t);
-        }
-        r3.route_ready_by_distance_into(&reqs, 0, &mut out_dist);
-        assert_eq!(out_dist, r4.route_ready_by_distance(&reqs, 0));
     }
 
     #[test]
@@ -1398,7 +1377,8 @@ mod tests {
             batched.block_tile(t);
             sequential.block_tile(t);
         }
-        let got = batched.route_ready(&reqs, 0);
+        let mut got = Vec::new();
+        batched.route_ready(&reqs, 0, &mut got);
         let want: Vec<Option<Path>> = reqs
             .iter()
             .map(|req| {
@@ -1429,7 +1409,8 @@ mod tests {
             RouteRequest::route(0, 1, 1),
             RouteRequest::route(1, 2, 1),
         ];
-        let out = r.route_ready_by_distance(&reqs, 0);
+        let mut out = Vec::new();
+        r.route_ready_by_distance(&reqs, 0, &mut out);
         let short01 = out[1].as_ref().expect("short pair routes");
         let short12 = out[2].as_ref().expect("short pair routes");
         assert_eq!(short01.len(), 2, "served before the long request could block it");

@@ -9,7 +9,7 @@
 //!
 //! | op       | fields |
 //! |----------|--------|
-//! | `submit` | a circuit source — `"qasm"` (inline source), `"file"` (path), or `"random"` (`{qubits, depth, parallelism, seed}`; `seed` defaults to 0 and must be an integer below 2^53) — plus optional `"chip"`, `"model"`, `"deadline_ms"`, `"tag"`, `"analyze"` (run the static analyzer; the result line's report carries the diagnostics), and a defect mask: `"defects"` (explicit `"r,c;r,c"` coordinates) or `"defect_percent"` + `"defect_seed"` (seeded random dead tiles, capped so the circuit still fits) |
+//! | `submit` | a circuit source — `"qasm"` (inline source), `"file"` (path), or `"random"` (`{qubits, depth, parallelism, seed}`; `seed` defaults to 0) — plus optional `"chip"`, `"model"`, `"deadline_ms"`, `"tag"`, `"analyze"` (run the static analyzer; the result line's report carries the diagnostics), and a defect mask: `"defects"` (explicit `"r,c;r,c"` coordinates) or `"defect_percent"` + `"defect_seed"` (seeded random dead tiles, capped so the circuit still fits). A missing optional field takes its default; a present one of the wrong type or range gets an `error` line naming it: `chip`, `model`, `tag` and `defects` are strings, `analyze` is a bool, and `seed`, `deadline_ms`, `defect_percent` and `defect_seed` are integers in [0, 2^53) |
 //! | `status` | `"job"` — non-blocking lifecycle probe |
 //! | `cancel` | `"job"` — cooperative cancellation |
 //! | `result` | `"job"` — blocking wait; emits the job's result line now |
@@ -41,6 +41,7 @@ use ecmas_analyze::lint_qasm;
 use ecmas_chip::{Chip, ChipError, CodeModel};
 use ecmas_circuit::random::{layered, StressSpec, StressWorkload};
 use ecmas_circuit::Circuit;
+use ecmas_core::diag::escape;
 use ecmas_core::session::CompileOutcome;
 use ecmas_core::{diagnostics_to_json, para_finding, Diagnostic, Severity};
 
@@ -339,41 +340,10 @@ impl Daemon {
     }
 
     fn submit(&mut self, request: &Value) -> Vec<String> {
-        let tag = request.get("tag").and_then(Value::as_str).map(str::to_string);
-        let circuit = match build_circuit(request) {
-            Ok(c) => c,
+        let (compile_request, tag, name, qubits) = match self.build_request(request) {
+            Ok(parts) => parts,
             Err(e) => return vec![e.into_line()],
         };
-        let model = match request.get("model").and_then(Value::as_str) {
-            None => self.options.model,
-            Some("dd") | Some("double-defect") => CodeModel::DoubleDefect,
-            Some("ls") | Some("lattice-surgery") => CodeModel::LatticeSurgery,
-            Some(other) => return vec![error_line(&format!("unknown model {other:?}"))],
-        };
-        let chip_kind = match request.get("chip").and_then(Value::as_str) {
-            None => self.options.chip,
-            Some(s) => match ChipKind::parse(s) {
-                Some(kind) => kind,
-                None => return vec![error_line(&format!("unknown chip {s:?}"))],
-            },
-        };
-        let chip = match chip_kind.build(model, &circuit) {
-            Ok(chip) => chip,
-            Err(e) => return vec![error_line(&format!("chip construction failed: {e}"))],
-        };
-        let chip = match apply_defect_fields(chip, request, circuit.qubits()) {
-            Ok(chip) => chip,
-            Err(message) => return vec![error_line(&message)],
-        };
-        let name = circuit.name().to_string();
-        let qubits = circuit.qubits();
-        let mut compile_request = CompileRequest::new(circuit, chip);
-        if let Some(ms) = request.get("deadline_ms").and_then(Value::as_u64) {
-            compile_request = compile_request.with_deadline(Duration::from_millis(ms));
-        }
-        if let Some(analyze) = request.get("analyze").and_then(Value::as_bool) {
-            compile_request = compile_request.with_analyze(analyze);
-        }
         match self.service.submit(compile_request) {
             Ok(handle) => {
                 self.entries.push(Entry {
@@ -387,7 +357,7 @@ impl Daemon {
                     "{{\"op\":\"submitted\",\"job\":{job}{},\"circuit\":\"{}\",\
                      \"qubits\":{qubits},\"queued\":{}}}",
                     tag_field(tag.as_deref()),
-                    json::escape(&name),
+                    escape(&name),
                     self.service.queued()
                 )]
             }
@@ -397,6 +367,41 @@ impl Daemon {
             )],
             Err(SubmitError::Draining(_)) => vec![error_line("service draining")],
         }
+    }
+
+    /// Builds a submit's compile request from its fields, with the tag,
+    /// circuit name and width the protocol lines echo back.
+    fn build_request(
+        &self,
+        request: &Value,
+    ) -> Result<(CompileRequest, Option<String>, String, usize), BuildError> {
+        let tag = opt_field(request, "tag", Value::as_str, "a string")?.map(str::to_string);
+        let model = match opt_field(request, "model", Value::as_str, "a string")? {
+            None => self.options.model,
+            Some("dd" | "double-defect") => CodeModel::DoubleDefect,
+            Some("ls" | "lattice-surgery") => CodeModel::LatticeSurgery,
+            Some(other) => return Err(format!("unknown model {other:?}").into()),
+        };
+        let chip_kind = match opt_field(request, "chip", Value::as_str, "a string")? {
+            None => self.options.chip,
+            Some(s) => ChipKind::parse(s).ok_or_else(|| format!("unknown chip {s:?}"))?,
+        };
+        let deadline_ms = opt_field(request, "deadline_ms", Value::as_u64, WIRE_INTEGER)?;
+        let analyze = opt_field(request, "analyze", Value::as_bool, "a bool")?;
+        let circuit = build_circuit(request)?;
+        let chip = chip_kind
+            .build(model, &circuit)
+            .map_err(|e| format!("chip construction failed: {e}"))?;
+        let chip = apply_defect_fields(chip, request, circuit.qubits())?;
+        let (name, qubits) = (circuit.name().to_string(), circuit.qubits());
+        let mut compile_request = CompileRequest::new(circuit, chip);
+        if let Some(ms) = deadline_ms {
+            compile_request = compile_request.with_deadline(Duration::from_millis(ms));
+        }
+        if let Some(analyze) = analyze {
+            compile_request = compile_request.with_analyze(analyze);
+        }
+        Ok((compile_request, tag, name, qubits))
     }
 
     fn job_index(&self, request: &Value) -> Result<usize, String> {
@@ -579,7 +584,7 @@ fn result_line(
         "{{\"op\":\"result\",\"job\":{}{},\"circuit\":\"{}\",\"qubits\":{qubits}",
         index + 1,
         tag_field(tag),
-        json::escape(name),
+        escape(name),
     );
     let (label, body) = match result {
         Ok(CompileOutcome { report, .. }) => {
@@ -588,22 +593,37 @@ fn result_line(
         Err(JobError::Cancelled) => ("cancelled", ",\"status\":\"cancelled\"}".to_string()),
         Err(e @ JobError::DeadlineExceeded { .. }) => (
             "deadline",
-            format!(",\"status\":\"deadline\",\"error\":\"{}\"}}", json::escape(&e.to_string())),
+            format!(",\"status\":\"deadline\",\"error\":\"{}\"}}", escape(&e.to_string())),
         ),
-        Err(e) => (
-            "error",
-            format!(",\"status\":\"error\",\"error\":\"{}\"}}", json::escape(&e.to_string())),
-        ),
+        Err(e) => {
+            ("error", format!(",\"status\":\"error\",\"error\":\"{}\"}}", escape(&e.to_string())))
+        }
     };
     (label, format!("{head}{body}"))
 }
 
 fn tag_field(tag: Option<&str>) -> String {
-    tag.map_or_else(String::new, |t| format!(",\"tag\":\"{}\"", json::escape(t)))
+    tag.map_or_else(String::new, |t| format!(",\"tag\":\"{}\"", escape(t)))
+}
+
+/// What an integer field must be: the integers an f64 wire number
+/// carries exactly.
+const WIRE_INTEGER: &str = "an integer in [0, 2^53)";
+
+/// Reads optional field `key`: `Ok(None)` when absent, an error naming
+/// the field when present with the wrong type or range — a malformed
+/// value is refused rather than silently replaced by the default.
+fn opt_field<'a, T>(
+    request: &'a Value,
+    key: &str,
+    read: impl Fn(&'a Value) -> Option<T>,
+    want: &str,
+) -> Result<Option<T>, String> {
+    request.get(key).map(|v| read(v).ok_or_else(|| format!("\"{key}\" must be {want}"))).transpose()
 }
 
 fn error_line(message: &str) -> String {
-    format!("{{\"op\":\"error\",\"error\":\"{}\"}}", json::escape(message))
+    format!("{{\"op\":\"error\",\"error\":\"{}\"}}", escape(message))
 }
 
 /// The error response the `ecmasd` binary emits for a stdin line it
@@ -643,15 +663,15 @@ pub fn parse_defect_spec(spec: &str) -> Result<Vec<(usize, usize)>, String> {
 /// fit on the live tiles). Out-of-range coordinates and over-defected
 /// chips are reported as errors, not deferred to a compile failure.
 fn apply_defect_fields(mut chip: Chip, request: &Value, qubits: usize) -> Result<Chip, String> {
-    if let Some(spec) = request.get("defects").and_then(Value::as_str) {
+    if let Some(spec) = opt_field(request, "defects", Value::as_str, "a string")? {
         let coords = parse_defect_spec(spec)?;
         chip = chip.with_defects(&coords).map_err(|e| e.to_string())?;
     }
-    if let Some(percent) = request.get("defect_percent").and_then(Value::as_u64) {
+    let seed = opt_field(request, "defect_seed", Value::as_u64, WIRE_INTEGER)?.unwrap_or(0);
+    if let Some(percent) = opt_field(request, "defect_percent", Value::as_u64, WIRE_INTEGER)? {
         if percent > 100 {
             return Err(format!("defect_percent {percent} exceeds 100"));
         }
-        let seed = request.get("defect_seed").and_then(Value::as_u64).unwrap_or(0);
         let slots = chip.tile_slots();
         // Cap the dead count so the circuit still fits: a stress knob
         // should degrade the chip, not reject the job.
@@ -689,7 +709,7 @@ impl BuildError {
         } else {
             format!(
                 "{{\"op\":\"error\",\"error\":\"{}\",\"diagnostics\":{}}}",
-                json::escape(&self.message),
+                escape(&self.message),
                 diagnostics_to_json(&self.diagnostics),
             )
         }
@@ -734,14 +754,7 @@ fn build_circuit(request: &Value) -> Result<Circuit, BuildError> {
         let qubits = field("qubits")?;
         let depth = field("depth")?;
         let parallelism = field("parallelism")?;
-        // A missing seed means 0; one the f64 wire cannot carry exactly
-        // is refused rather than silently replaced.
-        let seed = match random.get("seed") {
-            None => 0,
-            Some(seed) => seed.as_u64().ok_or_else(|| {
-                BuildError::plain("random source needs an integer \"seed\" in [0, 2^53)")
-            })?,
-        };
+        let seed = opt_field(random, "seed", Value::as_u64, WIRE_INTEGER)?.unwrap_or(0);
         if parallelism == 0 || 2 * parallelism > qubits || depth == 0 {
             return Err(BuildError::plain(format!(
                 "random source out of range: qubits={qubits} depth={depth} \
@@ -897,9 +910,34 @@ mod tests {
              \"chip\":\"warp\"}",
             "{\"op\":\"submit\",\"random\":{\"qubits\":4,\"depth\":3,\"parallelism\":1},\
              \"model\":\"xx\"}",
+            "{\"op\":\"submit\",\"random\":{\"qubits\":4,\"depth\":3,\"parallelism\":1,\
+             \"seed\":-1}}",
         ] {
             let resp = one(d.handle_line(bad));
             assert_eq!(resp.get("op").unwrap().as_str(), Some("error"), "{bad}");
+        }
+        // A present optional field of the wrong type or range is refused
+        // with an error naming it, never replaced by its default.
+        for (field, value) in [
+            ("defect_seed", "-3"),
+            ("defect_seed", "1.5"),
+            ("defect_percent", "\"50\""),
+            ("deadline_ms", "-1"),
+            ("deadline_ms", "9007199254740992"),
+            ("model", "1"),
+            ("chip", "null"),
+            ("tag", "7"),
+            ("defects", "[\"0,0\"]"),
+            ("analyze", "\"yes\""),
+        ] {
+            let bad = format!(
+                "{{\"op\":\"submit\",\"random\":{{\"qubits\":4,\"depth\":3,\
+                 \"parallelism\":1}},\"{field}\":{value}}}"
+            );
+            let resp = one(d.handle_line(&bad));
+            assert_eq!(resp.get("op").unwrap().as_str(), Some("error"), "{bad}");
+            let message = resp.get("error").unwrap().as_str().unwrap();
+            assert!(message.contains(&format!("\"{field}\"")), "{bad}: {message}");
         }
         assert!(d.handle_line("").is_empty());
         assert_eq!(d.submitted(), 0);

@@ -4,7 +4,8 @@
 //! serde; the daemon's requests are small flat objects, and this module
 //! parses exactly standard JSON into a tiny [`Value`] tree. Emission
 //! stays `format!`-based throughout the workspace — reports already know
-//! how to print themselves — so only [`escape`] is shared for output.
+//! how to print themselves — with one string escape shared for output,
+//! [`ecmas_core::diag::escape`].
 
 use std::error::Error;
 use std::fmt;
@@ -126,24 +127,6 @@ pub fn parse(input: &str) -> Result<Value, JsonError> {
         return Err(p.err("trailing characters after the document"));
     }
     Ok(value)
-}
-
-/// Escapes `s` for embedding in a JSON string literal (quotes, backslash,
-/// and control characters).
-#[must_use]
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if c.is_control() => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 const MAX_DEPTH: usize = 64;
@@ -351,6 +334,7 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ecmas_core::diag::escape;
 
     #[test]
     fn parses_the_protocol_shapes() {
@@ -385,7 +369,7 @@ mod tests {
 
     #[test]
     fn escape_roundtrips_through_parse() {
-        let original = "tag \"x\"\\ with\nnewline\tand é";
+        let original = "tag \"x\"\\ with\nnewline\tand é\r\u{1}\u{7f}";
         let quoted = format!("\"{}\"", escape(original));
         assert_eq!(parse(&quoted).unwrap().as_str(), Some(original));
     }

@@ -50,13 +50,13 @@
 use std::process::ExitCode;
 
 use ecmas::serve::daemon::{parse_defect_spec, ChipKind};
-use ecmas::serve::json;
 use ecmas::{
     analyze_encoded, diagnostics_to_json, has_errors, lint_circuit, lint_qasm, validate_encoded,
     viz, ChipFleet, CompileRequest, CompileService, Ecmas, ServiceConfig,
 };
 use ecmas_chip::{Chip, CodeModel};
 use ecmas_circuit::Circuit;
+use ecmas_core::diag::escape;
 
 struct Args {
     path: String,
@@ -230,7 +230,7 @@ fn json_line(
         "{{\"file\":\"{}\",\"qubits\":{},\"cnots\":{},\"depth\":{},\
          \"model\":\"{}\",\"chip\":{{\"kind\":\"{}\",\"tile_rows\":{},\"tile_cols\":{},\
          \"bandwidth\":{},\"defects\":{},\"live_tiles\":{}}},\"report\":{report}}}",
-        json::escape(path),
+        escape(path),
         circuit.qubits(),
         circuit.cnot_count(),
         circuit.depth(),
@@ -277,7 +277,7 @@ fn run_lint(args: &Args) -> Result<(), String> {
     if args.json {
         println!(
             "{{\"file\":\"{}\",\"diagnostics\":{}}}",
-            json::escape(&args.path),
+            escape(&args.path),
             diagnostics_to_json(&diagnostics)
         );
     } else {

@@ -303,7 +303,8 @@ proptest! {
                 })
             })
             .collect();
-        let got = batched.route_ready(&requests, 0);
+        let mut got = Vec::new();
+        batched.route_ready(&requests, 0, &mut got);
         let want: Vec<Option<Path>> = requests
             .iter()
             .map(|req| {
@@ -349,7 +350,8 @@ proptest! {
                 (a != b).then(|| RouteRequest::route(a, b, 1))
             })
             .collect();
-        let got = batched.route_ready_by_distance(&requests, 0);
+        let mut got = Vec::new();
+        batched.route_ready_by_distance(&requests, 0, &mut got);
         let mut order: Vec<usize> = (0..requests.len()).collect();
         order.sort_by_key(|&i| {
             sequential.estimated_distance(requests[i].from_slot, requests[i].to_slot)

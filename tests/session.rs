@@ -99,7 +99,7 @@ fn congested_chip_gives_the_ablations_nonzero_spread() {
     // Inject the snake mapping (what LocationStrategy::Trivial computes)
     // into the session mid-flight — the ablation the one-shot API could
     // only reach by rebuilding the whole config.
-    let snake = ecmas::mapping::snake_mapping(circuit.qubits(), chip.tile_rows(), chip.tile_cols());
+    let snake = ecmas::mapping::snake_mapping(circuit.qubits(), &chip);
     let injected = Ecmas::default()
         .session(&circuit, &chip)
         .unwrap()

@@ -4,6 +4,8 @@
 //! validator honest — a validator that accepts corrupted schedules would
 //! silently bless buggy compilers.
 
+use std::sync::Arc;
+
 use ecmas::{
     collect_violations, validate_encoded, Code, CutType, Ecmas, EncodedCircuit, Event, EventKind,
     ValidateError,
@@ -37,7 +39,7 @@ fn rebuild(
     events: Vec<Event>,
 ) -> EncodedCircuit {
     EncodedCircuit::new(
-        enc.chip().clone(),
+        Arc::new(enc.chip().clone()),
         mapping.unwrap_or_else(|| enc.mapping().to_vec()),
         cuts.unwrap_or_else(|| enc.initial_cuts().map(<[CutType]>::to_vec)),
         events,
@@ -194,7 +196,7 @@ fn overlapping_paths_are_caught() {
         ],
     );
     let bad = EncodedCircuit::new(
-        chip,
+        Arc::new(chip),
         mapping,
         Some(vec![CutType::X, CutType::Z, CutType::X, CutType::Z]),
         vec![
@@ -431,7 +433,7 @@ fn corpus_oversubscribed_seam_is_e009_and_slips_past_legacy_checks() {
         };
         let cuts = (model == CodeModel::DoubleDefect).then(|| vec![CutType::X, CutType::Z]);
         let bad = EncodedCircuit::new(
-            chip,
+            Arc::new(chip),
             vec![0, 2],
             cuts,
             vec![Event { gate: Some(0), start: 0, kind }],

@@ -124,3 +124,44 @@ fn table1_and_layered_n100_mappings_are_pinned() {
 // Captured on the pre-rework KL placement (HashMap subgraphs, O(n²) pair
 // scan); the view-based pruned search must reproduce it exactly.
 const MAPPING_PIN: (u64, u64) = (3_696_931_160_761_119_761, 17_787_248_104_688_351_033);
+
+/// FNV-1a over a Para-Finding execution scheme: depth, ĝPM, and every
+/// layer's gate ids in order.
+fn scheme_fingerprint(h: &mut StableHasher, circuit: &ecmas_circuit::Circuit) {
+    let scheme = ecmas::para_finding(&circuit.dag());
+    h.write_usize(scheme.depth());
+    h.write_usize(scheme.gpm());
+    for layer in scheme.layers() {
+        h.write_usize(layer.len());
+        for &g in layer {
+            h.write_usize(g);
+        }
+    }
+}
+
+/// Para-Finding pin: the execution schemes (layers and ĝPM) of the 22
+/// Table I circuits, and of layered random circuits from 1.2k to 20k
+/// gates. Any change to the slack-order pick, the layer choice, the
+/// window cascade, rebalancing or the EDF refinement shows up here.
+#[test]
+fn table1_and_layered_schemes_are_pinned() {
+    let mut h = StableHasher::new();
+    for circuit in benchmarks::table1_suite() {
+        scheme_fingerprint(&mut h, &circuit);
+    }
+    let table1 = h.finish();
+    let mut h = StableHasher::new();
+    for (n, depth, pm, seed) in [
+        (24, 240, 6, 7),
+        (100, 50, 25, 1),
+        (200, 100, 50, 2),
+        (400, 50, 100, 3),
+        (400, 100, 200, 4),
+    ] {
+        scheme_fingerprint(&mut h, &random::layered(n, depth, pm, seed));
+    }
+    assert_eq!((table1, h.finish()), SCHEME_PIN, "Para-Finding schemes drifted");
+}
+
+// Captured on the rescanning Para-Finding (one O(g) scan per pick).
+const SCHEME_PIN: (u64, u64) = (15_554_482_426_561_887_790, 1_845_817_948_163_856_484);

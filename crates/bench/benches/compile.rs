@@ -10,7 +10,7 @@ use ecmas::{
 use ecmas_baselines::{AutoBraid, Edpci};
 use ecmas_chip::{Chip, CodeModel};
 use ecmas_circuit::random::{StressSpec, StressWorkload};
-use ecmas_circuit::{benchmarks, random};
+use ecmas_circuit::{benchmarks, qasm, random};
 use ecmas_partition::{place, WeightedGraph};
 use ecmas_route::{Disjointness, RouteRequest, Router};
 
@@ -18,6 +18,36 @@ fn bench_para_finding(c: &mut Criterion) {
     let qft = benchmarks::qft_n50();
     let dag = qft.dag();
     c.bench_function("para_finding/qft_n50", |b| b.iter(|| para_finding(&dag)));
+    // The largest Table I row: 14 356 CNOTs.
+    let walk = benchmarks::quantum_walk_n11().dag();
+    c.bench_function("para_finding/quantum_walk_n11", |b| b.iter(|| para_finding(&walk)));
+    // 60 small layered DAGs shaped like the daemon benchmark's jobs
+    // (widths 8–24, depths 40–240): the regime where a per-pick scan is
+    // short and a heavier index would lose.
+    let spec = StressSpec {
+        jobs: 60,
+        min_qubits: 8,
+        max_qubits: 24,
+        min_depth: 40,
+        max_depth: 240,
+        mean_burst: 1,
+        dup_percent: 0,
+        defect_percent: 0,
+        seed: 7,
+    };
+    let dags: Vec<_> =
+        StressWorkload::new(&spec).jobs().iter().map(|job| job.circuit().dag()).collect();
+    c.bench_function("para_finding/layered_daemon_mix", |b| {
+        b.iter(|| dags.iter().map(|dag| para_finding(dag).gpm()).sum::<usize>());
+    });
+}
+
+/// The QASM front end on the largest Table I text (≈408 KB).
+fn bench_parse(c: &mut Criterion) {
+    let source = qasm::to_qasm(&benchmarks::quantum_walk_n11());
+    c.bench_function("parse/quantum_walk_n11", |b| {
+        b.iter(|| qasm::parse(&source).expect("writer output parses").op_count());
+    });
 }
 
 fn bench_placement(c: &mut Criterion) {
@@ -305,6 +335,7 @@ fn bench_chip_size_scaling(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_para_finding,
+    bench_parse,
     bench_placement,
     bench_router,
     bench_congested_router,

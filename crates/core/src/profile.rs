@@ -73,24 +73,24 @@ pub fn para_finding(dag: &GateDag) -> ExecutionScheme {
     let mut layer_of: Vec<usize> = vec![0; n]; // 0 = unscheduled
     let mut load: Vec<usize> = vec![0; depth + 1];
 
-    // Simple priority scan: repeatedly take the unscheduled gate with the
-    // smallest slack (ties: program order). O(g²) worst case but with the
-    // early-exit scan on slack 0 this is fast for all our benchmarks.
+    // Repeatedly take the unscheduled gate with the smallest slack, ties
+    // to the smallest position in `remaining` (which `swap_remove`
+    // reorders). A min-tournament tree over those positions makes each
+    // pick, and each slack change, O(log g).
     let mut remaining: Vec<GateId> = (0..n).collect();
-    while !remaining.is_empty() {
-        let mut best_idx = 0;
-        let mut best_slack = usize::MAX;
-        for (i, &g) in remaining.iter().enumerate() {
-            let slack = high[g] - low[g];
-            if slack < best_slack {
-                best_slack = slack;
-                best_idx = i;
-                if slack == 0 {
-                    break;
-                }
-            }
-        }
+    let mut slot_of: Vec<usize> = (0..n).collect();
+    let mut tree = SlackTree::new((0..n).map(|g| high[g] - low[g]));
+    let mut low_stack: Vec<(GateId, usize)> = Vec::new();
+    let mut high_stack: Vec<(GateId, usize)> = Vec::new();
+    while let Some(best_idx) = tree.leftmost_min() {
         let g = remaining.swap_remove(best_idx);
+        let last = remaining.len();
+        if best_idx < last {
+            let moved = remaining[best_idx];
+            slot_of[moved] = best_idx;
+            tree.set(best_idx, high[moved] - low[moved]);
+        }
+        tree.set(last, usize::MAX);
 
         // Emptiest feasible layer in [low, high]; ties: earliest.
         debug_assert!(low[g] <= high[g], "window invariant");
@@ -107,20 +107,20 @@ pub fn para_finding(dag: &GateDag) -> ExecutionScheme {
         // invariant low[child] > low[parent] (and symmetrically for high)
         // holds across unscheduled chains — a one-hop update can otherwise
         // strand a parent and child in the same layer.
-        let mut stack: Vec<(GateId, usize)> =
-            dag.children(g).iter().map(|&c| (c, target + 1)).collect();
-        while let Some((v, min_low)) = stack.pop() {
+        low_stack.extend(dag.children(g).iter().map(|&c| (c, target + 1)));
+        while let Some((v, min_low)) = low_stack.pop() {
             if layer_of[v] == 0 && low[v] < min_low {
                 low[v] = min_low;
-                stack.extend(dag.children(v).iter().map(|&c| (c, min_low + 1)));
+                tree.lower(slot_of[v], high[v] - low[v]);
+                low_stack.extend(dag.children(v).iter().map(|&c| (c, min_low + 1)));
             }
         }
-        let mut stack: Vec<(GateId, usize)> =
-            dag.parents(g).iter().map(|&p| (p, target - 1)).collect();
-        while let Some((v, max_high)) = stack.pop() {
+        high_stack.extend(dag.parents(g).iter().map(|&p| (p, target - 1)));
+        while let Some((v, max_high)) = high_stack.pop() {
             if layer_of[v] == 0 && high[v] > max_high {
                 high[v] = max_high;
-                stack.extend(dag.parents(v).iter().map(|&p| (p, max_high - 1)));
+                tree.lower(slot_of[v], high[v] - low[v]);
+                high_stack.extend(dag.parents(v).iter().map(|&p| (p, max_high - 1)));
             }
         }
     }
@@ -181,6 +181,69 @@ pub fn para_finding(dag: &GateDag) -> ExecutionScheme {
         }
     }
     best
+}
+
+/// A flat min-tournament tree over the positions of Para-Finding's
+/// `remaining` list: leaf `i` holds the slack of the gate at position
+/// `i` (`usize::MAX` once the position is empty), and every inner node
+/// the minimum of its two children.
+struct SlackTree {
+    /// Number of leaves, a power of two; leaf `i` is node `leaves + i`.
+    leaves: usize,
+    /// `node[1]` is the root; node `k` has children `2k` and `2k + 1`.
+    node: Vec<usize>,
+}
+
+impl SlackTree {
+    fn new(slack: impl ExactSizeIterator<Item = usize>) -> Self {
+        let leaves = slack.len().next_power_of_two();
+        let mut node = vec![usize::MAX; 2 * leaves];
+        for (leaf, s) in node[leaves..].iter_mut().zip(slack) {
+            *leaf = s;
+        }
+        for k in (1..leaves).rev() {
+            node[k] = node[2 * k].min(node[2 * k + 1]);
+        }
+        SlackTree { leaves, node }
+    }
+
+    /// The smallest position holding the minimum slack, or `None` when
+    /// every position is empty. Descending into the left child whenever
+    /// it holds the root's value reaches the leftmost minimal leaf —
+    /// exactly the first minimum a front-to-back scan finds.
+    fn leftmost_min(&self) -> Option<usize> {
+        let min = self.node[1];
+        if min == usize::MAX {
+            return None;
+        }
+        let mut k = 1;
+        while k < self.leaves {
+            k = if self.node[2 * k] == min { 2 * k } else { 2 * k + 1 };
+        }
+        Some(k - self.leaves)
+    }
+
+    /// Sets position `i` to any value and recomputes its ancestors.
+    fn set(&mut self, i: usize, slack: usize) {
+        let mut k = self.leaves + i;
+        self.node[k] = slack;
+        while k > 1 {
+            k /= 2;
+            self.node[k] = self.node[2 * k].min(self.node[2 * k + 1]);
+        }
+    }
+
+    /// Lowers position `i` to `slack`, stopping at the first ancestor
+    /// that already holds a value no larger.
+    fn lower(&mut self, i: usize, slack: usize) {
+        let mut k = self.leaves + i;
+        debug_assert!(slack <= self.node[k], "slack only shrinks");
+        self.node[k] = slack;
+        while k > 1 && self.node[k / 2] > slack {
+            k /= 2;
+            self.node[k] = slack;
+        }
+    }
 }
 
 /// Deadline-driven list scheduling: fills the `depth` layers front to back,
@@ -355,11 +418,39 @@ mod tests {
     #[test]
     fn all_table1_schemes_are_valid() {
         for c in benchmarks::table1_suite() {
-            if c.cnot_count() > 3000 {
-                continue; // the two huge rows are covered by the bench harness
-            }
             let dag = c.dag();
             assert_valid_scheme(&dag, &para_finding(&dag));
+        }
+    }
+
+    /// The tree's pick is the first minimum of a front-to-back scan
+    /// under the same mix of slack decreases and `swap_remove`s that
+    /// Para-Finding performs.
+    #[test]
+    fn slack_tree_pick_matches_scan() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(0x51AC);
+        for len in [1, 2, 3, 7, 8, 9, 64, 100] {
+            let mut slack: Vec<usize> = (0..len).map(|_| rng.gen_range(0..6)).collect();
+            let mut tree = SlackTree::new(slack.iter().copied());
+            while !slack.is_empty() {
+                for _ in 0..rng.gen_range(0..4) {
+                    let i = rng.gen_range(0..slack.len());
+                    slack[i] = rng.gen_range(0..slack[i] + 1);
+                    tree.lower(i, slack[i]);
+                }
+                let min = *slack.iter().min().unwrap();
+                let scan = slack.iter().position(|&s| s == min);
+                assert_eq!(tree.leftmost_min(), scan);
+                let i = scan.unwrap();
+                slack.swap_remove(i);
+                if i < slack.len() {
+                    tree.set(i, slack[i]);
+                }
+                tree.set(slack.len(), usize::MAX);
+            }
+            assert_eq!(tree.leftmost_min(), None);
         }
     }
 

@@ -179,6 +179,7 @@ impl Circuit {
         self.ops.len()
     }
 
+    #[inline]
     fn check_qubit(&self, qubit: usize) -> Result<(), CircuitError> {
         if qubit >= self.qubits {
             Err(CircuitError::QubitOutOfRange { qubit, qubits: self.qubits })
@@ -193,6 +194,7 @@ impl Circuit {
     ///
     /// Returns an error if either operand is out of range or if
     /// `control == target`.
+    #[inline]
     pub fn try_cnot(&mut self, control: usize, target: usize) -> Result<(), CircuitError> {
         self.check_qubit(control)?;
         self.check_qubit(target)?;
@@ -209,6 +211,7 @@ impl Circuit {
     /// # Panics
     ///
     /// Panics if either operand is out of range or `control == target`.
+    #[inline]
     pub fn cnot(&mut self, control: usize, target: usize) {
         self.try_cnot(control, target).expect("invalid cnot");
     }
@@ -218,6 +221,7 @@ impl Circuit {
     /// # Panics
     ///
     /// Panics if `qubit` is out of range.
+    #[inline]
     pub fn single(&mut self, qubit: usize, kind: SingleGate) {
         self.check_qubit(qubit).expect("invalid single-qubit gate");
         self.ops.push(Op::Single { qubit, kind });
@@ -319,6 +323,17 @@ impl Circuit {
         self.cnot(b, a);
         self.ccx(control, a, b);
         self.cnot(b, a);
+    }
+
+    /// Widens the circuit to `qubits` qubits, keeping every operation.
+    pub(crate) fn widen(&mut self, qubits: usize) {
+        debug_assert!(qubits >= self.qubits, "widen never narrows");
+        self.qubits = qubits;
+    }
+
+    /// Reserves room for at least `ops` more operations.
+    pub(crate) fn reserve(&mut self, ops: usize) {
+        self.ops.reserve(ops);
     }
 
     /// Appends every operation of `other`, offsetting its qubits by `offset`.

@@ -1,21 +1,25 @@
 use super::{Pos, QasmError};
 
-/// A lexical token with its 1-based source position (for error
-/// reporting and diagnostic spans).
-#[derive(Clone, Debug, PartialEq)]
+/// One token: its kind and the byte offset of its first character,
+/// 8 bytes in all. Tokens carry no payload: identifiers, numbers and
+/// strings are read back from the source, their end found again by the
+/// lexer's own scanners, and a [`Pos`] is computed from the start offset
+/// only when an error is built.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct Token {
     pub kind: TokenKind,
-    pub pos: Pos,
+    start: u32,
 }
 
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum TokenKind {
     /// Identifier or keyword (`qreg`, `gate`, `h`, …).
-    Ident(String),
-    /// Numeric literal (integer or real).
-    Number(f64),
-    /// String literal, quotes stripped (only used by `include`).
-    Str(String),
+    Ident,
+    /// Numeric literal (integer or real), validated by the lexer.
+    Number,
+    /// String literal (only used by `include`); its text excludes the
+    /// quotes.
+    Str,
     Semicolon,
     Comma,
     LParen,
@@ -33,179 +37,195 @@ pub(crate) enum TokenKind {
     Caret,
 }
 
-impl TokenKind {
-    pub(crate) fn describe(&self) -> String {
-        match self {
-            TokenKind::Ident(s) => format!("`{s}`"),
-            TokenKind::Number(v) => format!("number {v}"),
-            TokenKind::Str(s) => format!("string \"{s}\""),
-            TokenKind::Semicolon => "`;`".into(),
-            TokenKind::Comma => "`,`".into(),
-            TokenKind::LParen => "`(`".into(),
-            TokenKind::RParen => "`)`".into(),
-            TokenKind::LBracket => "`[`".into(),
-            TokenKind::RBracket => "`]`".into(),
-            TokenKind::LBrace => "`{`".into(),
-            TokenKind::RBrace => "`}`".into(),
-            TokenKind::Arrow => "`->`".into(),
-            TokenKind::EqEq => "`==`".into(),
-            TokenKind::Plus => "`+`".into(),
-            TokenKind::Minus => "`-`".into(),
-            TokenKind::Star => "`*`".into(),
-            TokenKind::Slash => "`/`".into(),
-            TokenKind::Caret => "`^`".into(),
+impl Token {
+    /// Byte offset of the token's first character.
+    #[inline]
+    pub(crate) fn at(self) -> usize {
+        self.start as usize
+    }
+
+    /// The token's text: an identifier or number as written, a string
+    /// without its quotes, an operator's symbol.
+    #[inline]
+    pub(crate) fn text(self, src: &str) -> &str {
+        let (bytes, start) = (src.as_bytes(), self.at());
+        match self.kind {
+            TokenKind::Ident => &src[start..ident_end(bytes, start)],
+            TokenKind::Number => &src[start..number_end(bytes, start).0],
+            TokenKind::Str => &src[start + 1..string_end(bytes, start)],
+            TokenKind::Arrow | TokenKind::EqEq => &src[start..start + 2],
+            _ => &src[start..=start],
+        }
+    }
+
+    /// The value of a [`TokenKind::Number`] token.
+    #[inline]
+    pub(crate) fn number(self, src: &str) -> f64 {
+        // The lexer only emits number tokens whose text parses.
+        self.text(src).parse().unwrap_or(f64::NAN)
+    }
+
+    /// How the token reads in an error message.
+    pub(crate) fn describe(self, src: &str) -> String {
+        match self.kind {
+            TokenKind::Ident => format!("`{}`", self.text(src)),
+            TokenKind::Number => format!("number {}", self.number(src)),
+            TokenKind::Str => format!("string \"{}\"", self.text(src)),
+            kind => kind.symbol().into(),
         }
     }
 }
 
+impl TokenKind {
+    /// How a token of this kind reads in an error message; the payload
+    /// kinds name their class.
+    pub(crate) fn symbol(self) -> &'static str {
+        match self {
+            TokenKind::Ident => "identifier",
+            TokenKind::Number => "number",
+            TokenKind::Str => "string",
+            TokenKind::Semicolon => "`;`",
+            TokenKind::Comma => "`,`",
+            TokenKind::LParen => "`(`",
+            TokenKind::RParen => "`)`",
+            TokenKind::LBracket => "`[`",
+            TokenKind::RBracket => "`]`",
+            TokenKind::LBrace => "`{`",
+            TokenKind::RBrace => "`}`",
+            TokenKind::Arrow => "`->`",
+            TokenKind::EqEq => "`==`",
+            TokenKind::Plus => "`+`",
+            TokenKind::Minus => "`-`",
+            TokenKind::Star => "`*`",
+            TokenKind::Slash => "`/`",
+            TokenKind::Caret => "`^`",
+        }
+    }
+}
+
+/// The 1-based line and byte column of byte offset `at` in `src`.
+pub(crate) fn pos_at(src: &str, at: usize) -> Pos {
+    let before = &src.as_bytes()[..at];
+    let line_start = before.iter().rposition(|&b| b == b'\n').map_or(0, |nl| nl + 1);
+    let line = 1 + before.iter().filter(|&&b| b == b'\n').count();
+    Pos { line, col: at - line_start + 1 }
+}
+
+/// End of the identifier starting at `i`.
+#[inline]
+fn ident_end(bytes: &[u8], i: usize) -> usize {
+    let mut j = i + 1;
+    while j < bytes.len() && (bytes[j].is_ascii_alphanumeric() || bytes[j] == b'_') {
+        j += 1;
+    }
+    j
+}
+
+/// End of the number starting at `i`, and whether it is digits only:
+/// digits and dots, then at most one exponent with an optional sign.
+#[inline]
+fn number_end(bytes: &[u8], i: usize) -> (usize, bool) {
+    let mut j = i;
+    let mut seen_exp = false;
+    let mut plain = true;
+    while j < bytes.len() {
+        let d = bytes[j];
+        if d.is_ascii_digit() {
+            j += 1;
+        } else if d == b'.' {
+            plain = false;
+            j += 1;
+        } else if (d == b'e' || d == b'E') && !seen_exp {
+            seen_exp = true;
+            plain = false;
+            j += 1;
+            if matches!(bytes.get(j), Some(&b'+' | &b'-')) {
+                j += 1;
+            }
+        } else {
+            break;
+        }
+    }
+    (j, plain)
+}
+
+/// Offset of the byte that ends the string opened at `i`: its closing
+/// quote, or a newline or the end of input when it is unterminated.
+#[inline]
+fn string_end(bytes: &[u8], i: usize) -> usize {
+    let mut j = i + 1;
+    while j < bytes.len() && bytes[j] != b'"' && bytes[j] != b'\n' {
+        j += 1;
+    }
+    j
+}
+
 /// Tokenizes QASM source. `//` comments run to end of line.
 pub(crate) fn lex(src: &str) -> Result<Vec<Token>, QasmError> {
-    let mut tokens = Vec::new();
+    if u32::try_from(src.len()).is_err() {
+        return Err(QasmError::new(
+            Pos { line: 1, col: 0 },
+            format!("source of {} bytes exceeds the {}-byte limit", src.len(), u32::MAX),
+        ));
+    }
+    let err = |at: usize, message: String| QasmError::new(pos_at(src, at), message);
     let bytes = src.as_bytes();
+    // Writer output runs about 1.4 bytes per token; reserving for that
+    // keeps the common case free of a growth copy.
+    let mut tokens = Vec::with_capacity(src.len() * 3 / 4);
     let mut i = 0;
-    let mut line = 1;
-    // Byte offset where the current line starts; col = i − line_start + 1.
-    let mut line_start = 0;
     while i < bytes.len() {
         let c = bytes[i] as char;
-        let pos = Pos { line, col: i - line_start + 1 };
-        match c {
-            '\n' => {
-                line += 1;
+        let next = bytes.get(i + 1).copied();
+        let (kind, end) = match c {
+            ' ' | '\t' | '\r' | '\n' => {
                 i += 1;
-                line_start = i;
+                continue;
             }
-            ' ' | '\t' | '\r' => i += 1,
-            '/' if bytes.get(i + 1) == Some(&b'/') => {
+            '/' if next == Some(b'/') => {
                 while i < bytes.len() && bytes[i] != b'\n' {
                     i += 1;
                 }
+                continue;
             }
-            ';' => {
-                tokens.push(Token { kind: TokenKind::Semicolon, pos });
-                i += 1;
-            }
-            ',' => {
-                tokens.push(Token { kind: TokenKind::Comma, pos });
-                i += 1;
-            }
-            '(' => {
-                tokens.push(Token { kind: TokenKind::LParen, pos });
-                i += 1;
-            }
-            ')' => {
-                tokens.push(Token { kind: TokenKind::RParen, pos });
-                i += 1;
-            }
-            '[' => {
-                tokens.push(Token { kind: TokenKind::LBracket, pos });
-                i += 1;
-            }
-            ']' => {
-                tokens.push(Token { kind: TokenKind::RBracket, pos });
-                i += 1;
-            }
-            '{' => {
-                tokens.push(Token { kind: TokenKind::LBrace, pos });
-                i += 1;
-            }
-            '}' => {
-                tokens.push(Token { kind: TokenKind::RBrace, pos });
-                i += 1;
-            }
-            '+' => {
-                tokens.push(Token { kind: TokenKind::Plus, pos });
-                i += 1;
-            }
-            '*' => {
-                tokens.push(Token { kind: TokenKind::Star, pos });
-                i += 1;
-            }
-            '/' => {
-                tokens.push(Token { kind: TokenKind::Slash, pos });
-                i += 1;
-            }
-            '^' => {
-                tokens.push(Token { kind: TokenKind::Caret, pos });
-                i += 1;
-            }
-            '-' => {
-                if bytes.get(i + 1) == Some(&b'>') {
-                    tokens.push(Token { kind: TokenKind::Arrow, pos });
-                    i += 2;
-                } else {
-                    tokens.push(Token { kind: TokenKind::Minus, pos });
-                    i += 1;
-                }
-            }
-            '=' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    tokens.push(Token { kind: TokenKind::EqEq, pos });
-                    i += 2;
-                } else {
-                    return Err(QasmError::new(pos, "stray `=` (expected `==`)"));
-                }
-            }
+            ';' => (TokenKind::Semicolon, i + 1),
+            ',' => (TokenKind::Comma, i + 1),
+            '(' => (TokenKind::LParen, i + 1),
+            ')' => (TokenKind::RParen, i + 1),
+            '[' => (TokenKind::LBracket, i + 1),
+            ']' => (TokenKind::RBracket, i + 1),
+            '{' => (TokenKind::LBrace, i + 1),
+            '}' => (TokenKind::RBrace, i + 1),
+            '+' => (TokenKind::Plus, i + 1),
+            '*' => (TokenKind::Star, i + 1),
+            '/' => (TokenKind::Slash, i + 1),
+            '^' => (TokenKind::Caret, i + 1),
+            '-' if next == Some(b'>') => (TokenKind::Arrow, i + 2),
+            '-' => (TokenKind::Minus, i + 1),
+            '=' if next == Some(b'=') => (TokenKind::EqEq, i + 2),
+            '=' => return Err(err(i, "stray `=` (expected `==`)".into())),
             '"' => {
-                let start = i + 1;
-                let mut j = start;
-                while j < bytes.len() && bytes[j] != b'"' {
-                    if bytes[j] == b'\n' {
-                        return Err(QasmError::new(pos, "unterminated string literal"));
-                    }
-                    j += 1;
+                let j = string_end(bytes, i);
+                if bytes.get(j) != Some(&b'"') {
+                    return Err(err(i, "unterminated string literal".into()));
                 }
-                if j == bytes.len() {
-                    return Err(QasmError::new(pos, "unterminated string literal"));
+                (TokenKind::Str, j + 1)
+            }
+            _ if c.is_ascii_digit() || (c == '.' && next.is_some_and(|d| d.is_ascii_digit())) => {
+                let (j, plain) = number_end(bytes, i);
+                let text = &src[i..j];
+                if !plain && text.parse::<f64>().is_err() {
+                    return Err(err(i, format!("invalid number `{text}`")));
                 }
-                tokens.push(Token { kind: TokenKind::Str(src[start..j].to_string()), pos });
-                i = j + 1;
+                (TokenKind::Number, j)
             }
-            _ if c.is_ascii_digit()
-                || (c == '.' && matches!(bytes.get(i + 1), Some(d) if d.is_ascii_digit())) =>
-            {
-                let start = i;
-                let mut j = i;
-                let mut seen_exp = false;
-                while j < bytes.len() {
-                    let d = bytes[j] as char;
-                    if d.is_ascii_digit() || d == '.' {
-                        j += 1;
-                    } else if (d == 'e' || d == 'E') && !seen_exp {
-                        seen_exp = true;
-                        j += 1;
-                        if matches!(bytes.get(j), Some(&b'+') | Some(&b'-')) {
-                            j += 1;
-                        }
-                    } else {
-                        break;
-                    }
-                }
-                let text = &src[start..j];
-                let value: f64 = text
-                    .parse()
-                    .map_err(|_| QasmError::new(pos, format!("invalid number `{text}`")))?;
-                tokens.push(Token { kind: TokenKind::Number(value), pos });
-                i = j;
-            }
-            _ if c.is_ascii_alphabetic() || c == '_' => {
-                let start = i;
-                let mut j = i;
-                while j < bytes.len() {
-                    let d = bytes[j] as char;
-                    if d.is_ascii_alphanumeric() || d == '_' {
-                        j += 1;
-                    } else {
-                        break;
-                    }
-                }
-                tokens.push(Token { kind: TokenKind::Ident(src[start..j].to_string()), pos });
-                i = j;
-            }
-            _ => {
-                return Err(QasmError::new(pos, format!("unexpected character `{c}`")));
-            }
-        }
+            _ if c.is_ascii_alphabetic() || c == '_' => (TokenKind::Ident, ident_end(bytes, i)),
+            _ => return Err(err(i, format!("unexpected character `{c}`"))),
+        };
+        // Fits: the source length was checked above.
+        #[allow(clippy::cast_possible_truncation)]
+        tokens.push(Token { kind, start: i as u32 });
+        i = end;
     }
     Ok(tokens)
 }
@@ -218,24 +238,31 @@ mod tests {
         lex(src).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
+    fn texts(src: &str) -> Vec<&str> {
+        lex(src).unwrap().into_iter().map(|t| t.text(src)).collect()
+    }
+
     #[test]
     fn lexes_declaration() {
+        let src = "qreg q[3];";
         assert_eq!(
-            kinds("qreg q[3];"),
+            kinds(src),
             vec![
-                TokenKind::Ident("qreg".into()),
-                TokenKind::Ident("q".into()),
+                TokenKind::Ident,
+                TokenKind::Ident,
                 TokenKind::LBracket,
-                TokenKind::Number(3.0),
+                TokenKind::Number,
                 TokenKind::RBracket,
                 TokenKind::Semicolon,
             ]
         );
+        assert_eq!(texts(src), vec!["qreg", "q", "[", "3", "]", ";"]);
     }
 
     #[test]
     fn lexes_arrow_and_eqeq() {
         assert_eq!(kinds("-> =="), vec![TokenKind::Arrow, TokenKind::EqEq]);
+        assert_eq!(texts("a->b"), vec!["a", "->", "b"]);
     }
 
     #[test]
@@ -244,20 +271,14 @@ mod tests {
     }
 
     #[test]
-    fn tracks_line_numbers() {
-        let toks = lex("a;\nb;").unwrap();
-        assert_eq!(toks[0].pos.line, 1);
-        assert_eq!(toks[2].pos.line, 2);
-    }
-
-    #[test]
-    fn tracks_columns() {
-        let toks = lex("qreg q[3];\ncx q[0], q[1];").unwrap();
-        assert_eq!(toks[0].pos, Pos { line: 1, col: 1 }); // qreg
-        assert_eq!(toks[1].pos, Pos { line: 1, col: 6 }); // q
-        assert_eq!(toks[2].pos, Pos { line: 1, col: 7 }); // [
-        assert_eq!(toks[6].pos, Pos { line: 2, col: 1 }); // cx
-        assert_eq!(toks[7].pos, Pos { line: 2, col: 4 }); // q
+    fn positions_come_from_offsets() {
+        let src = "qreg q[3];\ncx q[0], q[1];";
+        let pos: Vec<Pos> = lex(src).unwrap().into_iter().map(|t| pos_at(src, t.at())).collect();
+        assert_eq!(pos[0], Pos { line: 1, col: 1 }); // qreg
+        assert_eq!(pos[1], Pos { line: 1, col: 6 }); // q
+        assert_eq!(pos[2], Pos { line: 1, col: 7 }); // [
+        assert_eq!(pos[6], Pos { line: 2, col: 1 }); // cx
+        assert_eq!(pos[7], Pos { line: 2, col: 4 }); // q
     }
 
     #[test]
@@ -270,13 +291,23 @@ mod tests {
     }
 
     #[test]
-    fn lexes_scientific_notation() {
-        assert_eq!(kinds("1.5e-3"), vec![TokenKind::Number(1.5e-3)]);
+    fn lexes_numbers() {
+        let src = "1.5e-3 42 .5 2E+2";
+        assert_eq!(texts(src), vec!["1.5e-3", "42", ".5", "2E+2"]);
+        let values: Vec<f64> = lex(src).unwrap().into_iter().map(|t| t.number(src)).collect();
+        assert_eq!(values, vec![1.5e-3, 42.0, 0.5, 200.0]);
     }
 
     #[test]
     fn lexes_string() {
-        assert_eq!(kinds("\"qelib1.inc\""), vec![TokenKind::Str("qelib1.inc".into())]);
+        let src = "\"qelib1.inc\"";
+        assert_eq!(kinds(src), vec![TokenKind::Str]);
+        assert_eq!(texts(src), vec!["qelib1.inc"]);
+    }
+
+    #[test]
+    fn a_token_is_eight_bytes() {
+        assert_eq!(std::mem::size_of::<Token>(), 8);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 use std::collections::HashMap;
 use std::f64::consts::PI;
+use std::ops::Range;
 
-use super::lex::{lex, Token, TokenKind};
+use super::lex::{lex, pos_at, Token, TokenKind};
 use super::{Pos, QasmError};
 use crate::circuit::{Circuit, SingleGate};
 
@@ -15,23 +16,38 @@ use crate::circuit::{Circuit, SingleGate};
 ///
 /// Returns a [`QasmError`] with the offending line on lexical errors,
 /// syntax errors, undeclared registers/gates, arity mismatches, broadcast
-/// size mismatches, or unsupported features (`opaque`, external includes).
+/// size mismatches, unsupported features (`opaque`, external includes),
+/// and inputs past the parser's limits: gate expansion nested deeper than
+/// 64 definitions, expressions nested deeper than 256 levels, more than
+/// 2^20 qubits in total.
 pub fn parse(src: &str) -> Result<Circuit, QasmError> {
-    let tokens = lex(src)?;
-    let mut parser = Parser::new(tokens);
+    let mut parser = Parser::new(src, lex(src)?);
     parser.run()?;
-    parser.finish()
+    Ok(parser.out.circuit)
 }
 
-/// A constant arithmetic expression over gate parameters.
-#[derive(Clone, Debug)]
-enum Expr {
+/// How deeply user gate definitions may expand into one another.
+const MAX_EXPANSION_DEPTH: usize = 64;
+/// How deeply a parameter expression may nest: parentheses, function
+/// calls, unary signs and exponents. Bounds the parser's recursion.
+const MAX_EXPR_DEPTH: usize = 256;
+/// The most qubits a program may declare, over all its `qreg`s.
+const MAX_QUBITS: usize = 1 << 20;
+
+/// One step of a parameter expression in postfix order. Expressions are
+/// flat code rather than a tree, so evaluating and dropping them never
+/// recurses.
+#[derive(Clone, Copy, Debug)]
+enum Rpn<'a> {
     Num(f64),
     Pi,
-    Param(String),
-    Neg(Box<Expr>),
-    Bin(BinOp, Box<Expr>, Box<Expr>),
-    Func(UnaryFunc, Box<Expr>),
+    /// The `i`-th formal parameter of the enclosing gate definition.
+    Param(usize),
+    /// A name that is not a parameter in scope; evaluating it fails.
+    Unknown(&'a str),
+    Neg,
+    Bin(BinOp),
+    Func(UnaryFunc),
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -53,17 +69,32 @@ enum UnaryFunc {
     Sqrt,
 }
 
-impl Expr {
-    fn eval(&self, env: &HashMap<String, f64>, pos: Pos) -> Result<f64, QasmError> {
-        Ok(match self {
-            Expr::Num(v) => *v,
-            Expr::Pi => PI,
-            Expr::Param(name) => *env
-                .get(name)
-                .ok_or_else(|| QasmError::new(pos, format!("unknown parameter `{name}`")))?,
-            Expr::Neg(e) => -e.eval(env, pos)?,
-            Expr::Bin(op, a, b) => {
-                let (a, b) = (a.eval(env, pos)?, b.eval(env, pos)?);
+/// Evaluates postfix `code`, pushing one value per expression onto
+/// `values`. A [`Rpn::Param`] reads `values[env + i]`, the caller's
+/// parameters further down the same stack. `at` is the byte offset that
+/// an unknown-parameter error points at.
+fn eval(
+    code: &[Rpn<'_>],
+    env: usize,
+    values: &mut Vec<f64>,
+    src: &str,
+    at: usize,
+) -> Result<(), QasmError> {
+    // The parser only emits well-formed code: every operator finds its
+    // operands on the stack.
+    let pop = |values: &mut Vec<f64>| values.pop().unwrap_or(f64::NAN);
+    for &op in code {
+        let v = match op {
+            Rpn::Num(v) => v,
+            Rpn::Pi => PI,
+            Rpn::Param(i) => values[env + i],
+            Rpn::Unknown(name) => {
+                return Err(QasmError::new(pos_at(src, at), format!("unknown parameter `{name}`")))
+            }
+            Rpn::Neg => -pop(values),
+            Rpn::Bin(op) => {
+                let b = pop(values);
+                let a = pop(values);
                 match op {
                     BinOp::Add => a + b,
                     BinOp::Sub => a - b,
@@ -72,8 +103,8 @@ impl Expr {
                     BinOp::Pow => a.powf(b),
                 }
             }
-            Expr::Func(f, e) => {
-                let v = e.eval(env, pos)?;
+            Rpn::Func(f) => {
+                let v = pop(values);
                 match f {
                     UnaryFunc::Sin => v.sin(),
                     UnaryFunc::Cos => v.cos(),
@@ -83,161 +114,478 @@ impl Expr {
                     UnaryFunc::Sqrt => v.sqrt(),
                 }
             }
-        })
+        };
+        values.push(v);
+    }
+    Ok(())
+}
+
+/// One call inside a user `gate` body. OpenQASM 2.0 forbids indexing
+/// inside gate bodies, so every qubit operand is a formal argument.
+#[derive(Clone, Debug)]
+struct BodyCall<'a> {
+    name: &'a str,
+    /// Byte offset of the call's gate name.
+    at: usize,
+    /// The call's parameters in [`GateDef::code`].
+    code: Range<usize>,
+    /// The call's operands in [`GateDef::operands`].
+    operands: Range<usize>,
+}
+
+#[derive(Clone, Debug)]
+struct GateDef<'a> {
+    params: usize,
+    qargs: usize,
+    /// Postfix code of every call's parameters, back to back.
+    code: Vec<Rpn<'a>>,
+    /// Every call's qubit operands, as indices of the formal qubits.
+    operands: Vec<usize>,
+    body: Vec<BodyCall<'a>>,
+}
+
+/// A qubit operand before broadcast: the global qubits
+/// `first..first + len` (one qubit, or a whole register).
+#[derive(Clone, Copy, Debug)]
+struct QubitArg {
+    first: usize,
+    len: usize,
+    /// Byte offset of the register name.
+    at: usize,
+}
+
+/// The circuit under construction, plus the parameter-value and qubit
+/// stacks that a gate application and its expansion share.
+struct Emitter<'a> {
+    src: &'a str,
+    circuit: Circuit,
+    values: Vec<f64>,
+    qubits: Vec<usize>,
+}
+
+impl Emitter<'_> {
+    /// Applies gate `name` to `self.qubits[qubits]` with parameters
+    /// `self.values[params]`, expanding user gates recursively.
+    fn apply(
+        &mut self,
+        defs: &HashMap<&str, GateDef<'_>>,
+        name: &str,
+        at: usize,
+        params: Range<usize>,
+        qubits: Range<usize>,
+        depth: usize,
+    ) -> Result<(), QasmError> {
+        let err = |message: String| QasmError::new(pos_at(self.src, at), message);
+        if depth > MAX_EXPANSION_DEPTH {
+            return Err(err(format!("gate `{name}` expansion recurses too deeply")));
+        }
+        if self.builtin(name, at, params.clone(), qubits.clone())? {
+            return Ok(());
+        }
+        let def = defs.get(name).ok_or_else(|| err(format!("unknown gate `{name}`")))?;
+        if def.params != params.len() || def.qargs != qubits.len() {
+            let (want, got) = ((def.params, def.qargs), (params.len(), qubits.len()));
+            return Err(arity_error(self.src, name, at, want, got));
+        }
+        for call in &def.body {
+            let (v0, q0) = (self.values.len(), self.qubits.len());
+            eval(&def.code[call.code.clone()], params.start, &mut self.values, self.src, call.at)?;
+            for &k in &def.operands[call.operands.clone()] {
+                let q = self.qubits[qubits.start + k];
+                self.qubits.push(q);
+            }
+            self.apply(
+                defs,
+                call.name,
+                call.at,
+                v0..self.values.len(),
+                q0..self.qubits.len(),
+                depth + 1,
+            )?;
+            self.values.truncate(v0);
+            self.qubits.truncate(q0);
+        }
+        Ok(())
+    }
+
+    /// Applies a built-in gate; `Ok(false)` when `name` is not one.
+    fn builtin(
+        &mut self,
+        name: &str,
+        at: usize,
+        params: Range<usize>,
+        qubits: Range<usize>,
+    ) -> Result<bool, QasmError> {
+        let src = self.src;
+        let (params, qubits) = (&self.values[params], &self.qubits[qubits]);
+        let check = |want_p: usize, want_q: usize| {
+            if params.len() == want_p && qubits.len() == want_q {
+                Ok(())
+            } else {
+                Err(arity_error(src, name, at, (want_p, want_q), (params.len(), qubits.len())))
+            }
+        };
+        let distinct = |qs: &[usize]| -> Result<(), QasmError> {
+            for (i, a) in qs.iter().enumerate() {
+                for b in &qs[i + 1..] {
+                    if a == b {
+                        return Err(QasmError::new(
+                            pos_at(src, at),
+                            format!("gate `{name}` applied with repeated qubit {a}"),
+                        ));
+                    }
+                }
+            }
+            Ok(())
+        };
+        let circuit = &mut self.circuit;
+        match name {
+            "CX" | "cx" => {
+                check(0, 2)?;
+                distinct(qubits)?;
+                circuit.cnot(qubits[0], qubits[1]);
+            }
+            "U" | "u3" => {
+                check(3, 1)?;
+                circuit.single(qubits[0], SingleGate::U(params[0], params[1], params[2]));
+            }
+            "u2" => {
+                check(2, 1)?;
+                circuit.single(qubits[0], SingleGate::U(PI / 2.0, params[0], params[1]));
+            }
+            "u1" | "p" | "u0" => {
+                check(1, 1)?;
+                circuit.single(qubits[0], SingleGate::Phase(params[0]));
+            }
+            "h" => {
+                check(0, 1)?;
+                circuit.single(qubits[0], SingleGate::H);
+            }
+            "x" => {
+                check(0, 1)?;
+                circuit.single(qubits[0], SingleGate::X);
+            }
+            "y" => {
+                check(0, 1)?;
+                circuit.single(qubits[0], SingleGate::Y);
+            }
+            "z" => {
+                check(0, 1)?;
+                circuit.single(qubits[0], SingleGate::Z);
+            }
+            "s" => {
+                check(0, 1)?;
+                circuit.single(qubits[0], SingleGate::S);
+            }
+            "sdg" => {
+                check(0, 1)?;
+                circuit.single(qubits[0], SingleGate::Sdg);
+            }
+            "t" => {
+                check(0, 1)?;
+                circuit.single(qubits[0], SingleGate::T);
+            }
+            "tdg" => {
+                check(0, 1)?;
+                circuit.single(qubits[0], SingleGate::Tdg);
+            }
+            "sx" => {
+                check(0, 1)?;
+                circuit.single(qubits[0], SingleGate::Rx(PI / 2.0));
+            }
+            "sxdg" => {
+                check(0, 1)?;
+                circuit.single(qubits[0], SingleGate::Rx(-PI / 2.0));
+            }
+            "rx" => {
+                check(1, 1)?;
+                circuit.single(qubits[0], SingleGate::Rx(params[0]));
+            }
+            "ry" => {
+                check(1, 1)?;
+                circuit.single(qubits[0], SingleGate::Ry(params[0]));
+            }
+            "rz" => {
+                check(1, 1)?;
+                circuit.single(qubits[0], SingleGate::Rz(params[0]));
+            }
+            "id" => {
+                check(0, 1)?;
+            }
+            "cz" => {
+                check(0, 2)?;
+                distinct(qubits)?;
+                circuit.cz(qubits[0], qubits[1]);
+            }
+            "cy" => {
+                check(0, 2)?;
+                distinct(qubits)?;
+                circuit.single(qubits[1], SingleGate::Sdg);
+                circuit.cnot(qubits[0], qubits[1]);
+                circuit.single(qubits[1], SingleGate::S);
+            }
+            "ch" => {
+                check(0, 2)?;
+                distinct(qubits)?;
+                let (a, b) = (qubits[0], qubits[1]);
+                circuit.h(b);
+                circuit.single(b, SingleGate::Sdg);
+                circuit.cnot(a, b);
+                circuit.h(b);
+                circuit.t(b);
+                circuit.cnot(a, b);
+                circuit.t(b);
+                circuit.h(b);
+                circuit.single(b, SingleGate::S);
+                circuit.x(b);
+                circuit.single(a, SingleGate::S);
+            }
+            "swap" => {
+                check(0, 2)?;
+                distinct(qubits)?;
+                circuit.swap(qubits[0], qubits[1]);
+            }
+            "cp" | "cu1" => {
+                check(1, 2)?;
+                distinct(qubits)?;
+                circuit.cp(qubits[0], qubits[1], params[0]);
+            }
+            "crz" => {
+                check(1, 2)?;
+                distinct(qubits)?;
+                let (c, t) = (qubits[0], qubits[1]);
+                circuit.rz(t, params[0] / 2.0);
+                circuit.cnot(c, t);
+                circuit.rz(t, -params[0] / 2.0);
+                circuit.cnot(c, t);
+            }
+            "cry" => {
+                check(1, 2)?;
+                distinct(qubits)?;
+                circuit.cry(qubits[0], qubits[1], params[0]);
+            }
+            "crx" => {
+                check(1, 2)?;
+                distinct(qubits)?;
+                let (c, t) = (qubits[0], qubits[1]);
+                circuit.h(t);
+                circuit.rz(t, params[0] / 2.0);
+                circuit.cnot(c, t);
+                circuit.rz(t, -params[0] / 2.0);
+                circuit.cnot(c, t);
+                circuit.h(t);
+            }
+            "cu3" => {
+                check(3, 2)?;
+                distinct(qubits)?;
+                let (c, t) = (qubits[0], qubits[1]);
+                let (theta, phi, lambda) = (params[0], params[1], params[2]);
+                circuit.phase(c, (lambda + phi) / 2.0);
+                circuit.phase(t, (lambda - phi) / 2.0);
+                circuit.cnot(c, t);
+                circuit.single(t, SingleGate::U(-theta / 2.0, 0.0, -(phi + lambda) / 2.0));
+                circuit.cnot(c, t);
+                circuit.single(t, SingleGate::U(theta / 2.0, phi, 0.0));
+            }
+            "rzz" => {
+                check(1, 2)?;
+                distinct(qubits)?;
+                let (a, b) = (qubits[0], qubits[1]);
+                circuit.cnot(a, b);
+                circuit.phase(b, params[0]);
+                circuit.cnot(a, b);
+            }
+            "ccx" => {
+                check(0, 3)?;
+                distinct(qubits)?;
+                circuit.ccx(qubits[0], qubits[1], qubits[2]);
+            }
+            "cswap" => {
+                check(0, 3)?;
+                distinct(qubits)?;
+                circuit.cswap(qubits[0], qubits[1], qubits[2]);
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
     }
 }
 
-/// One call inside a user `gate` body. Qubit arguments are formal names
-/// (OpenQASM 2.0 forbids indexing inside gate bodies).
-#[derive(Clone, Debug)]
-struct BodyCall {
-    name: String,
-    pos: Pos,
-    params: Vec<Expr>,
-    qargs: Vec<String>,
+fn arity_error(
+    src: &str,
+    name: &str,
+    at: usize,
+    want: (usize, usize),
+    got: (usize, usize),
+) -> QasmError {
+    QasmError::new(
+        pos_at(src, at),
+        format!(
+            "gate `{name}` expects {} parameter(s) and {} qubit(s), got {} and {}",
+            want.0, want.1, got.0, got.1
+        ),
+    )
 }
 
-#[derive(Clone, Debug)]
-struct GateDef {
-    params: Vec<String>,
-    qargs: Vec<String>,
-    body: Vec<BodyCall>,
-}
-
-/// A (possibly whole-register) qubit argument before broadcast resolution.
-#[derive(Clone, Debug)]
-struct QubitArg {
-    indices: Vec<usize>,
-    pos: Pos,
-}
-
-struct Parser {
+struct Parser<'a> {
+    src: &'a str,
     tokens: Vec<Token>,
-    pos: usize,
-    qregs: Vec<(String, usize, usize)>,
-    cregs: HashMap<String, usize>,
-    defs: HashMap<String, GateDef>,
-    circuit: Circuit,
-    qubits: usize,
+    /// Index of the next unread token.
+    next: usize,
+    /// `(name, first global qubit, size)` per register.
+    qregs: Vec<(&'a str, usize, usize)>,
+    cregs: HashMap<&'a str, usize>,
+    defs: HashMap<&'a str, GateDef<'a>>,
+    out: Emitter<'a>,
+    /// A gate application's operands and parameter code, reused by every
+    /// statement.
+    args: Vec<QubitArg>,
+    code: Vec<Rpn<'a>>,
+    /// Nesting of the expression being parsed.
+    expr_depth: usize,
 }
 
-const MAX_EXPANSION_DEPTH: usize = 64;
-
-impl Parser {
-    fn new(tokens: Vec<Token>) -> Self {
+impl<'a> Parser<'a> {
+    fn new(src: &'a str, tokens: Vec<Token>) -> Self {
+        // A gate statement (`h q[0];`, `cx q[0], q[1];`) takes 6 to 11
+        // tokens and most emit one operation; reserving for that spares
+        // the operation list its growth copies.
+        let mut circuit = Circuit::new(0);
+        circuit.reserve(tokens.len() / 6);
         Parser {
+            src,
             tokens,
-            pos: 0,
+            next: 0,
             qregs: Vec::new(),
             cregs: HashMap::new(),
             defs: HashMap::new(),
-            // Re-created once the final qubit count is known; Circuit is
-            // grown via a replacement because registers must be declared
-            // before use, so appending is always safe.
-            circuit: Circuit::new(0),
-            qubits: 0,
+            out: Emitter { src, circuit, values: Vec::new(), qubits: Vec::new() },
+            args: Vec::new(),
+            code: Vec::new(),
+            expr_depth: 0,
         }
-    }
-
-    fn finish(self) -> Result<Circuit, QasmError> {
-        Ok(self.circuit)
     }
 
     // ---- token helpers ----------------------------------------------------
 
-    fn peek(&self) -> Option<&TokenKind> {
-        self.tokens.get(self.pos).map(|t| &t.kind)
+    #[cold]
+    fn err(&self, at: usize, message: impl Into<String>) -> QasmError {
+        QasmError::new(pos_at(self.src, at), message)
+    }
+
+    fn peek(&self) -> Option<TokenKind> {
+        self.tokens.get(self.next).map(|t| t.kind)
     }
 
     /// Position of the current token (or the last one, at end of input).
     fn cur_pos(&self) -> Pos {
         self.tokens
-            .get(self.pos.min(self.tokens.len().saturating_sub(1)))
-            .map_or(Pos { line: 0, col: 0 }, |t| t.pos)
+            .get(self.next.min(self.tokens.len().saturating_sub(1)))
+            .map_or(Pos { line: 0, col: 0 }, |t| pos_at(self.src, t.at()))
     }
 
-    fn next(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).cloned();
+    fn bump(&mut self) -> Option<Token> {
+        let t = self.tokens.get(self.next).copied();
         if t.is_some() {
-            self.pos += 1;
+            self.next += 1;
         }
         t
     }
 
-    fn expect(&mut self, kind: &TokenKind) -> Result<Pos, QasmError> {
-        let pos = self.cur_pos();
-        match self.next() {
-            Some(t) if t.kind == *kind => Ok(t.pos),
-            Some(t) => Err(QasmError::new(
-                t.pos,
-                format!("expected {}, found {}", kind.describe(), t.kind.describe()),
-            )),
-            None => Err(QasmError::new(
-                pos,
-                format!("expected {}, found end of input", kind.describe()),
-            )),
+    /// An error at token `t`, or at the end of input when `t` is `None`.
+    #[cold]
+    fn err_at(&self, t: Option<Token>, message: impl Into<String>) -> QasmError {
+        match t {
+            Some(t) => self.err(t.at(), message),
+            None => QasmError::new(self.cur_pos(), message),
         }
     }
 
-    fn expect_ident(&mut self) -> Result<(String, Pos), QasmError> {
-        let pos = self.cur_pos();
-        match self.next() {
-            Some(Token { kind: TokenKind::Ident(s), pos }) => Ok((s, pos)),
-            Some(t) => Err(QasmError::new(
-                t.pos,
-                format!("expected identifier, found {}", t.kind.describe()),
-            )),
-            None => Err(QasmError::new(pos, "expected identifier, found end of input")),
+    /// How a mismatched token reads in an error message.
+    #[cold]
+    fn found(&self, t: Option<Token>) -> String {
+        t.map_or_else(|| "end of input".into(), |t| t.describe(self.src))
+    }
+
+    fn expect(&mut self, kind: TokenKind) -> Result<(), QasmError> {
+        match self.bump() {
+            Some(t) if t.kind == kind => Ok(()),
+            t => {
+                Err(self.err_at(t, format!("expected {}, found {}", kind.symbol(), self.found(t))))
+            }
         }
     }
 
-    fn expect_uint(&mut self) -> Result<(usize, Pos), QasmError> {
-        let pos = self.cur_pos();
-        match self.next() {
-            Some(Token { kind: TokenKind::Number(v), pos }) => {
+    /// An identifier and its byte offset.
+    fn expect_ident(&mut self) -> Result<(&'a str, usize), QasmError> {
+        match self.bump() {
+            Some(t) if t.kind == TokenKind::Ident => Ok((t.text(self.src), t.at())),
+            t => Err(self.err_at(t, format!("expected identifier, found {}", self.found(t)))),
+        }
+    }
+
+    /// A non-negative integer and its byte offset.
+    fn expect_uint(&mut self) -> Result<(usize, usize), QasmError> {
+        match self.bump() {
+            Some(t) if t.kind == TokenKind::Number => {
+                // A digits-only number of up to 15 digits is below 2^53:
+                // the same value the float path below gives, read without
+                // parsing a float.
+                let bytes = &self.src.as_bytes()[t.at()..];
+                let digits = bytes.iter().take_while(|b| b.is_ascii_digit()).count();
+                if digits <= 15 && !matches!(bytes.get(digits), Some(b'.' | b'e' | b'E')) {
+                    let n = bytes[..digits].iter().fold(0, |n, &d| n * 10 + usize::from(d - b'0'));
+                    return Ok((n, t.at()));
+                }
+                let v = t.number(self.src);
                 if v.fract() == 0.0 && v >= 0.0 {
                     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-                    Ok((v as usize, pos))
+                    Ok((v as usize, t.at()))
                 } else {
-                    Err(QasmError::new(pos, format!("expected a non-negative integer, found {v}")))
+                    Err(self.err(t.at(), format!("expected a non-negative integer, found {v}")))
                 }
             }
-            Some(t) => {
-                Err(QasmError::new(t.pos, format!("expected integer, found {}", t.kind.describe())))
-            }
-            None => Err(QasmError::new(pos, "expected integer, found end of input")),
+            t => Err(self.err_at(t, format!("expected integer, found {}", self.found(t)))),
         }
     }
 
-    fn eat(&mut self, kind: &TokenKind) -> bool {
+    fn eat(&mut self, kind: TokenKind) -> bool {
         if self.peek() == Some(kind) {
-            self.pos += 1;
+            self.next += 1;
             true
         } else {
             false
         }
     }
 
+    /// Skips to the next `;` and consumes it.
+    fn skip_statement(&mut self) -> Result<(), QasmError> {
+        while self.peek().is_some_and(|k| k != TokenKind::Semicolon) {
+            self.next += 1;
+        }
+        self.expect(TokenKind::Semicolon)
+    }
+
     // ---- top level ---------------------------------------------------------
 
     fn run(&mut self) -> Result<(), QasmError> {
         // Optional version header.
-        if let Some(TokenKind::Ident(id)) = self.peek() {
-            if id == "OPENQASM" {
-                self.next();
-                let pos = self.cur_pos();
-                match self.next() {
-                    Some(Token { kind: TokenKind::Number(v), .. }) if (2.0..3.0).contains(&v) => {}
-                    Some(Token { kind, pos }) => {
-                        return Err(QasmError::new(
-                            pos,
-                            format!("unsupported OPENQASM version {}", kind.describe()),
-                        ))
-                    }
-                    None => return Err(QasmError::new(pos, "missing OPENQASM version")),
+        if self
+            .tokens
+            .first()
+            .is_some_and(|t| t.kind == TokenKind::Ident && t.text(self.src) == "OPENQASM")
+        {
+            self.next += 1;
+            match self.bump() {
+                Some(t)
+                    if t.kind == TokenKind::Number && (2.0..3.0).contains(&t.number(self.src)) => {}
+                None => return Err(self.err_at(None, "missing OPENQASM version")),
+                t => {
+                    let found = self.found(t);
+                    return Err(self.err_at(t, format!("unsupported OPENQASM version {found}")));
                 }
-                self.expect(&TokenKind::Semicolon)?;
             }
+            self.expect(TokenKind::Semicolon)?;
         }
         while self.peek().is_some() {
             self.statement()?;
@@ -246,94 +594,100 @@ impl Parser {
     }
 
     fn statement(&mut self) -> Result<(), QasmError> {
-        let (name, pos) = self.expect_ident()?;
-        match name.as_str() {
+        let (mut name, mut at) = self.expect_ident()?;
+        // `if (creg == n) <qop>`: the guarded operation is applied
+        // unconditionally (worst-case scheduling over-approximation).
+        // Chains of guards are read in a loop, not by recursion.
+        while name == "if" {
+            self.expect(TokenKind::LParen)?;
+            self.expect_ident()?;
+            self.expect(TokenKind::EqEq)?;
+            self.expect_uint()?;
+            self.expect(TokenKind::RParen)?;
+            (name, at) = self.expect_ident()?;
+        }
+        match name {
             "include" => {
-                let p = self.cur_pos();
-                match self.next() {
-                    Some(Token { kind: TokenKind::Str(path), pos }) => {
+                match self.bump() {
+                    Some(t) if t.kind == TokenKind::Str => {
+                        let path = t.text(self.src);
                         if path != "qelib1.inc" {
-                            return Err(QasmError::new(
-                                pos,
+                            return Err(self.err(
+                                t.at(),
                                 format!("only the built-in \"qelib1.inc\" include is supported, found \"{path}\""),
                             ));
                         }
                     }
-                    _ => return Err(QasmError::new(p, "expected a string after `include`")),
+                    t => return Err(self.err_at(t, "expected a string after `include`")),
                 }
-                self.expect(&TokenKind::Semicolon)?;
+                self.expect(TokenKind::Semicolon)?;
             }
             "qreg" => {
                 let (reg, _) = self.expect_ident()?;
-                self.expect(&TokenKind::LBracket)?;
-                let (size, _) = self.expect_uint()?;
-                self.expect(&TokenKind::RBracket)?;
-                self.expect(&TokenKind::Semicolon)?;
-                if self.qregs.iter().any(|(n, _, _)| *n == reg) {
-                    return Err(QasmError::new(pos, format!("duplicate qreg `{reg}`")));
+                self.expect(TokenKind::LBracket)?;
+                let size_token = self.next;
+                let (size, size_at) = self.expect_uint()?;
+                self.expect(TokenKind::RBracket)?;
+                self.expect(TokenKind::Semicolon)?;
+                if self.qregs.iter().any(|&(n, _, _)| n == reg) {
+                    return Err(self.err(at, format!("duplicate qreg `{reg}`")));
                 }
-                self.qregs.push((reg, self.qubits, size));
-                self.qubits += size;
-                // Grow the circuit, preserving existing ops.
-                let mut grown = Circuit::with_name(self.qubits, self.circuit.name().to_string());
-                grown.append_offset(&self.circuit.clone(), 0);
-                self.circuit = grown;
+                let first = self.out.circuit.qubits();
+                let Some(total) = first.checked_add(size).filter(|&total| total <= MAX_QUBITS)
+                else {
+                    let written = self.tokens[size_token].text(self.src);
+                    return Err(self.err(
+                        size_at,
+                        format!(
+                            "qreg `{reg}[{written}]` takes the program past {MAX_QUBITS} qubits"
+                        ),
+                    ));
+                };
+                self.qregs.push((reg, first, size));
+                self.out.circuit.widen(total);
             }
             "creg" => {
                 let (reg, _) = self.expect_ident()?;
-                self.expect(&TokenKind::LBracket)?;
+                self.expect(TokenKind::LBracket)?;
                 let (size, _) = self.expect_uint()?;
-                self.expect(&TokenKind::RBracket)?;
-                self.expect(&TokenKind::Semicolon)?;
+                self.expect(TokenKind::RBracket)?;
+                self.expect(TokenKind::Semicolon)?;
                 self.cregs.insert(reg, size);
             }
             "gate" => self.gate_def()?,
             "opaque" => {
-                return Err(QasmError::new(pos, "`opaque` gates are not supported"));
+                return Err(self.err(at, "`opaque` gates are not supported"));
             }
             "barrier" => {
-                // Consume (and ignore) the operand list.
-                while self.peek() != Some(&TokenKind::Semicolon) && self.peek().is_some() {
-                    self.next();
-                }
-                self.expect(&TokenKind::Semicolon)?;
-                self.circuit.barrier();
+                // The operand list is ignored.
+                self.skip_statement()?;
+                self.out.circuit.barrier();
             }
             "measure" => {
-                let src = self.qubit_arg()?;
-                self.expect(&TokenKind::Arrow)?;
+                let arg = self.qubit_arg()?;
+                self.expect(TokenKind::Arrow)?;
                 // Classical destination: ident with optional [index].
-                let (creg, cpos) = self.expect_ident()?;
-                if !self.cregs.contains_key(&creg) {
-                    return Err(QasmError::new(cpos, format!("undeclared creg `{creg}`")));
+                let (creg, creg_at) = self.expect_ident()?;
+                if !self.cregs.contains_key(creg) {
+                    return Err(self.err(creg_at, format!("undeclared creg `{creg}`")));
                 }
-                if self.eat(&TokenKind::LBracket) {
+                if self.eat(TokenKind::LBracket) {
                     self.expect_uint()?;
-                    self.expect(&TokenKind::RBracket)?;
+                    self.expect(TokenKind::RBracket)?;
                 }
-                self.expect(&TokenKind::Semicolon)?;
-                for q in src.indices {
-                    self.circuit.single(q, SingleGate::Measure);
+                self.expect(TokenKind::Semicolon)?;
+                for q in arg.first..arg.first + arg.len {
+                    self.out.circuit.single(q, SingleGate::Measure);
                 }
             }
             "reset" => {
                 let arg = self.qubit_arg()?;
-                self.expect(&TokenKind::Semicolon)?;
-                for q in arg.indices {
-                    self.circuit.single(q, SingleGate::Reset);
+                self.expect(TokenKind::Semicolon)?;
+                for q in arg.first..arg.first + arg.len {
+                    self.out.circuit.single(q, SingleGate::Reset);
                 }
             }
-            "if" => {
-                // `if (creg == n) <qop>` — the guarded gate is applied
-                // unconditionally (worst-case scheduling over-approximation).
-                self.expect(&TokenKind::LParen)?;
-                self.expect_ident()?;
-                self.expect(&TokenKind::EqEq)?;
-                self.expect_uint()?;
-                self.expect(&TokenKind::RParen)?;
-                self.statement()?;
-            }
-            _ => self.gate_application(name, pos)?,
+            _ => self.gate_application(name, at)?,
         }
         Ok(())
     }
@@ -341,472 +695,252 @@ impl Parser {
     // ---- gate definitions ---------------------------------------------------
 
     fn gate_def(&mut self) -> Result<(), QasmError> {
-        let (name, pos) = self.expect_ident()?;
+        let (name, at) = self.expect_ident()?;
         let mut params = Vec::new();
-        if self.eat(&TokenKind::LParen) && !self.eat(&TokenKind::RParen) {
+        if self.eat(TokenKind::LParen) && !self.eat(TokenKind::RParen) {
             loop {
-                let (p, _) = self.expect_ident()?;
-                params.push(p);
-                if !self.eat(&TokenKind::Comma) {
+                params.push(self.expect_ident()?.0);
+                if !self.eat(TokenKind::Comma) {
                     break;
                 }
             }
-            self.expect(&TokenKind::RParen)?;
+            self.expect(TokenKind::RParen)?;
         }
         let mut qargs = Vec::new();
         loop {
-            let (q, _) = self.expect_ident()?;
-            qargs.push(q);
-            if !self.eat(&TokenKind::Comma) {
+            qargs.push(self.expect_ident()?.0);
+            if !self.eat(TokenKind::Comma) {
                 break;
             }
         }
-        self.expect(&TokenKind::LBrace)?;
+        self.expect(TokenKind::LBrace)?;
+        let mut code = Vec::new();
+        let mut operands = Vec::new();
         let mut body = Vec::new();
-        while !self.eat(&TokenKind::RBrace) {
-            let (gname, gpos) = self.expect_ident()?;
-            if gname == "barrier" {
-                while self.peek() != Some(&TokenKind::Semicolon) && self.peek().is_some() {
-                    self.next();
-                }
-                self.expect(&TokenKind::Semicolon)?;
+        while !self.eat(TokenKind::RBrace) {
+            let (call, call_at) = self.expect_ident()?;
+            if call == "barrier" {
+                self.skip_statement()?;
                 continue;
             }
-            let mut call =
-                BodyCall { name: gname, pos: gpos, params: Vec::new(), qargs: Vec::new() };
-            if self.eat(&TokenKind::LParen) && !self.eat(&TokenKind::RParen) {
+            let code_start = code.len();
+            if self.eat(TokenKind::LParen) && !self.eat(TokenKind::RParen) {
                 loop {
-                    call.params.push(self.expr()?);
-                    if !self.eat(&TokenKind::Comma) {
+                    self.expr(&mut code, &params)?;
+                    if !self.eat(TokenKind::Comma) {
                         break;
                     }
                 }
-                self.expect(&TokenKind::RParen)?;
+                self.expect(TokenKind::RParen)?;
             }
+            let operand_start = operands.len();
             loop {
-                let (q, qpos) = self.expect_ident()?;
-                if !qargs.contains(&q) {
-                    return Err(QasmError::new(
-                        qpos,
+                let (q, q_at) = self.expect_ident()?;
+                // A repeated formal name binds its last occurrence.
+                let Some(k) = qargs.iter().rposition(|&formal| formal == q) else {
+                    return Err(self.err(
+                        q_at,
                         format!("`{q}` is not a formal qubit argument of gate `{name}`"),
                     ));
-                }
-                call.qargs.push(q);
-                if !self.eat(&TokenKind::Comma) {
+                };
+                operands.push(k);
+                if !self.eat(TokenKind::Comma) {
                     break;
                 }
             }
-            self.expect(&TokenKind::Semicolon)?;
-            body.push(call);
+            self.expect(TokenKind::Semicolon)?;
+            body.push(BodyCall {
+                name: call,
+                at: call_at,
+                code: code_start..code.len(),
+                operands: operand_start..operands.len(),
+            });
         }
-        if self.defs.contains_key(&name) {
-            return Err(QasmError::new(pos, format!("duplicate gate definition `{name}`")));
+        if self.defs.contains_key(name) {
+            return Err(self.err(at, format!("duplicate gate definition `{name}`")));
         }
-        self.defs.insert(name, GateDef { params, qargs, body });
+        let def = GateDef { params: params.len(), qargs: qargs.len(), code, operands, body };
+        self.defs.insert(name, def);
         Ok(())
     }
 
     // ---- applications ---------------------------------------------------------
 
-    fn gate_application(&mut self, name: String, pos: Pos) -> Result<(), QasmError> {
-        let mut params = Vec::new();
-        if self.eat(&TokenKind::LParen) && !self.eat(&TokenKind::RParen) {
+    fn gate_application(&mut self, name: &'a str, at: usize) -> Result<(), QasmError> {
+        self.out.values.clear();
+        if self.eat(TokenKind::LParen) && !self.eat(TokenKind::RParen) {
+            let mut code = std::mem::take(&mut self.code);
+            code.clear();
             loop {
-                params.push(self.expr()?);
-                if !self.eat(&TokenKind::Comma) {
+                self.expr(&mut code, &[])?;
+                if !self.eat(TokenKind::Comma) {
                     break;
                 }
             }
-            self.expect(&TokenKind::RParen)?;
+            self.expect(TokenKind::RParen)?;
+            eval(&code, 0, &mut self.out.values, self.src, at)?;
+            self.code = code;
         }
-        let env = HashMap::new();
-        let mut values = Vec::with_capacity(params.len());
-        for p in &params {
-            values.push(p.eval(&env, pos)?);
-        }
-        let mut args = Vec::new();
+        self.args.clear();
         loop {
-            args.push(self.qubit_arg()?);
-            if !self.eat(&TokenKind::Comma) {
+            let arg = self.qubit_arg()?;
+            self.args.push(arg);
+            if !self.eat(TokenKind::Comma) {
                 break;
             }
         }
-        self.expect(&TokenKind::Semicolon)?;
+        self.expect(TokenKind::Semicolon)?;
 
         // Broadcast: whole-register args expand element-wise; registers must
         // agree on size; single qubits repeat.
-        let broadcast = args.iter().map(|a| a.indices.len()).max().unwrap_or(1);
-        for a in &args {
-            if a.indices.len() != 1 && a.indices.len() != broadcast {
-                return Err(QasmError::new(
-                    a.pos,
-                    format!(
-                        "broadcast size mismatch: register of size {} vs {}",
-                        a.indices.len(),
-                        broadcast
-                    ),
-                ));
-            }
-        }
-        for k in 0..broadcast {
-            let qubits: Vec<usize> = args
-                .iter()
-                .map(|a| if a.indices.len() == 1 { a.indices[0] } else { a.indices[k] })
-                .collect();
-            self.apply(&name, pos, &values, &qubits, 0)?;
-        }
-        Ok(())
-    }
-
-    fn apply(
-        &mut self,
-        name: &str,
-        pos: Pos,
-        params: &[f64],
-        qubits: &[usize],
-        depth: usize,
-    ) -> Result<(), QasmError> {
-        if depth > MAX_EXPANSION_DEPTH {
-            return Err(QasmError::new(
-                pos,
-                format!("gate `{name}` expansion recurses too deeply"),
+        let broadcast = self.args.iter().map(|a| a.len).max().unwrap_or(1);
+        if let Some(a) = self.args.iter().find(|a| a.len != 1 && a.len != broadcast) {
+            return Err(self.err(
+                a.at,
+                format!("broadcast size mismatch: register of size {} vs {broadcast}", a.len),
             ));
         }
-        let arity_err = |want_p: usize, want_q: usize| {
-            QasmError::new(
-                pos,
-                format!(
-                    "gate `{name}` expects {want_p} parameter(s) and {want_q} qubit(s), got {} and {}",
-                    params.len(),
-                    qubits.len()
-                ),
-            )
-        };
-        let check = |want_p: usize, want_q: usize| {
-            if params.len() == want_p && qubits.len() == want_q {
-                Ok(())
-            } else {
-                Err(arity_err(want_p, want_q))
-            }
-        };
-        let distinct = |qs: &[usize]| -> Result<(), QasmError> {
-            for (i, a) in qs.iter().enumerate() {
-                for b in &qs[i + 1..] {
-                    if a == b {
-                        return Err(QasmError::new(
-                            pos,
-                            format!("gate `{name}` applied with repeated qubit {a}"),
-                        ));
-                    }
+        let params = 0..self.out.values.len();
+        for k in 0..broadcast {
+            self.out.qubits.clear();
+            self.out.qubits.extend(self.args.iter().map(|a| {
+                if a.len == 1 {
+                    a.first
+                } else {
+                    a.first + k
                 }
-            }
-            Ok(())
-        };
-        match name {
-            "U" | "u3" => {
-                check(3, 1)?;
-                self.circuit.single(qubits[0], SingleGate::U(params[0], params[1], params[2]));
-            }
-            "u2" => {
-                check(2, 1)?;
-                self.circuit.single(qubits[0], SingleGate::U(PI / 2.0, params[0], params[1]));
-            }
-            "u1" | "p" | "u0" => {
-                check(1, 1)?;
-                self.circuit.single(qubits[0], SingleGate::Phase(params[0]));
-            }
-            "CX" | "cx" => {
-                check(0, 2)?;
-                distinct(qubits)?;
-                self.circuit.cnot(qubits[0], qubits[1]);
-            }
-            "h" => {
-                check(0, 1)?;
-                self.circuit.single(qubits[0], SingleGate::H);
-            }
-            "x" => {
-                check(0, 1)?;
-                self.circuit.single(qubits[0], SingleGate::X);
-            }
-            "y" => {
-                check(0, 1)?;
-                self.circuit.single(qubits[0], SingleGate::Y);
-            }
-            "z" => {
-                check(0, 1)?;
-                self.circuit.single(qubits[0], SingleGate::Z);
-            }
-            "s" => {
-                check(0, 1)?;
-                self.circuit.single(qubits[0], SingleGate::S);
-            }
-            "sdg" => {
-                check(0, 1)?;
-                self.circuit.single(qubits[0], SingleGate::Sdg);
-            }
-            "t" => {
-                check(0, 1)?;
-                self.circuit.single(qubits[0], SingleGate::T);
-            }
-            "tdg" => {
-                check(0, 1)?;
-                self.circuit.single(qubits[0], SingleGate::Tdg);
-            }
-            "sx" => {
-                check(0, 1)?;
-                self.circuit.single(qubits[0], SingleGate::Rx(PI / 2.0));
-            }
-            "sxdg" => {
-                check(0, 1)?;
-                self.circuit.single(qubits[0], SingleGate::Rx(-PI / 2.0));
-            }
-            "rx" => {
-                check(1, 1)?;
-                self.circuit.single(qubits[0], SingleGate::Rx(params[0]));
-            }
-            "ry" => {
-                check(1, 1)?;
-                self.circuit.single(qubits[0], SingleGate::Ry(params[0]));
-            }
-            "rz" => {
-                check(1, 1)?;
-                self.circuit.single(qubits[0], SingleGate::Rz(params[0]));
-            }
-            "id" => {
-                check(0, 1)?;
-            }
-            "cz" => {
-                check(0, 2)?;
-                distinct(qubits)?;
-                self.circuit.cz(qubits[0], qubits[1]);
-            }
-            "cy" => {
-                check(0, 2)?;
-                distinct(qubits)?;
-                self.circuit.single(qubits[1], SingleGate::Sdg);
-                self.circuit.cnot(qubits[0], qubits[1]);
-                self.circuit.single(qubits[1], SingleGate::S);
-            }
-            "ch" => {
-                check(0, 2)?;
-                distinct(qubits)?;
-                let (a, b) = (qubits[0], qubits[1]);
-                self.circuit.h(b);
-                self.circuit.single(b, SingleGate::Sdg);
-                self.circuit.cnot(a, b);
-                self.circuit.h(b);
-                self.circuit.t(b);
-                self.circuit.cnot(a, b);
-                self.circuit.t(b);
-                self.circuit.h(b);
-                self.circuit.single(b, SingleGate::S);
-                self.circuit.x(b);
-                self.circuit.single(a, SingleGate::S);
-            }
-            "swap" => {
-                check(0, 2)?;
-                distinct(qubits)?;
-                self.circuit.swap(qubits[0], qubits[1]);
-            }
-            "cp" | "cu1" => {
-                check(1, 2)?;
-                distinct(qubits)?;
-                self.circuit.cp(qubits[0], qubits[1], params[0]);
-            }
-            "crz" => {
-                check(1, 2)?;
-                distinct(qubits)?;
-                let (c, t) = (qubits[0], qubits[1]);
-                self.circuit.rz(t, params[0] / 2.0);
-                self.circuit.cnot(c, t);
-                self.circuit.rz(t, -params[0] / 2.0);
-                self.circuit.cnot(c, t);
-            }
-            "cry" => {
-                check(1, 2)?;
-                distinct(qubits)?;
-                self.circuit.cry(qubits[0], qubits[1], params[0]);
-            }
-            "crx" => {
-                check(1, 2)?;
-                distinct(qubits)?;
-                let (c, t) = (qubits[0], qubits[1]);
-                self.circuit.h(t);
-                self.circuit.rz(t, params[0] / 2.0);
-                self.circuit.cnot(c, t);
-                self.circuit.rz(t, -params[0] / 2.0);
-                self.circuit.cnot(c, t);
-                self.circuit.h(t);
-            }
-            "cu3" => {
-                check(3, 2)?;
-                distinct(qubits)?;
-                let (c, t) = (qubits[0], qubits[1]);
-                let (theta, phi, lambda) = (params[0], params[1], params[2]);
-                self.circuit.phase(c, (lambda + phi) / 2.0);
-                self.circuit.phase(t, (lambda - phi) / 2.0);
-                self.circuit.cnot(c, t);
-                self.circuit.single(t, SingleGate::U(-theta / 2.0, 0.0, -(phi + lambda) / 2.0));
-                self.circuit.cnot(c, t);
-                self.circuit.single(t, SingleGate::U(theta / 2.0, phi, 0.0));
-            }
-            "rzz" => {
-                check(1, 2)?;
-                distinct(qubits)?;
-                let (a, b) = (qubits[0], qubits[1]);
-                self.circuit.cnot(a, b);
-                self.circuit.phase(b, params[0]);
-                self.circuit.cnot(a, b);
-            }
-            "ccx" => {
-                check(0, 3)?;
-                distinct(qubits)?;
-                self.circuit.ccx(qubits[0], qubits[1], qubits[2]);
-            }
-            "cswap" => {
-                check(0, 3)?;
-                distinct(qubits)?;
-                self.circuit.cswap(qubits[0], qubits[1], qubits[2]);
-            }
-            _ => {
-                let def = self
-                    .defs
-                    .get(name)
-                    .cloned()
-                    .ok_or_else(|| QasmError::new(pos, format!("unknown gate `{name}`")))?;
-                if def.params.len() != params.len() || def.qargs.len() != qubits.len() {
-                    return Err(arity_err(def.params.len(), def.qargs.len()));
-                }
-                let env: HashMap<String, f64> =
-                    def.params.iter().cloned().zip(params.iter().copied()).collect();
-                let qmap: HashMap<&str, usize> =
-                    def.qargs.iter().map(String::as_str).zip(qubits.iter().copied()).collect();
-                for call in &def.body {
-                    let mut vals = Vec::with_capacity(call.params.len());
-                    for p in &call.params {
-                        vals.push(p.eval(&env, call.pos)?);
-                    }
-                    let qs: Vec<usize> = call.qargs.iter().map(|q| qmap[q.as_str()]).collect();
-                    self.apply(&call.name, call.pos, &vals, &qs, depth + 1)?;
-                }
-            }
+            }));
+            self.out.apply(&self.defs, name, at, params.clone(), 0..self.args.len(), 0)?;
         }
         Ok(())
     }
 
     /// Parses `reg` or `reg[i]`, resolving to global qubit indices.
     fn qubit_arg(&mut self) -> Result<QubitArg, QasmError> {
-        let (reg, pos) = self.expect_ident()?;
-        let &(_, offset, size) = self
+        let (reg, at) = self.expect_ident()?;
+        let &(_, first, size) = self
             .qregs
             .iter()
-            .find(|(n, _, _)| *n == reg)
-            .ok_or_else(|| QasmError::new(pos, format!("undeclared qreg `{reg}`")))?;
-        if self.eat(&TokenKind::LBracket) {
-            let (idx, ipos) = self.expect_uint()?;
-            self.expect(&TokenKind::RBracket)?;
+            .find(|&&(n, _, _)| n == reg)
+            .ok_or_else(|| self.err(at, format!("undeclared qreg `{reg}`")))?;
+        if self.eat(TokenKind::LBracket) {
+            let (idx, idx_at) = self.expect_uint()?;
+            self.expect(TokenKind::RBracket)?;
             if idx >= size {
-                return Err(QasmError::new(
-                    ipos,
-                    format!("index {idx} out of range for qreg `{reg}[{size}]`"),
-                ));
+                return Err(
+                    self.err(idx_at, format!("index {idx} out of range for qreg `{reg}[{size}]`"))
+                );
             }
-            Ok(QubitArg { indices: vec![offset + idx], pos })
+            Ok(QubitArg { first: first + idx, len: 1, at })
         } else {
-            Ok(QubitArg { indices: (offset..offset + size).collect(), pos })
+            Ok(QubitArg { first, len: size, at })
         }
     }
 
     // ---- expressions -------------------------------------------------------
+    //
+    // Each parser appends postfix code to `code`; a name in `formals`
+    // becomes a parameter reference (its last occurrence, as a repeated
+    // formal name binds the last value).
 
-    fn expr(&mut self) -> Result<Expr, QasmError> {
-        self.expr_add()
-    }
-
-    fn expr_add(&mut self) -> Result<Expr, QasmError> {
-        let mut lhs = self.expr_mul()?;
+    fn expr(&mut self, code: &mut Vec<Rpn<'a>>, formals: &[&'a str]) -> Result<(), QasmError> {
+        self.expr_mul(code, formals)?;
         loop {
-            if self.eat(&TokenKind::Plus) {
-                let rhs = self.expr_mul()?;
-                lhs = Expr::Bin(BinOp::Add, Box::new(lhs), Box::new(rhs));
-            } else if self.eat(&TokenKind::Minus) {
-                let rhs = self.expr_mul()?;
-                lhs = Expr::Bin(BinOp::Sub, Box::new(lhs), Box::new(rhs));
-            } else {
-                return Ok(lhs);
-            }
+            let op = match self.peek() {
+                Some(TokenKind::Plus) => BinOp::Add,
+                Some(TokenKind::Minus) => BinOp::Sub,
+                _ => return Ok(()),
+            };
+            self.next += 1;
+            self.expr_mul(code, formals)?;
+            code.push(Rpn::Bin(op));
         }
     }
 
-    fn expr_mul(&mut self) -> Result<Expr, QasmError> {
-        let mut lhs = self.expr_unary()?;
+    fn expr_mul(&mut self, code: &mut Vec<Rpn<'a>>, formals: &[&'a str]) -> Result<(), QasmError> {
+        self.expr_unary(code, formals)?;
         loop {
-            if self.eat(&TokenKind::Star) {
-                let rhs = self.expr_unary()?;
-                lhs = Expr::Bin(BinOp::Mul, Box::new(lhs), Box::new(rhs));
-            } else if self.eat(&TokenKind::Slash) {
-                let rhs = self.expr_unary()?;
-                lhs = Expr::Bin(BinOp::Div, Box::new(lhs), Box::new(rhs));
-            } else {
-                return Ok(lhs);
-            }
+            let op = match self.peek() {
+                Some(TokenKind::Star) => BinOp::Mul,
+                Some(TokenKind::Slash) => BinOp::Div,
+                _ => return Ok(()),
+            };
+            self.next += 1;
+            self.expr_unary(code, formals)?;
+            code.push(Rpn::Bin(op));
         }
     }
 
-    fn expr_unary(&mut self) -> Result<Expr, QasmError> {
-        if self.eat(&TokenKind::Minus) {
-            return Ok(Expr::Neg(Box::new(self.expr_unary()?)));
+    /// Every cycle of the expression grammar passes through here, so the
+    /// nesting bound is checked here.
+    fn expr_unary(
+        &mut self,
+        code: &mut Vec<Rpn<'a>>,
+        formals: &[&'a str],
+    ) -> Result<(), QasmError> {
+        if self.expr_depth == MAX_EXPR_DEPTH {
+            return Err(QasmError::new(
+                self.cur_pos(),
+                format!("expression nests more than {MAX_EXPR_DEPTH} levels deep"),
+            ));
         }
-        if self.eat(&TokenKind::Plus) {
-            return self.expr_unary();
-        }
-        self.expr_pow()
-    }
-
-    fn expr_pow(&mut self) -> Result<Expr, QasmError> {
-        let base = self.expr_atom()?;
-        if self.eat(&TokenKind::Caret) {
-            // Right-associative exponentiation.
-            let exp = self.expr_unary()?;
-            Ok(Expr::Bin(BinOp::Pow, Box::new(base), Box::new(exp)))
+        self.expr_depth += 1;
+        let parsed = if self.eat(TokenKind::Minus) {
+            self.expr_unary(code, formals).map(|()| code.push(Rpn::Neg))
+        } else if self.eat(TokenKind::Plus) {
+            self.expr_unary(code, formals)
         } else {
-            Ok(base)
-        }
+            self.expr_pow(code, formals)
+        };
+        self.expr_depth -= 1;
+        parsed
     }
 
-    fn expr_atom(&mut self) -> Result<Expr, QasmError> {
-        let pos = self.cur_pos();
-        match self.next() {
-            Some(Token { kind: TokenKind::Number(v), .. }) => Ok(Expr::Num(v)),
-            Some(Token { kind: TokenKind::Ident(id), .. }) => match id.as_str() {
-                "pi" => Ok(Expr::Pi),
-                "sin" | "cos" | "tan" | "exp" | "ln" | "sqrt" => {
-                    self.expect(&TokenKind::LParen)?;
-                    let inner = self.expr()?;
-                    self.expect(&TokenKind::RParen)?;
-                    let f = match id.as_str() {
-                        "sin" => UnaryFunc::Sin,
-                        "cos" => UnaryFunc::Cos,
-                        "tan" => UnaryFunc::Tan,
-                        "exp" => UnaryFunc::Exp,
-                        "ln" => UnaryFunc::Ln,
-                        _ => UnaryFunc::Sqrt,
-                    };
-                    Ok(Expr::Func(f, Box::new(inner)))
-                }
-                _ => Ok(Expr::Param(id)),
-            },
-            Some(Token { kind: TokenKind::LParen, .. }) => {
-                let inner = self.expr()?;
-                self.expect(&TokenKind::RParen)?;
-                Ok(inner)
-            }
-            Some(t) => Err(QasmError::new(
-                t.pos,
-                format!("expected expression, found {}", t.kind.describe()),
-            )),
-            None => Err(QasmError::new(pos, "expected expression, found end of input")),
+    fn expr_pow(&mut self, code: &mut Vec<Rpn<'a>>, formals: &[&'a str]) -> Result<(), QasmError> {
+        self.expr_atom(code, formals)?;
+        if self.eat(TokenKind::Caret) {
+            // Right-associative exponentiation.
+            self.expr_unary(code, formals)?;
+            code.push(Rpn::Bin(BinOp::Pow));
         }
+        Ok(())
+    }
+
+    fn expr_atom(&mut self, code: &mut Vec<Rpn<'a>>, formals: &[&'a str]) -> Result<(), QasmError> {
+        match self.bump() {
+            Some(t) if t.kind == TokenKind::Number => code.push(Rpn::Num(t.number(self.src))),
+            Some(t) if t.kind == TokenKind::Ident => {
+                let f = match t.text(self.src) {
+                    "pi" => {
+                        code.push(Rpn::Pi);
+                        return Ok(());
+                    }
+                    "sin" => UnaryFunc::Sin,
+                    "cos" => UnaryFunc::Cos,
+                    "tan" => UnaryFunc::Tan,
+                    "exp" => UnaryFunc::Exp,
+                    "ln" => UnaryFunc::Ln,
+                    "sqrt" => UnaryFunc::Sqrt,
+                    name => {
+                        let slot = formals.iter().rposition(|&formal| formal == name);
+                        code.push(slot.map_or(Rpn::Unknown(name), Rpn::Param));
+                        return Ok(());
+                    }
+                };
+                self.expect(TokenKind::LParen)?;
+                self.expr(code, formals)?;
+                self.expect(TokenKind::RParen)?;
+                code.push(Rpn::Func(f));
+            }
+            Some(t) if t.kind == TokenKind::LParen => {
+                self.expr(code, formals)?;
+                self.expect(TokenKind::RParen)?;
+            }
+            t => {
+                return Err(self.err_at(t, format!("expected expression, found {}", self.found(t))))
+            }
+        }
+        Ok(())
     }
 }
 
@@ -1068,6 +1202,69 @@ mod gate_set_tests {
         }
         let err = parse(&format!("{HEADER}qreg q[1];\n{defs}g70 q[0];\n"));
         assert!(err.is_err(), "deep nesting beyond the limit must be rejected");
+    }
+
+    #[test]
+    fn deep_unary_signs_are_an_error_not_a_stack_overflow() {
+        let src = format!("{HEADER}qreg q[1];\nrz({}1) q[0];\n", "-".repeat(200_000));
+        let err = parse(&src).unwrap_err();
+        // The first sign is at column 4; the one past the limit errs.
+        assert_eq!((err.line(), err.col()), (4, 4 + MAX_EXPR_DEPTH));
+        assert_eq!(err.message(), "expression nests more than 256 levels deep");
+    }
+
+    #[test]
+    fn deep_parentheses_are_an_error_not_a_stack_overflow() {
+        let nested = |depth: usize| {
+            format!("{HEADER}qreg q[1];\nrz({}1{}) q[0];\n", "(".repeat(depth), ")".repeat(depth))
+        };
+        // Each parenthesis adds a level to the operand's own; the error
+        // points at the first token past the limit.
+        assert_eq!(parse(&nested(MAX_EXPR_DEPTH - 1)).expect("at the limit").op_count(), 1);
+        let err = parse(&nested(MAX_EXPR_DEPTH)).unwrap_err();
+        assert_eq!((err.line(), err.col()), (4, 4 + MAX_EXPR_DEPTH));
+        assert!(err.message().contains("nests more than"));
+        let err = parse(&nested(200_000)).unwrap_err();
+        assert_eq!((err.line(), err.col()), (4, 4 + MAX_EXPR_DEPTH));
+        // A chain of exponents nests the same way.
+        let pow = format!("{HEADER}qreg q[1];\nrz(2{}) q[0];\n", "^2".repeat(200_000));
+        assert!(parse(&pow).unwrap_err().message().contains("nests more than"));
+    }
+
+    #[test]
+    fn long_flat_expressions_parse() {
+        // Only nesting is bounded: a flat sum of any length is fine, and
+        // its postfix code evaluates and drops without recursion.
+        let src = format!("{HEADER}qreg q[1];\nrz(0{}) q[0];\n", "+1".repeat(200_000));
+        match parse(&src).expect("flat sum").ops()[0] {
+            crate::circuit::Op::Single { kind: SingleGate::Rz(v), .. } => assert_eq!(v, 200_000.0),
+            ref other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn long_if_chains_parse_iteratively() {
+        let src =
+            format!("{HEADER}qreg q[1];\ncreg c[1];\n{}x q[0];\n", "if (c==0) ".repeat(200_000));
+        assert_eq!(parse(&src).expect("guard chain").op_count(), 1);
+    }
+
+    #[test]
+    fn oversized_registers_are_rejected() {
+        // `1e30` used to saturate to usize::MAX and wrap the qubit count.
+        let err = parse(&format!("{HEADER}qreg q[1e30];\nqreg r[2];\n")).unwrap_err();
+        assert_eq!((err.line(), err.col()), (3, 8));
+        assert_eq!(err.message(), "qreg `q[1e30]` takes the program past 1048576 qubits");
+        let err = parse(&format!("{HEADER}qreg q[18446744073709551615];\n")).unwrap_err();
+        assert_eq!((err.line(), err.col()), (3, 8));
+        assert!(err.message().contains("past 1048576 qubits"));
+        // The cap is on the running total, and a register may reach it.
+        let err = parse(&format!("{HEADER}qreg a[1048576];\nqreg b[1];\n")).unwrap_err();
+        assert_eq!((err.line(), err.col()), (4, 8));
+        assert_eq!(
+            parse(&format!("{HEADER}qreg a[1048575];\nqreg b[1];\n")).unwrap().qubits(),
+            1 << 20
+        );
     }
 
     #[test]

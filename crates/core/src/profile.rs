@@ -223,13 +223,18 @@ impl SlackTree {
         Some(k - self.leaves)
     }
 
-    /// Sets position `i` to any value and recomputes its ancestors.
+    /// Sets position `i` to any value and recomputes its ancestors,
+    /// stopping at the first one whose minimum is unchanged.
     fn set(&mut self, i: usize, slack: usize) {
         let mut k = self.leaves + i;
         self.node[k] = slack;
         while k > 1 {
+            let min = self.node[k].min(self.node[k ^ 1]);
             k /= 2;
-            self.node[k] = self.node[2 * k].min(self.node[2 * k + 1]);
+            if self.node[k] == min {
+                break;
+            }
+            self.node[k] = min;
         }
     }
 

@@ -9,10 +9,12 @@ Two bans, each guarding an invariant that broke (or nearly broke) once:
    releases) and `SystemTime::now` (wall clock in a pure key) are banned
    in every file that participates in key derivation.
 
-2. Bare `.unwrap()` in the daemon's protocol code. `ecmasd` reads
-   untrusted NDJSON from stdin and must answer malformed input with an
-   `{"op":"error",...}` line — a panic kills every queued job. Unwraps
-   inside the file's `mod tests` block are fine (tests should panic).
+2. Bare `.unwrap()` in code that untrusted `ecmasd` input reaches: the
+   daemon's protocol code, which reads NDJSON from stdin, and the QASM
+   front end, which parses a submit line's `"qasm"` source. Malformed
+   input must get an `{"op":"error",...}` line; a panic kills every
+   queued job. Unwraps inside a file's `mod tests` block are fine (tests
+   should panic).
 
 Vetted exceptions go in ALLOWLIST as (path-suffix, line-substring)
 pairs; a line matching an entry is skipped. Keep each entry justified
@@ -34,7 +36,11 @@ CACHE_KEY_PATHS = [
 ]
 CACHE_KEY_BANS = ["DefaultHasher", "SystemTime::now"]
 
-DAEMON = "crates/serve/src/daemon.rs"
+# Files (or directories of files) that untrusted `ecmasd` input reaches.
+UNTRUSTED_INPUT_PATHS = [
+    "crates/serve/src/daemon.rs",
+    "crates/circuit/src/qasm",
+]
 
 # (path-suffix, line-substring): lines matching both are exempt.
 ALLOWLIST: list[tuple[str, str]] = []
@@ -74,25 +80,27 @@ def check_cache_key_paths() -> list[str]:
     return problems
 
 
-def check_daemon_unwraps() -> list[str]:
-    path = REPO / DAEMON
+def check_untrusted_input_unwraps() -> list[str]:
     problems = []
-    in_tests = False
-    for lineno, line in enumerate(path.read_text().splitlines(), 1):
-        if line.startswith("mod tests"):
-            in_tests = True  # module blocks start at column 0; tests run to EOF
-        if in_tests or is_comment(line) or allowed(path, line):
-            continue
-        if ".unwrap()" in line:
-            problems.append(
-                f"{DAEMON}:{lineno}: bare `.unwrap()` in daemon protocol code "
-                f"(answer with an error line instead): {line.strip()}"
-            )
+    for spec in UNTRUSTED_INPUT_PATHS:
+        for path in rust_files(spec):
+            rel = path.relative_to(REPO).as_posix()
+            in_tests = False
+            for lineno, line in enumerate(path.read_text().splitlines(), 1):
+                if line.startswith("mod tests"):
+                    in_tests = True  # module blocks start at column 0; tests run to EOF
+                if in_tests or is_comment(line) or allowed(path, line):
+                    continue
+                if ".unwrap()" in line:
+                    problems.append(
+                        f"{rel}:{lineno}: bare `.unwrap()` in code untrusted input reaches "
+                        f"(return an error instead): {line.strip()}"
+                    )
     return problems
 
 
 def main() -> int:
-    problems = check_cache_key_paths() + check_daemon_unwraps()
+    problems = check_cache_key_paths() + check_untrusted_input_unwraps()
     for p in problems:
         print(p, file=sys.stderr)
     if problems:

@@ -114,3 +114,28 @@ fn oversized_lines_are_refused_at_the_cap() {
     assert_eq!(parse(&submit[0]).get("op").and_then(Value::as_str), Some("submitted"));
     d.drain();
 }
+
+/// QASM nested far past the parser's expression limit, sent inline in a
+/// submit line, gets an `E010` error carrying its position instead of
+/// overflowing the daemon's stack, and the daemon keeps serving.
+#[test]
+fn deeply_nested_qasm_gets_a_positioned_error() {
+    let mut d = daemon();
+    let qasm = format!("OPENQASM 2.0;\\nqreg q[1];\\nrz({}1) q[0];\\n", "(".repeat(200_000));
+    let responses = d.handle_line(&format!("{{\"op\":\"submit\",\"qasm\":\"{qasm}\"}}"));
+    assert_eq!(responses.len(), 1);
+    let response = parse(&responses[0]);
+    assert_eq!(response.get("op").and_then(Value::as_str), Some("error"));
+    let diagnostics = response.get("diagnostics").and_then(Value::as_array).expect("diagnostics");
+    assert_eq!(diagnostics[0].get("code").and_then(Value::as_str), Some("E010"));
+    let span = diagnostics[0].get("span").expect("span");
+    // Line 3: the nesting starts at column 4, and its 257th `(` is past
+    // the 256-level limit.
+    assert_eq!(span.get("line").and_then(Value::as_u64), Some(3));
+    assert_eq!(span.get("col").and_then(Value::as_u64), Some(260));
+
+    let submit = d
+        .handle_line(r#"{"op":"submit","random":{"qubits":8,"depth":6,"parallelism":2,"seed":3}}"#);
+    assert_eq!(parse(&submit[0]).get("op").and_then(Value::as_str), Some("submitted"));
+    d.drain();
+}

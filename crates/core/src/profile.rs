@@ -11,21 +11,36 @@
 
 use ecmas_circuit::{GateDag, GateId};
 
-/// A depth-`α` layered execution scheme: `layers[t]` are the gates of clock
-/// layer `t + 1`, and `gpm` is the maximum layer width (the estimated
-/// Circuit Parallelism Degree `ĝPM`).
+/// A depth-`α` layered execution scheme: layer `t` (0-based) holds the
+/// gates of clock layer `t + 1`, and `gpm` is the maximum layer width
+/// (the estimated Circuit Parallelism Degree `ĝPM`).
+///
+/// The layers are stored flat, one gate list cut at layer boundaries, so
+/// a scheme costs two allocations however deep the circuit is.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ExecutionScheme {
-    layers: Vec<Vec<GateId>>,
+    /// Every gate, layer after layer.
+    gates: Vec<GateId>,
+    /// Layer `t` is `gates[starts[t]..starts[t + 1]]`.
+    starts: Vec<usize>,
     gpm: usize,
 }
 
 impl ExecutionScheme {
     /// The layers in execution order; every gate appears exactly once and
     /// parents appear in strictly earlier layers than children.
+    pub fn layers(&self) -> impl ExactSizeIterator<Item = &[GateId]> + DoubleEndedIterator + '_ {
+        self.starts.windows(2).map(|w| &self.gates[w[0]..w[1]])
+    }
+
+    /// The gates of layer `t` (0-based), in program order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t >= self.depth()`.
     #[must_use]
-    pub fn layers(&self) -> &[Vec<GateId>] {
-        &self.layers
+    pub fn layer(&self, t: usize) -> &[GateId] {
+        &self.gates[self.starts[t]..self.starts[t + 1]]
     }
 
     /// The estimated Circuit Parallelism Degree `ĝPM`.
@@ -37,7 +52,7 @@ impl ExecutionScheme {
     /// Number of layers (equals the circuit depth `α`).
     #[must_use]
     pub fn depth(&self) -> usize {
-        self.layers.len()
+        self.starts.len() - 1
     }
 }
 
@@ -64,7 +79,7 @@ pub fn para_finding(dag: &GateDag) -> ExecutionScheme {
     let n = dag.len();
     let depth = dag.depth();
     if n == 0 {
-        return ExecutionScheme { layers: Vec::new(), gpm: 0 };
+        return ExecutionScheme { gates: Vec::new(), starts: vec![0], gpm: 0 };
     }
 
     // Mutable Low/High bounds, 1-based.
@@ -153,13 +168,21 @@ pub fn para_finding(dag: &GateDag) -> ExecutionScheme {
         }
     }
 
-    let mut layers = vec![Vec::new(); depth];
-    // Keep program order within layers for determinism.
-    for g in 0..n {
-        layers[layer_of[g] - 1].push(g);
+    // Lay the gates out layer by layer (a counting sort on `layer_of`),
+    // keeping program order within layers for determinism.
+    let mut starts = vec![0; depth + 1];
+    for l in 1..=depth {
+        starts[l] = starts[l - 1] + load[l];
     }
-    let gpm = layers.iter().map(Vec::len).max().unwrap_or(0);
-    let slack_scheme = ExecutionScheme { layers, gpm };
+    let mut next = starts.clone();
+    let mut gates = vec![0; n];
+    for g in 0..n {
+        let slot = &mut next[layer_of[g] - 1];
+        gates[*slot] = g;
+        *slot += 1;
+    }
+    let gpm = load[1..=depth].iter().copied().max().unwrap_or(0);
+    let slack_scheme = ExecutionScheme { gates, starts, gpm };
 
     // Refinement: binary-search the smallest per-layer capacity for which
     // deadline-driven list scheduling (earliest-ALAP-first) fits the DAG in
@@ -269,17 +292,19 @@ fn edf_layers(dag: &GateDag, capacity: usize, depth: usize) -> Option<ExecutionS
             ready.push(Reverse((dag.alap_level(g), g)));
         }
     }
-    let mut layers = vec![Vec::new(); depth];
+    let mut gates = Vec::with_capacity(n);
+    let mut starts = Vec::with_capacity(depth + 1);
+    starts.push(0);
     let mut gpm = 0;
-    for (l, layer) in layers.iter_mut().enumerate() {
-        let layer_no = l + 1;
-        while layer.len() < capacity {
+    for layer_no in 1..=depth {
+        let start = gates.len();
+        while gates.len() - start < capacity {
             let Some(&Reverse((alap, g))) = ready.peek() else { break };
             if alap < layer_no {
                 return None; // deadline already missed
             }
             ready.pop();
-            layer.push(g);
+            gates.push(g);
             for &child in dag.children(g) {
                 pending_parents[child] -= 1;
                 if pending_parents[child] == 0 {
@@ -297,12 +322,13 @@ fn edf_layers(dag: &GateDag, capacity: usize, depth: usize) -> Option<ExecutionS
         for g in next_release.drain(..) {
             ready.push(Reverse((dag.alap_level(g), g)));
         }
-        gpm = gpm.max(layer.len());
+        gpm = gpm.max(gates.len() - start);
+        starts.push(gates.len());
     }
-    if layers.iter().map(Vec::len).sum::<usize>() != n {
+    if gates.len() != n {
         return None;
     }
-    Some(ExecutionScheme { layers, gpm })
+    Some(ExecutionScheme { gates, starts, gpm })
 }
 
 #[cfg(test)]
@@ -314,7 +340,7 @@ mod tests {
     fn assert_valid_scheme(dag: &GateDag, scheme: &ExecutionScheme) {
         let mut layer_of = vec![usize::MAX; dag.len()];
         let mut seen = 0;
-        for (l, layer) in scheme.layers().iter().enumerate() {
+        for (l, layer) in scheme.layers().enumerate() {
             for &g in layer {
                 assert_eq!(layer_of[g], usize::MAX, "gate {g} scheduled twice");
                 layer_of[g] = l;
@@ -365,7 +391,8 @@ mod tests {
         let dag = c.dag();
         let scheme = para_finding(&dag);
         assert_eq!(scheme.depth(), 3);
-        assert_eq!(scheme.gpm(), 2, "loose gates should spread: {:?}", scheme.layers());
+        let layers: Vec<&[GateId]> = scheme.layers().collect();
+        assert_eq!(scheme.gpm(), 2, "loose gates should spread: {layers:?}");
         assert_valid_scheme(&dag, &scheme);
     }
 

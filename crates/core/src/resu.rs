@@ -169,7 +169,6 @@ fn schedule_sufficient_dd(
     for &slot in mapping {
         router.block_tile(slot);
     }
-    let layers = scheme.layers();
     let mut events = Vec::new();
     let mut cycle: u64 = 0;
     let mut scratch = LayerScratch::default();
@@ -179,13 +178,13 @@ fn schedule_sufficient_dd(
     let mut initial: Option<Vec<CutType>> = initial_cuts.map(<[CutType]>::to_vec);
 
     let mut i = 0;
-    while i < layers.len() {
+    while i < scheme.depth() {
         // Grow the batch while the accumulated comm subgraph is bipartite.
         let mut dsu = ParityDsu::new(n);
         let mut j = i;
-        while j < layers.len() {
+        while j < scheme.depth() {
             let mut trial = dsu.clone();
-            let consistent = layers[j].iter().all(|&g| {
+            let consistent = scheme.layer(j).iter().all(|&g| {
                 let gate = dag.gate(g);
                 trial.union_different(gate.control, gate.target)
             });
@@ -253,7 +252,7 @@ fn schedule_sufficient_dd(
         // Execute the batch, one layer per cycle (spilling on congestion),
         // each layer a distance-ordered router batch — see the
         // lattice-surgery scheduler.
-        for layer in &layers[i..j] {
+        for layer in (i..j).map(|t| scheme.layer(t)) {
             cycle = route_layer_batched(
                 &mut router,
                 dag,

@@ -410,7 +410,7 @@ impl ProfileArtifact {
     pub fn estimated_bytes(&self) -> u64 {
         let dag = 64 * self.dag.len() as u64;
         let comm = 48 * self.comm.edges().len() as u64 + 16 * self.comm.qubits() as u64;
-        let scheme = 8 * self.dag.len() as u64 + 32 * self.scheme.layers().len() as u64;
+        let scheme = 8 * self.dag.len() as u64 + 32 * self.scheme.depth() as u64;
         128 + dag + comm + scheme
     }
 }

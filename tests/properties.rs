@@ -46,7 +46,7 @@ proptest! {
         prop_assert_eq!(scheme.depth(), dag.depth());
         // Every gate exactly once, parents strictly earlier.
         let mut layer_of = vec![usize::MAX; dag.len()];
-        for (l, layer) in scheme.layers().iter().enumerate() {
+        for (l, layer) in scheme.layers().enumerate() {
             for &g in layer {
                 prop_assert_eq!(layer_of[g], usize::MAX);
                 layer_of[g] = l;

@@ -79,10 +79,11 @@ proptest! {
         }
         let dag = circuit.dag();
         let scheme = para_finding(&dag);
-        for window in scheme.layers().windows(2) {
+        let layers: Vec<&[usize]> = scheme.layers().collect();
+        for window in layers.windows(2) {
             let mut dsu = ParityDsu::new(n);
             for layer in window {
-                for &g in layer {
+                for &g in layer.iter() {
                     let gate = dag.gate(g);
                     prop_assert!(
                         dsu.union_different(gate.control, gate.target),

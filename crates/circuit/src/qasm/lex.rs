@@ -270,10 +270,20 @@ mod tests {
         assert_eq!(kinds("// hello\nh q;").len(), 3);
     }
 
+    fn positions(src: &str) -> Vec<Pos> {
+        lex(src).unwrap().into_iter().map(|t| pos_at(src, t.at())).collect()
+    }
+
     #[test]
-    fn positions_come_from_offsets() {
-        let src = "qreg q[3];\ncx q[0], q[1];";
-        let pos: Vec<Pos> = lex(src).unwrap().into_iter().map(|t| pos_at(src, t.at())).collect();
+    fn tracks_line_numbers() {
+        let pos = positions("a;\nb;");
+        assert_eq!(pos[0].line, 1);
+        assert_eq!(pos[2].line, 2);
+    }
+
+    #[test]
+    fn tracks_columns() {
+        let pos = positions("qreg q[3];\ncx q[0], q[1];");
         assert_eq!(pos[0], Pos { line: 1, col: 1 }); // qreg
         assert_eq!(pos[1], Pos { line: 1, col: 6 }); // q
         assert_eq!(pos[2], Pos { line: 1, col: 7 }); // [
@@ -291,7 +301,7 @@ mod tests {
     }
 
     #[test]
-    fn lexes_numbers() {
+    fn lexes_scientific_notation() {
         let src = "1.5e-3 42 .5 2E+2";
         assert_eq!(texts(src), vec!["1.5e-3", "42", ".5", "2E+2"]);
         let values: Vec<f64> = lex(src).unwrap().into_iter().map(|t| t.number(src)).collect();

@@ -122,7 +122,7 @@ fn eval(
 
 /// One call inside a user `gate` body. OpenQASM 2.0 forbids indexing
 /// inside gate bodies, so every qubit operand is a formal argument.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct BodyCall<'a> {
     name: &'a str,
     /// Byte offset of the call's gate name.
@@ -133,7 +133,7 @@ struct BodyCall<'a> {
     operands: Range<usize>,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct GateDef<'a> {
     params: usize,
     qargs: usize,

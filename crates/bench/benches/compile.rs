@@ -21,9 +21,17 @@ fn bench_para_finding(c: &mut Criterion) {
     // The largest Table I row: 14 356 CNOTs.
     let walk = benchmarks::quantum_walk_n11().dag();
     c.bench_function("para_finding/quantum_walk_n11", |b| b.iter(|| para_finding(&walk)));
-    // 60 small layered DAGs shaped like the daemon benchmark's jobs
-    // (widths 8–24, depths 40–240): the regime where a per-pick scan is
-    // short and a heavier index would lose.
+    // The daemon-shaped DAGs: the regime where a per-pick scan is short
+    // and a heavier index would lose.
+    let dags = daemon_shaped_dags();
+    c.bench_function("para_finding/layered_daemon_mix", |b| {
+        b.iter(|| dags.iter().map(|dag| para_finding(dag).gpm()).sum::<usize>());
+    });
+}
+
+/// 60 small layered DAGs shaped like the daemon benchmark's jobs (widths
+/// 8–24, depths 40–240).
+fn daemon_shaped_dags() -> Vec<ecmas_circuit::GateDag> {
     let spec = StressSpec {
         jobs: 60,
         min_qubits: 8,
@@ -35,10 +43,20 @@ fn bench_para_finding(c: &mut Criterion) {
         defect_percent: 0,
         seed: 7,
     };
-    let dags: Vec<_> =
-        StressWorkload::new(&spec).jobs().iter().map(|job| job.circuit().dag()).collect();
-    c.bench_function("para_finding/layered_daemon_mix", |b| {
-        b.iter(|| dags.iter().map(|dag| para_finding(dag).gpm()).sum::<usize>());
+    StressWorkload::new(&spec).jobs().iter().map(|job| job.circuit().dag()).collect()
+}
+
+/// Algorithm 1's descendant-count tie-break, computed once per schedule
+/// run: the largest Table I row, a deep all-pairs circuit (40 100 CNOTs
+/// over 200 wires) and the daemon-shaped DAGs.
+fn bench_descendants(c: &mut Criterion) {
+    let walk = benchmarks::quantum_walk_n11().dag();
+    c.bench_function("descendants/quantum_walk_n11", |b| b.iter(|| walk.descendant_counts()));
+    let qft = benchmarks::qft(200).dag();
+    c.bench_function("descendants/qft_200", |b| b.iter(|| qft.descendant_counts()));
+    let dags = daemon_shaped_dags();
+    c.bench_function("descendants/layered_daemon_mix", |b| {
+        b.iter(|| dags.iter().map(|dag| dag.descendant_counts().len()).sum::<usize>());
     });
 }
 
@@ -335,6 +353,7 @@ fn bench_chip_size_scaling(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_para_finding,
+    bench_descendants,
     bench_parse,
     bench_placement,
     bench_router,

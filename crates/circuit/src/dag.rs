@@ -200,54 +200,61 @@ impl GateDag {
     }
 
     /// Exact number of transitive descendants of every gate ("remaining
-    /// gates number" in §IV-B2), computed with a bitset sweep in reverse
-    /// topological order. Costs `O(g²/64)` time.
+    /// gates number" in §IV-B2), from per-wire frontiers in one reverse
+    /// sweep. Costs `O(g·m)` time and `m²` words of memory, where `m ≤ n`
+    /// is the number of qubits that carry a CNOT.
     ///
-    /// A gate's reach row is read only by its parents, so it is recycled
-    /// once the last of them has been swept. Live rows are the sweep's
-    /// frontier, a few per qubit, so the transient memory is
-    /// `O(qubits·g/64)` rather than one row per gate.
+    /// For gate `g` and wire `q`, let `t_q` be the position on `q` of the
+    /// first descendant of `g` that touches `q` (`len_q` if none). Every
+    /// gate on `q` from `t_q` on depends on that descendant, so the
+    /// descendants of `g` on `q` are exactly the suffix from `t_q`; each
+    /// descendant lies on two wires, hence `desc(g) = ½·Σ_q (len_q − t_q)`.
+    /// The sweep keeps, per wire, the `t`-vector of the latest-visited
+    /// gate on it (that gate included): a gate's vector is the element-wise
+    /// minimum of its two successors' vectors, with its own two positions
+    /// set. DESIGN.md has the proof and the bounds.
     #[must_use]
     pub fn descendant_counts(&self) -> Vec<u32> {
-        let n = self.len();
-        let words = n.div_ceil(64);
-        let mut rows: Vec<u64> = Vec::new();
-        let mut free_rows: Vec<usize> = Vec::new();
-        let mut row_of = vec![0usize; n];
-        // Parents that have yet to read each gate's row.
-        let mut unread = self.parent_count.clone();
-        let mut counts = vec![0u32; n];
-        for id in (0..n).rev() {
-            let r = free_rows.pop().unwrap_or_else(|| {
-                rows.resize(rows.len() + words, 0);
-                rows.len() / words - 1
-            });
-            row_of[id] = r;
-            rows[r * words..(r + 1) * words].fill(0);
-            for &c in self.children(id) {
-                debug_assert!(c > id, "children always have larger program order");
-                let cr = row_of[c];
-                // `c`'s row is live (this gate has not read it yet), so it
-                // is a different row from `id`'s.
-                let (row, crow) = if r < cr {
-                    let (head, tail) = rows.split_at_mut(cr * words);
-                    (&mut head[r * words..(r + 1) * words], &tail[..words])
-                } else {
-                    let (head, tail) = rows.split_at_mut(r * words);
-                    (&mut tail[..words], &head[cr * words..(cr + 1) * words])
-                };
-                for (w, &cw) in row.iter_mut().zip(crow) {
-                    *w |= cw;
+        let g = self.len();
+        // Dense index of each active wire, and every gate's position on
+        // its control and target wires.
+        let mut wire_of = vec![u32::MAX; self.qubits];
+        let mut wire_len: Vec<u32> = Vec::new();
+        let mut position = vec![[0u32; 2]; g];
+        for (gate, pos) in self.gates.iter().zip(&mut position) {
+            for (q, p) in [gate.control, gate.target].into_iter().zip(pos) {
+                if wire_of[q] == u32::MAX {
+                    wire_of[q] = u32::try_from(wire_len.len()).expect("wire count fits u32");
+                    wire_len.push(0);
                 }
-                row[c / 64] |= 1u64 << (c % 64);
-                unread[c] -= 1;
-                if unread[c] == 0 {
-                    free_rows.push(cr);
-                }
+                let w = wire_of[q] as usize;
+                *p = wire_len[w];
+                wire_len[w] += 1;
             }
-            counts[id] = rows[r * words..(r + 1) * words].iter().map(|w| w.count_ones()).sum();
-            if unread[id] == 0 {
-                free_rows.push(r);
+        }
+        // Σ_q len_q = 2g: every gate sits on two wires.
+        let total = u32::try_from(2 * g).expect("gate count fits u32");
+        let m = wire_len.len();
+        // Row `w`: the t-vector of the latest-visited gate on wire `w`;
+        // before any visit, every wire's suffix is empty (`t_q = len_q`).
+        let mut frontier = wire_len.repeat(m);
+        let mut counts = vec![0u32; g];
+        for id in (0..g).rev() {
+            let gate = self.gates[id];
+            let (a, b) = (wire_of[gate.control] as usize, wire_of[gate.target] as usize);
+            let (lo, hi) = (a.min(b), a.max(b));
+            let (head, tail) = frontier.split_at_mut(hi * m);
+            let (row_lo, row_hi) = (&mut head[lo * m..(lo + 1) * m], &mut tail[..m]);
+            let mut sum = 0u32;
+            for (x, y) in row_lo.iter_mut().zip(row_hi.iter_mut()) {
+                let t = (*x).min(*y);
+                (*x, *y) = (t, t);
+                sum += t;
+            }
+            counts[id] = (total - sum) / 2;
+            for (w, p) in [a, b].into_iter().zip(position[id]) {
+                row_lo[w] = p;
+                row_hi[w] = p;
             }
         }
         counts
@@ -269,7 +276,56 @@ impl GateDag {
 #[cfg(test)]
 mod tests {
 
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    use super::GateDag;
     use crate::circuit::Circuit;
+    use crate::random::{StressSpec, StressWorkload};
+
+    /// The `O(g²/64)` bitset sweep the frontier counts replaced, kept as
+    /// their reference: each gate's reach row is the union of its
+    /// children's rows plus the children themselves, and a row is
+    /// recycled once every parent has read it.
+    fn bitset_descendant_counts(dag: &GateDag) -> Vec<u32> {
+        let n = dag.len();
+        let words = n.div_ceil(64);
+        let mut rows: Vec<u64> = Vec::new();
+        let mut free_rows: Vec<usize> = Vec::new();
+        let mut row_of = vec![0usize; n];
+        let mut unread: Vec<usize> = (0..n).map(|id| dag.parents(id).len()).collect();
+        let mut counts = vec![0u32; n];
+        for id in (0..n).rev() {
+            let r = free_rows.pop().unwrap_or_else(|| {
+                rows.resize(rows.len() + words, 0);
+                rows.len() / words - 1
+            });
+            row_of[id] = r;
+            rows[r * words..(r + 1) * words].fill(0);
+            for &c in dag.children(id) {
+                let cr = row_of[c];
+                for w in 0..words {
+                    let cw = rows[cr * words + w];
+                    rows[r * words + w] |= cw;
+                }
+                rows[r * words + c / 64] |= 1u64 << (c % 64);
+                unread[c] -= 1;
+                if unread[c] == 0 {
+                    free_rows.push(cr);
+                }
+            }
+            counts[id] = rows[r * words..(r + 1) * words].iter().map(|w| w.count_ones()).sum();
+            if unread[id] == 0 {
+                free_rows.push(r);
+            }
+        }
+        counts
+    }
+
+    fn assert_counts_match_reference(circuit: &Circuit) {
+        let dag = circuit.dag();
+        assert_eq!(dag.descendant_counts(), bitset_descendant_counts(&dag), "{}", circuit.name());
+    }
 
     fn chain3() -> Circuit {
         let mut c = Circuit::new(4);
@@ -362,6 +418,67 @@ mod tests {
                 .collect();
             assert_eq!(dag.descendant_counts(), expected, "{qubits} qubits, seed {seed}");
         }
+    }
+
+    #[test]
+    fn descendant_counts_match_the_bitset_on_table1() {
+        for circuit in crate::benchmarks::table1_suite() {
+            assert_counts_match_reference(&circuit);
+        }
+    }
+
+    #[test]
+    fn descendant_counts_match_the_bitset_on_daemon_shaped_dags() {
+        let spec = StressSpec {
+            jobs: 60,
+            min_qubits: 8,
+            max_qubits: 24,
+            min_depth: 40,
+            max_depth: 240,
+            mean_burst: 1,
+            dup_percent: 0,
+            defect_percent: 0,
+            seed: 7,
+        };
+        let workload = StressWorkload::new(&spec);
+        for index in 0..workload.len() {
+            assert_counts_match_reference(&workload.circuit(index));
+        }
+    }
+
+    /// Random circuits over a register wider than the gates use: idle
+    /// qubits, disconnected components (gates confined to one of two
+    /// halves), runs of repeated pairs, and the empty circuit.
+    #[test]
+    fn descendant_counts_match_the_bitset_on_irregular_circuits() {
+        let mut rng = SmallRng::seed_from_u64(0xDE5C);
+        for case in 0..200 {
+            let qubits = rng.gen_range(2..40);
+            let mut c = Circuit::new(qubits);
+            // Only a random prefix of the register carries gates.
+            let used = rng.gen_range(2..qubits + 1);
+            let split = used / 2;
+            for _ in 0..rng.gen_range(0..300) {
+                let (lo, hi) = if case % 2 == 1 && split >= 2 && used - split >= 2 {
+                    // Two components: each gate stays inside one half.
+                    if rng.gen_bool(0.5) {
+                        (0, split)
+                    } else {
+                        (split, used)
+                    }
+                } else {
+                    (0, used)
+                };
+                let a = rng.gen_range(lo..hi);
+                let b = (a - lo + rng.gen_range(1..hi - lo)) % (hi - lo) + lo;
+                for _ in 0..rng.gen_range(1..4) {
+                    c.cnot(a, b);
+                }
+            }
+            assert_counts_match_reference(&c);
+        }
+        assert_counts_match_reference(&Circuit::new(0));
+        assert_counts_match_reference(&Circuit::new(5));
     }
 
     #[test]

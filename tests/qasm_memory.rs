@@ -1,10 +1,12 @@
-//! The QASM front end's memory: the live heap peak of one `qasm::parse`
-//! call on the largest Table I text (`quantum_walk_n11`, ≈408 KB),
-//! measured by a counting global allocator. The token list and the
-//! circuit under construction dominate it.
+//! The front end's memory, measured by a counting global allocator: the
+//! live heap peak of one `qasm::parse` call on the largest Table I text
+//! (`quantum_walk_n11`, ≈408 KB), where the token list and the circuit
+//! under construction dominate, and of the descendant counts on a wide,
+//! nearly idle register, which must not grow with the register squared.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 use ecmas_circuit::{benchmarks, qasm};
 
@@ -45,8 +47,12 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
+/// The counters are process-wide, so the tests take turns.
+static SERIAL: Mutex<()> = Mutex::new(());
+
 #[test]
 fn parse_live_peak_on_quantum_walk_stays_under_8_mb() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let source = qasm::to_qasm(&benchmarks::quantum_walk_n11());
     let before = LIVE.load(Ordering::SeqCst);
     PEAK.store(before, Ordering::SeqCst);
@@ -55,4 +61,21 @@ fn parse_live_peak_on_quantum_walk_stays_under_8_mb() {
     println!("qasm::parse live peak on quantum_walk_n11: {:.2} MB", peak as f64 / 1e6);
     assert_eq!(circuit.cnot_count(), 14_356);
     assert!(peak < 8_000_000, "live peak {peak} bytes");
+}
+
+/// Two CNOTs on a 200 000-qubit register: the counts index only the
+/// wires that carry a gate, so their peak is the per-qubit wire map
+/// (0.8 MB), not a table over the whole register squared.
+#[test]
+fn descendant_counts_on_a_200k_qubit_register_stay_under_2_mb() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let source = "OPENQASM 2.0;\nqreg q[200000];\ncx q[0],q[1];\ncx q[1],q[199999];\n";
+    let dag = qasm::parse(source).expect("valid program").dag();
+    let before = LIVE.load(Ordering::SeqCst);
+    PEAK.store(before, Ordering::SeqCst);
+    let counts = dag.descendant_counts();
+    let peak = PEAK.load(Ordering::SeqCst) - before;
+    println!("descendant_counts live peak on 200 000 qubits: {:.2} MB", peak as f64 / 1e6);
+    assert_eq!(counts, [1, 0]);
+    assert!(peak < 2_000_000, "live peak {peak} bytes");
 }

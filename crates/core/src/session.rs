@@ -103,6 +103,13 @@ pub enum BandwidthDecision {
     /// The adjusted chip was used without a comparison run — the ReSu
     /// path applies the adjustment up front and schedules once.
     Applied,
+    /// The adjusted chip was set aside without a run because a bound
+    /// settles the outcome. On the limited-resources path the base
+    /// schedule already takes `Δ = α` cycles, which no schedule can beat,
+    /// so the candidate could not win. On the ReSu path the adjustment
+    /// would drop the communication capacity below `ĝPM` and forfeit
+    /// Theorem 2's one-cycle-per-layer guarantee.
+    Bounded,
 }
 
 impl BandwidthDecision {
@@ -115,6 +122,7 @@ impl BandwidthDecision {
             BandwidthDecision::Adopted => "adopted",
             BandwidthDecision::Rejected => "rejected",
             BandwidthDecision::Applied => "applied",
+            BandwidthDecision::Bounded => "bounded",
         }
     }
 }
@@ -764,7 +772,11 @@ impl<'c> Mapped<'c> {
 
     /// Schedules with Algorithm 1 (limited resources), running the
     /// bandwidth-adjust candidate when the config enables it and keeping
-    /// whichever schedule is cheaper.
+    /// whichever schedule is cheaper. The candidate is skipped
+    /// ([`BandwidthDecision::Bounded`]) when the base schedule already
+    /// meets the critical-path depth `α`: the adjusted chip is adopted
+    /// only on strictly fewer cycles, and no schedule takes fewer than
+    /// `α`.
     ///
     /// # Errors
     ///
@@ -794,6 +806,8 @@ impl<'c> Mapped<'c> {
             let adjusted_chip = adjust_bandwidth(chip, &self.mapping, &self.profiled.comm);
             if adjusted_chip == **chip {
                 (base, base_stats, BandwidthDecision::Unchanged)
+            } else if base.cycles() <= self.profiled.dag.depth() as u64 {
+                (base, base_stats, BandwidthDecision::Bounded)
             } else {
                 let (adjusted, adj_stats) = schedule_limited(
                     &self.profiled.dag,
@@ -1125,15 +1139,63 @@ mod tests {
         assert_eq!(resu.encoded.cycles() as usize, c.depth(), "LS ReSu is depth-optimal");
     }
 
+    /// Algorithm 1 with the bandwidth-adjust candidate run whenever the
+    /// adjustment changes the chip, bound or no bound: the reference the
+    /// depth-bound skip must agree with. Returns the kept schedule, the
+    /// base schedule's Δ and whether the adjustment changed the chip.
+    fn schedule_always_running_candidate(mapped: &Mapped<'_>) -> (EncodedCircuit, u64, bool) {
+        let profiled = &mapped.profiled;
+        let config =
+            ScheduleConfig { order: profiled.config.order, cut_policy: profiled.config.cut_policy };
+        let run = |chip: &Arc<Chip>| {
+            schedule_limited(&profiled.dag, chip, &mapped.mapping, mapped.cuts.as_deref(), config)
+                .unwrap()
+                .0
+        };
+        let base = run(&profiled.chip);
+        let base_cycles = base.cycles();
+        let adjusted = adjust_bandwidth(&profiled.chip, &mapped.mapping, &profiled.comm);
+        if adjusted == *profiled.chip {
+            return (base, base_cycles, false);
+        }
+        let candidate = run(&Arc::new(adjusted));
+        let kept = if candidate.cycles() < base_cycles { candidate } else { base };
+        (kept, base_cycles, true)
+    }
+
+    #[test]
+    fn depth_bound_keeps_every_table1_schedule_on_wide_chips() {
+        use crate::stable::fingerprint_encoded;
+        for c in benchmarks::table1_suite() {
+            for model in [CodeModel::DoubleDefect, CodeModel::LatticeSurgery] {
+                let chip = Chip::four_x(model, c.qubits(), 3).unwrap();
+                let mapped = Ecmas::default().session(&c, &chip).unwrap().map().unwrap();
+                let (reference, base_cycles, adjusted) = schedule_always_running_candidate(&mapped);
+                let scheduled = mapped.schedule().unwrap();
+                let row = format!("{}/{model:?}", c.name());
+                assert_eq!(scheduled.report().cycles, reference.cycles(), "{row}");
+                assert_eq!(
+                    fingerprint_encoded(scheduled.encoded()),
+                    fingerprint_encoded(&reference),
+                    "{row}"
+                );
+                assert!(base_cycles >= c.depth() as u64, "{row}: Δ below α");
+                let bounded = adjusted && base_cycles == c.depth() as u64;
+                assert_eq!(
+                    scheduled.report().bandwidth_adjust == BandwidthDecision::Bounded,
+                    bounded,
+                    "{row}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn adjust_candidate_is_reported_on_wide_chips() {
         let c = benchmarks::dnn_n8();
         let chip = Chip::four_x(CodeModel::DoubleDefect, 8, 3).unwrap();
         let on = Ecmas::default().compile_outcome(&c, &chip).unwrap();
-        assert!(matches!(
-            on.report.bandwidth_adjust,
-            BandwidthDecision::Adopted | BandwidthDecision::Rejected | BandwidthDecision::Unchanged
-        ));
+        assert_eq!(on.report.bandwidth_adjust, BandwidthDecision::Bounded);
         let off = Ecmas::new(EcmasConfig { adjust_bandwidth: false, ..EcmasConfig::default() })
             .compile_outcome(&c, &chip)
             .unwrap();

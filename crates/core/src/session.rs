@@ -101,7 +101,8 @@ pub enum BandwidthDecision {
     /// was kept (Algorithm 1 treats the adjustment as a candidate).
     Rejected,
     /// The adjusted chip was used without a comparison run — the ReSu
-    /// path applies the adjustment up front and schedules once.
+    /// path applies the adjustment up front, when the adjusted chip's
+    /// capacity still reaches `ĝPM`, and schedules once.
     Applied,
     /// The adjusted chip was set aside without a run because a bound
     /// settles the outcome. On the limited-resources path the base
@@ -847,6 +848,11 @@ impl<'c> Mapped<'c> {
             let adjusted = adjust_bandwidth(chip, &self.mapping, &self.profiled.comm);
             if adjusted == **chip {
                 (Arc::clone(chip), BandwidthDecision::Unchanged)
+            } else if adjusted.communication_capacity() < self.profiled.scheme.gpm() {
+                // Theorem 2 routes every layer in one cycle only while the
+                // capacity reaches ĝPM; an adjustment that drops below it
+                // would trade that guarantee for spilled layers.
+                (Arc::clone(chip), BandwidthDecision::Bounded)
             } else {
                 // No comparison run on this path (unlike `schedule`): the
                 // adjusted chip is simply used.
@@ -1137,6 +1143,24 @@ mod tests {
         let resu = Ecmas::default().compile_auto(&c, &sufficient).unwrap();
         assert_eq!(resu.report.algorithm, Algorithm::ReSu);
         assert_eq!(resu.encoded.cycles() as usize, c.depth(), "LS ReSu is depth-optimal");
+    }
+
+    /// On a sufficient chip the adjustment would steal lanes until the
+    /// capacity drops below ĝPM (dnn_n8: 4 → 3), so ReSu keeps the base
+    /// chip and its Theorem 2 guarantee.
+    #[test]
+    fn resu_keeps_the_capacity_theorem_2_needs() {
+        let c = benchmarks::dnn_n8();
+        let gpm = para_finding(&c.dag()).gpm();
+        for model in [CodeModel::DoubleDefect, CodeModel::LatticeSurgery] {
+            let chip = Chip::sufficient(model, 8, gpm, 3).unwrap();
+            let mapped = Ecmas::default().session(&c, &chip).unwrap().map().unwrap();
+            let adjusted = adjust_bandwidth(&chip, mapped.mapping(), &mapped.profiled.comm);
+            assert!(adjusted.communication_capacity() < gpm, "{model:?}");
+            let resu = mapped.schedule_resu().unwrap().into_outcome();
+            assert_eq!(resu.report.bandwidth_adjust, BandwidthDecision::Bounded, "{model:?}");
+            assert_eq!(*resu.encoded.chip(), chip, "{model:?}: the base chip is scheduled");
+        }
     }
 
     /// Algorithm 1 with the bandwidth-adjust candidate run whenever the

@@ -71,7 +71,9 @@ fn resu_dnn_n8_schedule_is_pinned() {
 const FIG12_PIN: (u64, u64) = (96, 2_927_398_374_242_846_396);
 const QFT50_PIN: (u64, u64) = (218, 2_382_745_220_330_678_997);
 const QFT10_PIN: (u64, u64) = (67, 3_604_089_234_610_369_876);
-const DNN8_PIN: (u64, u64) = (48, 12_553_267_209_557_189_557);
+// Re-pinned when ReSu stopped applying a bandwidth adjustment that drops
+// the capacity below ĝPM (Δ unchanged; see EXPERIMENTS.md).
+const DNN8_PIN: (u64, u64) = (48, 260_754_012_369_727_285);
 
 /// FNV-1a over `Profiled::map()`'s mapping and initial cut types.
 fn map_fingerprint(h: &mut StableHasher, circuit: &ecmas_circuit::Circuit, chip: &Chip) {

@@ -435,6 +435,17 @@ impl Chip {
         RoutingGrid::new(self)
     }
 
+    /// Number of channel cells on the routing grid, in closed form: grid
+    /// rows × grid cols − tile slots. Equals `self.grid().free_cells()`
+    /// (dead tiles are tile cells, not channel space) without building
+    /// the grid.
+    #[must_use]
+    pub fn channel_cells(&self) -> usize {
+        let h_lanes: usize = self.h_bandwidth.iter().map(|&b| b as usize).sum();
+        let v_lanes: usize = self.v_bandwidth.iter().map(|&b| b as usize).sum();
+        (self.tile_rows + h_lanes) * (self.tile_cols + v_lanes) - self.tile_slots()
+    }
+
     /// Manhattan distance between two tile slots, in tile units — the
     /// `l_ij` of the mapping cost function `f = Σ γ_ij · l_ij`.
     #[must_use]

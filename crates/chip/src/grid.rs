@@ -219,24 +219,37 @@ impl RoutingGrid {
         self.tile_cells.len()
     }
 
-    /// The 4-neighborhood of `idx`, clipped at the boundary and at
-    /// disabled-channel seams: the tile rows/cols a bandwidth-0 channel
+    /// The 4-neighborhood of `idx` in the fixed up, down, left, right
+    /// order, `None` where clipped at the boundary or at a
+    /// disabled-channel seam: the tile rows/cols a bandwidth-0 channel
     /// separates are index-adjacent, but steppable-between only where an
     /// open perpendicular channel's lane crosses the disabled strip.
-    pub fn neighbors(&self, idx: usize) -> impl Iterator<Item = usize> + '_ {
+    ///
+    /// This is the grid's one adjacency definition. The router's search,
+    /// its reachability flood fill and its endpoint region probe all read
+    /// it (through a per-router table), and the reachability cache is
+    /// sound only because they agree. Seam clipping lives here, not in
+    /// any availability predicate, for the same reason: a step across a
+    /// bandwidth-0 channel at a tile column is not congestion, it is a
+    /// non-edge of the grid.
+    #[must_use]
+    #[inline]
+    pub fn neighbors4(&self, idx: usize) -> [Option<usize>; 4] {
         let (r, c) = self.coords(idx);
         let cols = self.cols;
-        let rows = self.rows;
         let lane_col = self.v_channel[c].is_some();
         let lane_row = self.h_channel[r].is_some();
         [
             (r > 0 && (lane_col || !self.h_seam[r - 1])).then(|| idx - cols),
-            (r + 1 < rows && (lane_col || !self.h_seam[r])).then(|| idx + cols),
+            (r + 1 < self.rows && (lane_col || !self.h_seam[r])).then(|| idx + cols),
             (c > 0 && (lane_row || !self.v_seam[c - 1])).then(|| idx - 1),
             (c + 1 < cols && (lane_row || !self.v_seam[c])).then(|| idx + 1),
         ]
-        .into_iter()
-        .flatten()
+    }
+
+    /// [`neighbors4`](Self::neighbors4) without the clipped directions.
+    pub fn neighbors(&self, idx: usize) -> impl Iterator<Item = usize> {
+        self.neighbors4(idx).into_iter().flatten()
     }
 
     /// Whether the boundary between grid rows `upper_row` and
@@ -504,6 +517,73 @@ mod tests {
         }
         for c in 0..g.cols() - 1 {
             assert!(!g.v_seam_blocked(c));
+        }
+    }
+
+    /// Chips covering every adjacency special case: bandwidth-0 seams in
+    /// both orientations (inside and at the border), defective tiles,
+    /// non-uniform bandwidths, and 1×1, 1×N and N×1 tile arrays.
+    fn adjacency_chips() -> Vec<Chip> {
+        let mut seams = chip(3, 4, 2);
+        seams.set_h_bandwidth(1, 0).unwrap();
+        seams.set_v_bandwidth(2, 0).unwrap();
+        seams.set_v_bandwidth(0, 0).unwrap();
+        seams.add_defect(2, 3).unwrap();
+        let mut row_seams = chip(1, 5, 1);
+        row_seams.set_v_bandwidth(1, 0).unwrap();
+        row_seams.set_v_bandwidth(2, 0).unwrap();
+        let mut col_seams = Chip::uniform(CodeModel::LatticeSurgery, 4, 1, 3, 3).unwrap();
+        col_seams.set_h_bandwidth(2, 0).unwrap();
+        col_seams.set_h_bandwidth(4, 0).unwrap();
+        let mut uneven = chip(2, 3, 1);
+        uneven.set_h_bandwidth(1, 4).unwrap();
+        uneven.set_v_bandwidth(3, 2).unwrap();
+        vec![
+            chip(1, 1, 1),
+            chip(1, 1, 3),
+            chip(1, 6, 1),
+            Chip::uniform(CodeModel::LatticeSurgery, 6, 1, 2, 3).unwrap(),
+            chip(3, 3, 1).with_defects(&[(0, 0), (1, 1), (2, 2)]).unwrap(),
+            seams,
+            row_seams,
+            col_seams,
+            uneven,
+        ]
+    }
+
+    #[test]
+    fn neighbors_are_neighbors4_flattened_and_symmetric() {
+        let (mut h_seams, mut v_seams, mut dead) = (0, 0, 0);
+        for chip in adjacency_chips() {
+            let g = chip.grid();
+            h_seams += (0..g.rows()).filter(|&r| g.h_seam_blocked(r)).count();
+            v_seams += (0..g.cols()).filter(|&c| g.v_seam_blocked(c)).count();
+            dead += (0..g.len()).filter(|&i| g.is_dead(i)).count();
+            for cell in 0..g.len() {
+                let four = g.neighbors4(cell);
+                assert!(g.neighbors(cell).eq(four.into_iter().flatten()), "cell {cell}");
+                // Up/down and left/right are mirror directions: a step
+                // exists both ways or neither.
+                for (dir, next) in four.into_iter().enumerate() {
+                    if let Some(next) = next {
+                        assert_eq!(g.manhattan(cell, next), 1);
+                        assert!(g.step_allowed(cell, next));
+                        assert_eq!(
+                            g.neighbors4(next)[dir ^ 1],
+                            Some(cell),
+                            "cell {cell} dir {dir}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(h_seams > 0 && v_seams > 0 && dead > 0, "the chips cover seams and defects");
+    }
+
+    #[test]
+    fn channel_cells_match_the_grid_free_cell_count() {
+        for chip in adjacency_chips() {
+            assert_eq!(chip.channel_cells(), chip.grid().free_cells(), "{chip:?}");
         }
     }
 

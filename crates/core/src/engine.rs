@@ -165,7 +165,9 @@ pub fn schedule_limited(
         }
     }
     let mut active: Vec<GateId> = Vec::new();
-    let mut events: Vec<Event> = Vec::new();
+    // One event per gate plus any cut modifications: reserving the
+    // gate count up front saves the doubling regrowth of the log.
+    let mut events: Vec<Event> = Vec::with_capacity(dag.len());
     // Per-cycle routing batch, reused across cycles. Ready gates are
     // pairwise qubit-disjoint (sharing a qubit implies a DAG dependency),
     // so a cycle's unconditional gates can be handed to the router as one

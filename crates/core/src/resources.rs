@@ -81,7 +81,7 @@ impl ResourceEstimate {
         router: &RouterStats,
     ) -> Self {
         let live_tiles = chip.live_tiles();
-        let channel_cells = chip.grid().free_cells() as u64;
+        let channel_cells = chip.channel_cells() as u64;
         let ppm = |cells: u64, denom: u64| {
             if denom == 0 {
                 0

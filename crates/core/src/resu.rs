@@ -75,7 +75,7 @@ fn schedule_sufficient_ls(
     for &slot in mapping {
         router.block_tile(slot);
     }
-    let mut events = Vec::new();
+    let mut events = Vec::with_capacity(dag.len());
     let mut cycle: u64 = 0;
     let mut scratch = LayerScratch::default();
     for layer in scheme.layers() {
@@ -169,7 +169,7 @@ fn schedule_sufficient_dd(
     for &slot in mapping {
         router.block_tile(slot);
     }
-    let mut events = Vec::new();
+    let mut events = Vec::with_capacity(dag.len());
     let mut cycle: u64 = 0;
     let mut scratch = LayerScratch::default();
     // Seeded cuts make the first batch pay for any remap it needs; `None`

@@ -25,6 +25,19 @@
 //! ascending, insertion order within a bucket) is exactly the old heap's
 //! `(f, seq)` order, keeping every schedule bit-identical.
 //!
+//! Adjacency has one definition, [`RoutingGrid::neighbors4`] (up, down,
+//! left, right, clipped at the boundary and at bandwidth-0 seams). The
+//! A* expansion, the reachability flood fill and the endpoint region
+//! probe must all share it — the cache is sound only because the
+//! coloring and the search agree on which steps exist — and they all
+//! read it through one table that [`Router::new`] builds per router:
+//! each cell's four neighbour indices (`u32::MAX` where clipped) and its
+//! `(row, col)`, 24 bytes per cell. The hot loops therefore never divide
+//! a cell index by the grid width: the heuristic and the stale-entry
+//! check read coordinates from the table, and in edge mode a step's
+//! edge id comes from its direction (up `2·next + 1`, down `2·cur + 1`,
+//! left `2·next`, right `2·cur`) instead of from the cell indices.
+//!
 //! Failed searches are the congested worst case: when no route exists the
 //! heuristic cannot prune anything and plain A* floods the whole
 //! reachable region before returning `None`. The router therefore keeps a
@@ -75,27 +88,47 @@
 
 use ecmas_chip::RoutingGrid;
 
-/// The 4-neighborhood of `cell` on `grid`, `None` where clipped at the
-/// boundary or at a disabled-channel seam (crossable only along an open
-/// perpendicular channel's lanes) — in the fixed up/down/left/right
-/// order that the A* expansion, the reachability flood fill, and the
-/// endpoint region probe must all share: the cache's soundness depends
-/// on the coloring and the search agreeing on adjacency. Seam clipping
-/// lives here (not in the availability predicates) for the same reason:
-/// a step across a bandwidth-0 channel at a tile column is not
-/// congestion, it is a non-edge of the grid.
+/// Marks a clipped direction in the router's neighbour table.
+const NO_CELL: u32 = u32::MAX;
+
+/// One cell's row of the router's table: its [`RoutingGrid::neighbors4`]
+/// (`NO_CELL` where clipped) and its `(row, col)`, 24 bytes in all.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct CellLinks {
+    adj: [u32; 4],
+    row: u32,
+    col: u32,
+}
+
+impl CellLinks {
+    /// The neighbours with their directions, in up/down/left/right
+    /// order, clipped directions skipped.
+    #[inline]
+    fn steps(self) -> impl Iterator<Item = (usize, usize)> {
+        self.adj
+            .into_iter()
+            .enumerate()
+            .filter(|&(_, next)| next != NO_CELL)
+            .map(|(dir, next)| (dir, next as usize))
+    }
+
+    /// Manhattan distance to `other`.
+    #[inline]
+    fn distance(&self, other: &CellLinks) -> usize {
+        (self.row.abs_diff(other.row) + self.col.abs_diff(other.col)) as usize
+    }
+}
+
+/// Edge id of the step from `cur` to its grid neighbour `next` in
+/// direction `dir` (0 up, 1 down, 2 left, 3 right — the order of
+/// [`RoutingGrid::neighbors4`]). Vertical edges are `2·upper + 1`,
+/// horizontal edges `2·left`: up and left steps name the edge by `next`,
+/// down and right steps by `cur`. The same ids as [`Router::edge_id`],
+/// with no division.
 #[inline]
-fn neighbors4(grid: &RoutingGrid, cell: usize) -> [Option<usize>; 4] {
-    let cols = grid.cols();
-    let (r, c) = (cell / cols, cell % cols);
-    let lane_col = grid.v_channel_of_col(c).is_some();
-    let lane_row = grid.h_channel_of_row(r).is_some();
-    [
-        (r > 0 && (lane_col || !grid.h_seam_blocked(r - 1))).then(|| cell - cols),
-        (r + 1 < grid.rows() && (lane_col || !grid.h_seam_blocked(r))).then(|| cell + cols),
-        (c > 0 && (lane_row || !grid.v_seam_blocked(c - 1))).then(|| cell - 1),
-        (c + 1 < cols && (lane_row || !grid.v_seam_blocked(c))).then(|| cell + 1),
-    ]
+fn step_edge_id(cur: usize, next: usize, dir: usize) -> usize {
+    let lo = if matches!(dir, 0 | 2) { next } else { cur };
+    2 * lo + usize::from(dir < 2)
 }
 
 /// The disjointness rule paths in the same cycle must obey.
@@ -283,7 +316,8 @@ impl RouteRequest {
 
 /// Shortest-path router with per-cycle reservations.
 ///
-/// The router owns the grid plus three layers of state:
+/// The router owns the grid, its neighbour/coordinate table (see the
+/// module docs), and these layers of state:
 ///
 /// * `blocked` — cells occupied by *mapped* logical tiles (static per
 ///   compilation). Unmapped tile slots are routable channel space.
@@ -296,11 +330,16 @@ impl RouteRequest {
 ///   returned path.
 /// * reachability cache — a flood-fill coloring of the available cells
 ///   into connected regions, valid for one clock cycle, that answers
-///   provably-unroutable searches in O(1).
+///   provably-unroutable searches in O(1). Allocated by the first
+///   recoloring, so routers that never fail a search never pay for it.
 #[derive(Clone, Debug)]
 pub struct Router {
     grid: RoutingGrid,
     mode: Disjointness,
+    // `grid.neighbors4` and `grid.coords` per cell, tabled once so the
+    // search, the flood fill and the region probe never divide a cell
+    // index by the grid width.
+    table: Vec<CellLinks>,
     blocked: Vec<bool>,
     node_free_at: Vec<u64>,
     edge_free_at: Vec<u64>,
@@ -365,9 +404,21 @@ impl Router {
         // path already consults `blocked` first in both modes, so defects
         // cost the router nothing per search.
         let blocked = (0..n).map(|i| grid.is_dead(i)).collect();
+        // Both fit u32: the assert above bounds every index and coordinate.
+        let table = (0..n)
+            .map(|cell| {
+                let (r, c) = grid.coords(cell);
+                CellLinks {
+                    adj: grid.neighbors4(cell).map(|next| next.map_or(NO_CELL, |c| c as u32)),
+                    row: r as u32,
+                    col: c as u32,
+                }
+            })
+            .collect();
         Router {
             grid,
             mode,
+            table,
             blocked,
             node_free_at: vec![0; n],
             edge_free_at: vec![0; 2 * n],
@@ -377,7 +428,7 @@ impl Router {
             buckets: vec![Vec::new(); max_f],
             bucket_head: vec![0; max_f],
             epoch: 0,
-            region: vec![0; n],
+            region: Vec::new(),
             region_queue: Vec::new(),
             region_cycle: None,
             order_scratch: Vec::new(),
@@ -475,11 +526,25 @@ impl Router {
         }
     }
 
-    fn edge_available(&self, a: usize, b: usize, cycle: u64) -> bool {
+    /// Whether the step from `cur` to its neighbour `next`, direction
+    /// `dir` of the neighbour table, is free at `cycle`.
+    #[inline]
+    fn step_available(&self, cur: usize, next: usize, dir: usize, cycle: u64) -> bool {
         match self.mode {
             Disjointness::Node => true, // node reservations already forbid reuse
-            Disjointness::Edge => self.edge_free_at[self.edge_id(a, b)] <= cycle,
+            Disjointness::Edge => {
+                let id = step_edge_id(cur, next, dir);
+                debug_assert_eq!(id, self.edge_id(cur, next));
+                self.edge_free_at[id] <= cycle
+            }
         }
+    }
+
+    /// The neighbours of `cell` with their directions (see
+    /// [`CellLinks::steps`]).
+    #[inline]
+    fn steps(&self, cell: usize) -> impl Iterator<Item = (usize, usize)> {
+        self.table[cell].steps()
     }
 
     /// Whether a path may *terminate* on `cell` at `cycle`. Tile cells are
@@ -551,15 +616,10 @@ impl Router {
             self.epoch = 1;
         }
         let epoch = self.epoch;
-        let (to_r, to_c) = self.grid.coords(to);
-        let cols = self.grid.cols();
-        let manhattan = |cell: usize| -> usize {
-            let (r, c) = (cell / cols, cell % cols);
-            r.abs_diff(to_r) + c.abs_diff(to_c)
-        };
+        let target = self.table[to];
         self.visit_epoch[from] = epoch;
         self.g_score[from] = 0;
-        let f_lo = manhattan(from);
+        let f_lo = self.table[from].distance(&target);
         self.buckets[f_lo].push(u32::try_from(from).expect("grid fits"));
         let mut f_hi = f_lo; // highest bucket touched (for cleanup)
         let mut open_len: u64 = 1; // entries pushed and not yet popped
@@ -574,34 +634,35 @@ impl Router {
                 let cur = self.buckets[f][self.bucket_head[f] as usize] as usize;
                 self.bucket_head[f] += 1;
                 open_len -= 1;
-                let g = self.g_score[cur] as usize;
-                if f != g + manhattan(cur) {
+                let g = self.g_score[cur];
+                let links = self.table[cur];
+                if f != g as usize + links.distance(&target) {
                     continue; // stale entry: the cell was re-queued with a better g
                 }
                 self.stats.cells_expanded += 1;
-                for next in neighbors4(&self.grid, cur).into_iter().flatten() {
-                    if !self.edge_available(cur, next, cycle) {
+                for (dir, next) in links.steps() {
+                    if !self.step_available(cur, next, dir, cycle) {
                         continue;
                     }
                     if next == to {
                         self.visit_epoch[next] = epoch;
-                        self.parent[next] = u32::try_from(cur).expect("grid fits in u32");
+                        self.parent[next] = cur as u32;
                         found = true;
                         break;
                     }
                     if !self.cell_available(next, cycle) {
                         continue;
                     }
-                    let ng = self.g_score[cur] + 1;
+                    let ng = g + 1;
                     if self.visit_epoch[next] == epoch && self.g_score[next] <= ng {
                         continue;
                     }
                     self.visit_epoch[next] = epoch;
                     self.g_score[next] = ng;
-                    self.parent[next] = u32::try_from(cur).expect("grid fits in u32");
-                    let nf = ng as usize + manhattan(next);
+                    self.parent[next] = cur as u32;
+                    let nf = ng as usize + self.table[next].distance(&target);
                     debug_assert!(nf == f || nf == f + 2, "consistent heuristic: f or f+2");
-                    self.buckets[nf].push(u32::try_from(next).expect("grid fits"));
+                    self.buckets[nf].push(next as u32);
                     f_hi = f_hi.max(nf);
                     open_len += 1;
                 }
@@ -629,13 +690,15 @@ impl Router {
         }
         // Everything still in the open buckets is work the heuristic saved.
         self.stats.pruned_expansions += open_len;
-        let mut cells = vec![to];
+        // The target's parent was expanded with its final g, so the path
+        // has exactly g + 2 cells: fill them from the back.
+        let mut cells = vec![0; self.g_score[self.parent[to] as usize] as usize + 2];
         let mut cur = to;
-        while cur != from {
+        for cell in cells.iter_mut().rev() {
+            *cell = cur;
             cur = self.parent[cur] as usize;
-            cells.push(cur);
         }
-        cells.reverse();
+        debug_assert_eq!(cells[0], from, "the parent chain ends at the source");
         self.stats.paths_found += 1;
         self.stats.path_cells += cells.len() as u64;
         Some(Path { cells })
@@ -648,7 +711,9 @@ impl Router {
     /// exhausts its region without a cache hit — uncongested schedules
     /// never trigger it.
     fn recolor(&mut self, cycle: u64) {
-        self.region.fill(0);
+        // Allocated on the first recolor: uncongested runs never color.
+        self.region.clear();
+        self.region.resize(self.grid.len(), 0);
         let mut queue = std::mem::take(&mut self.region_queue);
         let mut next_region: u32 = 0;
         for start in 0..self.grid.len() {
@@ -662,9 +727,9 @@ impl Router {
             while let Some(cur) = queue.pop() {
                 let cur = cur as usize;
                 self.stats.recolor_cells += 1;
-                for next in neighbors4(&self.grid, cur).into_iter().flatten() {
+                for (dir, next) in self.steps(cur) {
                     if self.region[next] != 0
-                        || !self.edge_available(cur, next, cycle)
+                        || !self.step_available(cur, next, dir, cycle)
                         || !self.cell_available(next, cycle)
                     {
                         continue;
@@ -691,22 +756,21 @@ impl Router {
         // A direct `from → to` hop has no interior; only the edge matters
         // (and the edge must exist — index-adjacency across a seam is no
         // edge, so such pairs fall through to the region test).
-        if self.grid.manhattan(from, to) == 1
-            && self.grid.step_allowed(from, to)
-            && self.edge_available(from, to, cycle)
+        if self
+            .steps(from)
+            .any(|(dir, next)| next == to && self.step_available(from, to, dir, cycle))
         {
             return true;
         }
         let adjacent_regions = |cell: usize| -> [u32; 4] {
             let mut out = [0u32; 4];
-            for (slot, next) in out.iter_mut().zip(neighbors4(&self.grid, cell)) {
-                let Some(next) = next else { continue };
-                if self.edge_available(cell, next, cycle) && self.cell_available(next, cycle) {
+            for (dir, next) in self.steps(cell) {
+                if self.step_available(cell, next, dir, cycle) && self.cell_available(next, cycle) {
                     debug_assert!(
                         self.region[next] != 0,
                         "available cell must be colored (availability only shrinks in-cycle)"
                     );
-                    *slot = self.region[next];
+                    out[dir] = self.region[next];
                 }
             }
             out
@@ -825,7 +889,8 @@ impl Router {
     /// [`route_ready_by_distance`]: Self::route_ready_by_distance
     #[must_use]
     pub fn estimated_distance(&self, from_slot: usize, to_slot: usize) -> usize {
-        self.grid.manhattan(self.grid.tile_cell(from_slot), self.grid.tile_cell(to_slot))
+        let (from, to) = (self.grid.tile_cell(from_slot), self.grid.tile_cell(to_slot));
+        self.table[from].distance(&self.table[to])
     }
 
     fn route_one(&mut self, req: &RouteRequest, cycle: u64) -> Option<Path> {
@@ -1457,7 +1522,11 @@ mod tests {
         queue.push_back(from);
         while let Some(cur) = queue.pop_front() {
             for next in grid.neighbors(cur) {
-                if dist[next] != usize::MAX || !r.edge_available(cur, next, cycle) {
+                let edge_free = match r.mode {
+                    Disjointness::Node => true,
+                    Disjointness::Edge => r.edge_free_at[r.edge_id(cur, next)] <= cycle,
+                };
+                if dist[next] != usize::MAX || !edge_free {
                     continue;
                 }
                 if next == to {
@@ -1471,6 +1540,79 @@ mod tests {
             }
         }
         None
+    }
+}
+
+#[cfg(test)]
+mod table_tests {
+    use super::*;
+    use ecmas_chip::{Chip, CodeModel};
+
+    /// Chips covering every adjacency special case: bandwidth-0 seams in
+    /// both orientations, defective tiles, and 1×1, 1×N and N×1 arrays.
+    fn adjacency_chips() -> Vec<Chip> {
+        let uniform =
+            |rows, cols, b| Chip::uniform(CodeModel::DoubleDefect, rows, cols, b, 3).unwrap();
+        let mut seams = uniform(3, 4, 2);
+        seams.set_h_bandwidth(1, 0).unwrap();
+        seams.set_v_bandwidth(2, 0).unwrap();
+        seams.add_defect(2, 3).unwrap();
+        let mut row_seams = uniform(1, 5, 1);
+        row_seams.set_v_bandwidth(1, 0).unwrap();
+        row_seams.set_v_bandwidth(2, 0).unwrap();
+        let mut col_seams = uniform(4, 1, 3);
+        col_seams.set_h_bandwidth(2, 0).unwrap();
+        vec![
+            uniform(1, 1, 1),
+            uniform(1, 6, 1),
+            uniform(6, 1, 2),
+            uniform(3, 3, 1).with_defects(&[(0, 0), (1, 1), (2, 2)]).unwrap(),
+            seams,
+            row_seams,
+            col_seams,
+        ]
+    }
+
+    #[test]
+    fn table_matches_the_grid_adjacency_and_coordinates() {
+        for chip in adjacency_chips() {
+            let grid = chip.grid();
+            let r = Router::new(grid.clone(), Disjointness::Node);
+            assert_eq!(r.table.len(), grid.len());
+            for (cell, links) in r.table.iter().enumerate() {
+                let adj = grid.neighbors4(cell).map(|n| n.map_or(NO_CELL, |n| n as u32));
+                assert_eq!(links.adj, adj, "cell {cell} of {chip:?}");
+                let (row, col) = grid.coords(cell);
+                assert_eq!((links.row as usize, links.col as usize), (row, col));
+                assert!(r.steps(cell).map(|(_, next)| next).eq(grid.neighbors(cell)));
+            }
+            for (a, b) in [(0, grid.len() - 1), (grid.len() / 2, 1), (3, 3)] {
+                let (a, b) = (a % grid.len(), b % grid.len());
+                assert_eq!(r.table[a].distance(&r.table[b]), grid.manhattan(a, b));
+            }
+        }
+    }
+
+    #[test]
+    fn direction_edge_ids_match_edge_id_in_both_modes() {
+        for chip in adjacency_chips() {
+            for mode in [Disjointness::Node, Disjointness::Edge] {
+                let r = Router::new(chip.grid(), mode);
+                let mut steps = 0;
+                let mut ids = std::collections::BTreeSet::new();
+                for cell in 0..r.grid().len() {
+                    for (dir, next) in r.steps(cell) {
+                        let id = step_edge_id(cell, next, dir);
+                        assert_eq!(id, r.edge_id(cell, next), "cell {cell} dir {dir} {mode:?}");
+                        ids.insert(id);
+                        steps += 1;
+                    }
+                }
+                // Each edge has one id, reached once from either end.
+                assert!(steps > 0);
+                assert_eq!(2 * ids.len(), steps);
+            }
+        }
     }
 }
 

@@ -540,13 +540,6 @@ impl Router {
         }
     }
 
-    /// The neighbours of `cell` with their directions (see
-    /// [`CellLinks::steps`]).
-    #[inline]
-    fn steps(&self, cell: usize) -> impl Iterator<Item = (usize, usize)> {
-        self.table[cell].steps()
-    }
-
     /// Whether a path may *terminate* on `cell` at `cycle`. Tile cells are
     /// exempt from reservation checks — they host the gate's operand
     /// qubits and the scheduler's per-qubit exclusivity covers them — but
@@ -727,7 +720,7 @@ impl Router {
             while let Some(cur) = queue.pop() {
                 let cur = cur as usize;
                 self.stats.recolor_cells += 1;
-                for (dir, next) in self.steps(cur) {
+                for (dir, next) in self.table[cur].steps() {
                     if self.region[next] != 0
                         || !self.step_available(cur, next, dir, cycle)
                         || !self.cell_available(next, cycle)
@@ -756,15 +749,15 @@ impl Router {
         // A direct `from → to` hop has no interior; only the edge matters
         // (and the edge must exist — index-adjacency across a seam is no
         // edge, so such pairs fall through to the region test).
-        if self
-            .steps(from)
+        if self.table[from]
+            .steps()
             .any(|(dir, next)| next == to && self.step_available(from, to, dir, cycle))
         {
             return true;
         }
         let adjacent_regions = |cell: usize| -> [u32; 4] {
             let mut out = [0u32; 4];
-            for (dir, next) in self.steps(cell) {
+            for (dir, next) in self.table[cell].steps() {
                 if self.step_available(cell, next, dir, cycle) && self.cell_available(next, cycle) {
                     debug_assert!(
                         self.region[next] != 0,
@@ -1584,7 +1577,7 @@ mod table_tests {
                 assert_eq!(links.adj, adj, "cell {cell} of {chip:?}");
                 let (row, col) = grid.coords(cell);
                 assert_eq!((links.row as usize, links.col as usize), (row, col));
-                assert!(r.steps(cell).map(|(_, next)| next).eq(grid.neighbors(cell)));
+                assert!(r.table[cell].steps().map(|(_, next)| next).eq(grid.neighbors(cell)));
             }
             for (a, b) in [(0, grid.len() - 1), (grid.len() / 2, 1), (3, 3)] {
                 let (a, b) = (a % grid.len(), b % grid.len());
@@ -1601,7 +1594,7 @@ mod table_tests {
                 let mut steps = 0;
                 let mut ids = std::collections::BTreeSet::new();
                 for cell in 0..r.grid().len() {
-                    for (dir, next) in r.steps(cell) {
+                    for (dir, next) in r.table[cell].steps() {
                         let id = step_edge_id(cell, next, dir);
                         assert_eq!(id, r.edge_id(cell, next), "cell {cell} dir {dir} {mode:?}");
                         ids.insert(id);

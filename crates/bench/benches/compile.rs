@@ -183,6 +183,33 @@ fn bench_congested_router(c: &mut Criterion) {
     });
 }
 
+/// Algorithm 1's schedule stage alone (`Mapped::schedule` on a fixed
+/// mapping), where the router's searches dominate: `qft_n50` on a 4×
+/// double-defect chip (the base run plus its rejected bandwidth-adjusted
+/// candidate), `quantum_walk_n11` on its min-viable chip (about 14k
+/// short searches, so the fixed cost per search dominates), and
+/// `qft(200)` in lattice surgery (long edge-mode searches at scale).
+fn bench_schedule(c: &mut Criterion) {
+    let rows = [
+        ("schedule/qft_n50_dd_4x", benchmarks::qft_n50(), CodeModel::DoubleDefect, true),
+        (
+            "schedule/quantum_walk_n11_dd_min",
+            benchmarks::quantum_walk_n11(),
+            CodeModel::DoubleDefect,
+            false,
+        ),
+        ("scale/qft_200_ls_schedule", benchmarks::qft(200), CodeModel::LatticeSurgery, false),
+    ];
+    for (id, circuit, model, four_x) in rows {
+        let n = circuit.qubits();
+        let chip = if four_x { Chip::four_x(model, n, 3) } else { Chip::min_viable(model, n, 3) };
+        let mapped = Ecmas::default().session(&circuit, &chip.unwrap()).unwrap().map().unwrap();
+        c.bench_function(id, |b| {
+            b.iter(|| mapped.clone().schedule().unwrap().into_outcome().report.cycles);
+        });
+    }
+}
+
 /// Service-layer throughput on a congested chip: a 100-job seeded
 /// stress mix (widths 8–25, depths 40–160, bursty arrival order) fanned
 /// out through `compile_jobs` — the dispatch machine `ecmasd` and the
@@ -358,6 +385,7 @@ criterion_group!(
     bench_placement,
     bench_router,
     bench_congested_router,
+    bench_schedule,
     bench_end_to_end,
     bench_defective_compile,
     bench_chip_size_scaling,

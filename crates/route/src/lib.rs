@@ -93,7 +93,7 @@ const NO_CELL: u32 = u32::MAX;
 
 /// One cell's row of the router's table: its [`RoutingGrid::neighbors4`]
 /// (`NO_CELL` where clipped) and its `(row, col)`, 24 bytes in all.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug)]
 struct CellLinks {
     adj: [u32; 4],
     row: u32,

@@ -59,8 +59,8 @@ use ecmas::{CompileOutcome, Compiler};
 use ecmas_chip::{Chip, CodeModel};
 use ecmas_circuit::Circuit;
 
-/// Assembles the baseline [`CompileReport`]: baselines run no profiling
-/// and no bandwidth adjusting, so `gpm`/`placement_restarts` are 0 and the
+/// Assembles the baseline [`CompileReport`]: baselines run no profiling,
+/// so `gpm`/`placement_restarts` are 0, and like every report the
 /// adjust decision is [`BandwidthDecision::Disabled`]; the router counters
 /// and stage timings are real. `capacity` is the *target* chip's
 /// communication capacity (not the internal clamped/dense view's), so

@@ -185,8 +185,7 @@ fn bench_congested_router(c: &mut Criterion) {
 
 /// Algorithm 1's schedule stage alone (`Mapped::schedule` on a fixed
 /// mapping), where the router's searches dominate: `qft_n50` on a 4×
-/// double-defect chip (the base run plus its rejected bandwidth-adjusted
-/// candidate), `quantum_walk_n11` on its min-viable chip (about 14k
+/// double-defect chip, `quantum_walk_n11` on its min-viable chip (about 14k
 /// short searches, so the fixed cost per search dominates), and
 /// `qft(200)` in lattice surgery (long edge-mode searches at scale).
 fn bench_schedule(c: &mut Criterion) {

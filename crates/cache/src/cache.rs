@@ -33,21 +33,18 @@ use ecmas_core::session::{CacheInfo, CacheSource, CompileOutcome, MapArtifact, P
 use crate::key::CompileKey;
 use crate::lru::Lru;
 
-/// Compile-cache sizing and feature knobs.
+/// Compile-cache sizing.
 #[derive(Clone, Copy, Debug)]
 pub struct CacheConfig {
     /// Estimated-byte budget for resident entries (full results and stage
     /// artifacts share it). The resident total never exceeds this.
     pub byte_budget: u64,
-    /// Whether to store and serve stage artifacts (profile/map) in
-    /// addition to full results.
-    pub stage_artifacts: bool,
 }
 
 impl Default for CacheConfig {
-    /// 64 MiB with stage artifacts on — the `ecmasd` daemon default.
+    /// 64 MiB — the `ecmasd` daemon default.
     fn default() -> Self {
-        CacheConfig { byte_budget: 64 * 1024 * 1024, stage_artifacts: true }
+        CacheConfig { byte_budget: 64 * 1024 * 1024 }
     }
 }
 
@@ -186,12 +183,9 @@ impl CompileCache {
         Begin::Lead(LeadGuard { cache: Arc::clone(self), key, flight, resolved: false })
     }
 
-    /// A cached profile artifact, if stage artifacts are enabled.
+    /// A cached profile artifact.
     #[must_use]
     pub fn get_profile(&self, key: CompileKey) -> Option<Arc<ProfileArtifact>> {
-        if !self.config.stage_artifacts {
-            return None;
-        }
         let mut inner = self.lock();
         if let Some(Value::Profile(artifact)) = inner.lru.get(&key) {
             let artifact = Arc::clone(artifact);
@@ -201,20 +195,15 @@ impl CompileCache {
         None
     }
 
-    /// Stores a profile artifact (no-op when stage artifacts are off).
+    /// Stores a profile artifact.
     pub fn put_profile(&self, key: CompileKey, artifact: Arc<ProfileArtifact>) {
-        if self.config.stage_artifacts {
-            let cost = artifact.estimated_bytes();
-            self.lock().lru.insert(key, Value::Profile(artifact), cost);
-        }
+        let cost = artifact.estimated_bytes();
+        self.lock().lru.insert(key, Value::Profile(artifact), cost);
     }
 
-    /// A cached map artifact, if stage artifacts are enabled.
+    /// A cached map artifact.
     #[must_use]
     pub fn get_map(&self, key: CompileKey) -> Option<Arc<MapArtifact>> {
-        if !self.config.stage_artifacts {
-            return None;
-        }
         let mut inner = self.lock();
         if let Some(Value::Map(artifact)) = inner.lru.get(&key) {
             let artifact = Arc::clone(artifact);
@@ -224,12 +213,10 @@ impl CompileCache {
         None
     }
 
-    /// Stores a map artifact (no-op when stage artifacts are off).
+    /// Stores a map artifact.
     pub fn put_map(&self, key: CompileKey, artifact: Arc<MapArtifact>) {
-        if self.config.stage_artifacts {
-            let cost = artifact.estimated_bytes();
-            self.lock().lru.insert(key, Value::Map(artifact), cost);
-        }
+        let cost = artifact.estimated_bytes();
+        self.lock().lru.insert(key, Value::Map(artifact), cost);
     }
 
     /// Chaos hook: drops the resident entry for `key`, if any. In-flight
@@ -482,20 +469,6 @@ mod tests {
             _ => panic!("follower must see the shared error"),
         }
         assert!(matches!(cache.begin(key), Begin::Lead(_)), "errors are not cached");
-        assert_eq!(cache.stats().entries, 0);
-    }
-
-    #[test]
-    fn stage_artifacts_can_be_disabled() {
-        let cache =
-            CompileCache::new(CacheConfig { stage_artifacts: false, ..CacheConfig::default() });
-        let mut c = Circuit::new(2);
-        c.cnot(0, 1);
-        let chip = Chip::min_viable(CodeModel::LatticeSurgery, 2, 3).unwrap();
-        let profiled = Ecmas::default().session(&c, &chip).unwrap();
-        let key = crate::key::profile_key(&c);
-        cache.put_profile(key, Arc::new(profiled.artifact()));
-        assert!(cache.get_profile(key).is_none());
         assert_eq!(cache.stats().entries, 0);
     }
 }

@@ -16,13 +16,7 @@
 //!   config, so one profile artifact serves every chip and config.
 //! * **map** — (circuit, chip, mapping-relevant config knobs): a map
 //!   artifact is valid across schedule-only config changes
-//!   (`order`, `cut_policy`, `adjust_bandwidth`) but pinned to
-//!   `location` and `cut_init`.
-//! * **fleet** — (circuit, every candidate chip in insertion order,
-//!   complete [`EcmasConfig`], schedule mode): addresses the outcome of
-//!   heterogeneous target selection over a [`ChipFleet`]. Candidate
-//!   *order* is part of the identity (it breaks cost ties), so two
-//!   fleets with the same chips in a different order key differently.
+//!   (`order`, `cut_policy`) but pinned to `location` and `cut_init`.
 //!
 //! Chip identity includes the defect mask (`ecmas_core::stable`'s
 //! `write_chip`), so chips differing only in dead tiles or disabled
@@ -31,7 +25,7 @@
 
 use ecmas_chip::Chip;
 use ecmas_circuit::Circuit;
-use ecmas_core::compiler::{ChipFleet, EcmasConfig};
+use ecmas_core::compiler::EcmasConfig;
 use ecmas_core::stable::{
     write_chip, write_circuit, write_config, write_mapping_config, StableHasher, FNV_ALT_BASIS,
 };
@@ -56,7 +50,6 @@ pub(crate) fn test_key(a: u64, b: u64) -> CompileKey {
 const KIND_FULL: u8 = 0;
 const KIND_PROFILE: u8 = 1;
 const KIND_MAP: u8 = 2;
-const KIND_FLEET: u8 = 3;
 
 fn derive(write: impl Fn(&mut StableHasher)) -> CompileKey {
     let mut a = StableHasher::new();
@@ -98,30 +91,6 @@ pub fn map_key(circuit: &Circuit, chip: &Chip, config: &EcmasConfig) -> CompileK
         write_circuit(h, circuit);
         write_chip(h, chip);
         write_mapping_config(h, config);
-    })
-}
-
-/// The key of a fleet-selection outcome: the circuit, every candidate
-/// chip (full identity, insertion order), the complete config, and the
-/// schedule-mode label. Adding, removing, reordering, or editing any
-/// candidate — including its defect mask — changes the key, because any
-/// of those can change which chip wins selection.
-#[must_use]
-pub fn fleet_key(
-    circuit: &Circuit,
-    fleet: &ChipFleet,
-    config: &EcmasConfig,
-    mode: &str,
-) -> CompileKey {
-    derive(|h| {
-        h.write_u8(KIND_FLEET);
-        write_circuit(h, circuit);
-        h.write_usize(fleet.len());
-        for chip in fleet.chips() {
-            write_chip(h, chip);
-        }
-        write_config(h, config);
-        h.write_str(mode);
     })
 }
 
@@ -180,7 +149,6 @@ mod tests {
         let sched_only = EcmasConfig {
             order: GateOrder::CircuitOrder,
             cut_policy: CutPolicy::NeverModify,
-            adjust_bandwidth: false,
             ..cfg
         };
         assert_eq!(map_key(&c, &chip, &cfg), map_key(&c, &chip, &sched_only));
@@ -220,30 +188,6 @@ mod tests {
         assert_ne!(base, kb);
         assert_ne!(ka, kb);
         assert_ne!(map_key(&c, &dead_a, &cfg), map_key(&c, &dead_b, &cfg));
-    }
-
-    #[test]
-    fn fleet_keys_see_membership_order_and_masks() {
-        let c = circuit();
-        let cfg = EcmasConfig::default();
-        let small = Chip::uniform(CodeModel::LatticeSurgery, 2, 2, 1, 3).unwrap();
-        let big = Chip::uniform(CodeModel::LatticeSurgery, 3, 3, 1, 3).unwrap();
-        let base = fleet_key(&c, &ChipFleet::new(vec![small.clone(), big.clone()]), &cfg, "auto");
-
-        // Deterministic, and separate from the single-chip key space.
-        assert_eq!(
-            base,
-            fleet_key(&c, &ChipFleet::new(vec![small.clone(), big.clone()]), &cfg, "auto")
-        );
-        assert_ne!(base, full_key(&c, &small, &cfg, "auto"));
-
-        // Order, membership, and per-candidate defect masks all matter.
-        let reordered = ChipFleet::new(vec![big.clone(), small.clone()]);
-        assert_ne!(base, fleet_key(&c, &reordered, &cfg, "auto"));
-        let shrunk = ChipFleet::new(vec![small.clone()]);
-        assert_ne!(base, fleet_key(&c, &shrunk, &cfg, "auto"));
-        let masked = ChipFleet::new(vec![small, big.with_defects(&[(0, 0)]).unwrap()]);
-        assert_ne!(base, fleet_key(&c, &masked, &cfg, "auto"));
     }
 
     #[test]

@@ -70,4 +70,4 @@ pub use cache::{
     estimate_outcome_bytes, Begin, CacheConfig, CacheStats, CompileCache, FollowGuard,
     FollowStatus, LeadGuard,
 };
-pub use key::{fleet_key, full_key, map_key, profile_key, CompileKey};
+pub use key::{full_key, map_key, profile_key, CompileKey};

@@ -36,8 +36,6 @@ pub struct EcmasConfig {
     pub order: GateOrder,
     /// Same-cut-type decision policy (Table V).
     pub cut_policy: CutPolicy,
-    /// Whether to run the bandwidth-adjusting pre-processing step.
-    pub adjust_bandwidth: bool,
 }
 
 impl Default for EcmasConfig {
@@ -47,7 +45,6 @@ impl Default for EcmasConfig {
             cut_init: CutInitStrategy::GreedyBipartitePrefix,
             order: GateOrder::Priority,
             cut_policy: CutPolicy::Adaptive,
-            adjust_bandwidth: true,
         }
     }
 }
@@ -202,9 +199,9 @@ impl Ecmas {
         Profiled::resume(self.config, circuit, chip, artifact)
     }
 
-    /// Full pipeline for limited resources: profile, map, adjust
-    /// bandwidth, initialize cut types, schedule with Algorithm 1. A thin
-    /// wrapper over [`session`](Self::session) that discards the report.
+    /// Full pipeline for limited resources: profile, map, initialize cut
+    /// types, schedule with Algorithm 1. A thin wrapper over
+    /// [`session`](Self::session) that discards the report.
     ///
     /// # Errors
     ///
@@ -368,20 +365,5 @@ mod tests {
             Ecmas::default().compile_auto_fleet(&c, &empty),
             Err(CompileError::FleetExhausted { candidates: 0, qubits: 10 })
         ));
-    }
-
-    #[test]
-    fn adjust_bandwidth_helps_or_ties_on_wide_chip() {
-        let c = benchmarks::dnn_n8();
-        let chip = Chip::four_x(CodeModel::DoubleDefect, 8, 3).unwrap();
-        let with = Ecmas::new(EcmasConfig { adjust_bandwidth: true, ..EcmasConfig::default() })
-            .compile(&c, &chip)
-            .unwrap();
-        let without = Ecmas::new(EcmasConfig { adjust_bandwidth: false, ..EcmasConfig::default() })
-            .compile(&c, &chip)
-            .unwrap();
-        validate_encoded(&c, &with).unwrap();
-        validate_encoded(&c, &without).unwrap();
-        assert!(with.cycles() <= without.cycles() + 2, "adjusting should not hurt much");
     }
 }

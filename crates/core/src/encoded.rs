@@ -120,7 +120,7 @@ impl EncodedCircuit {
     /// `mapping[q]` is the tile slot of logical qubit `q`;
     /// `initial_cuts` must be `Some` for the double-defect model. The chip
     /// is shared, so a compilation carries one `Arc<Chip>` from the
-    /// session through every schedule candidate into the result.
+    /// session into the result.
     #[must_use]
     pub fn new(
         chip: Arc<Chip>,
@@ -132,7 +132,7 @@ impl EncodedCircuit {
         EncodedCircuit { chip, mapping, initial_cuts, events, cycles }
     }
 
-    /// The (possibly bandwidth-adjusted) chip the schedule targets.
+    /// The chip the schedule targets.
     #[must_use]
     pub fn chip(&self) -> &Chip {
         self.chip.as_ref()

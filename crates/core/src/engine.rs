@@ -91,8 +91,8 @@ const MODIFY_LATENCY: u64 = 3;
 /// given `mapping` and (for double defect) `initial_cuts`, returning the
 /// schedule with the router's effort/conflict counters.
 ///
-/// The chip is shared: a session's one `Arc<Chip>` flows through every
-/// schedule candidate into the [`EncodedCircuit`] without a chip clone.
+/// The chip is shared: a session's one `Arc<Chip>` flows into the
+/// [`EncodedCircuit`] without a chip clone.
 ///
 /// # Errors
 ///

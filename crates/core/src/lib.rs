@@ -17,7 +17,7 @@
 //!    `⌊(b−1)/2⌋ + 3` decides whether resources are "limited" or
 //!    "sufficient" (see `ecmas_chip::Chip::communication_capacity`).
 //! 3. **Initial mapping** ([`mapping`]) — shape determining, placement by
-//!    communication cost `f = Σ γ_ij · l_ij`, bandwidth adjusting.
+//!    communication cost `f = Σ γ_ij · l_ij`.
 //! 4. **Cut-type initialization** ([`cut`]) — greedy bipartite-prefix
 //!    2-coloring (double defect only).
 //! 5. **Scheduling** — [`engine`] (Algorithm 1, limited resources, with

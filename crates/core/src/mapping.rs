@@ -1,15 +1,16 @@
-//! Initial tile-location mapping (§IV-B1) and bandwidth adjusting.
+//! Initial tile-location mapping (§IV-B1).
 //!
-//! Three steps, mirroring the paper's Fig. 10:
+//! Two steps, mirroring the paper's Fig. 10:
 //!
 //! 1. **Shape determining** — pick the minimum-perimeter sub-array of tile
 //!    slots that can host all logical qubits.
 //! 2. **Mapping establishing** — place qubits in the sub-array minimizing
 //!    the communication cost `f = Σ γ_ij · l_ij` (recursive-bisection
 //!    placement, multi-start, best-of).
-//! 3. **Bandwidth adjusting** — pre-route every gate on the unloaded chip,
-//!    count per-channel crossings, and redistribute any channel-lane slack
-//!    toward the hottest channels.
+//!
+//! The paper's third step, bandwidth adjusting (Fig. 10c), is not
+//! implemented: measured on every Table I compile it never changed a
+//! schedule (DESIGN.md, "Bandwidth adjusting is not implemented").
 
 use ecmas_chip::Chip;
 use ecmas_circuit::CommGraph;
@@ -185,95 +186,6 @@ pub fn snake_mapping(n: usize, chip: &Chip) -> Vec<usize> {
         .collect()
 }
 
-/// The *bandwidth adjusting* step (§IV-B1, Fig. 10c): pre-routes every
-/// communication-graph edge as an L-path between its mapped tiles, counts
-/// how often each channel is crossed, and redistributes the chip's spare
-/// lanes (anything above bandwidth 1 per channel) to the most-crossed
-/// channels, holding the per-dimension lane totals constant.
-///
-/// On a minimum-viable chip every channel already sits at the bandwidth-1
-/// floor, so the chip is returned unchanged — matching the paper, where
-/// adjusting only pays off once the chip has slack.
-#[must_use]
-pub fn adjust_bandwidth(chip: &Chip, mapping: &[usize], comm: &CommGraph) -> Chip {
-    let cols = chip.tile_cols();
-    let h_channels = chip.tile_rows() + 1;
-    let v_channels = cols + 1;
-    let mut h_usage = vec![0u64; h_channels];
-    let mut v_usage = vec![0u64; v_channels];
-    for e in comm.edges() {
-        let (sa, sb) = (mapping[e.a], mapping[e.b]);
-        let (ra, ca) = (sa / cols, sa % cols);
-        let (rb, cb) = (sb / cols, sb % cols);
-        let w = u64::from(e.weight);
-        // An L-path from tile (ra,ca) to (rb,cb) *crosses* the channels
-        // strictly between the rows/columns (weight 2) and *runs along*
-        // the channels bordering its endpoints (weight 1) — the latter
-        // keeps boundary channels from being starved of detour lanes.
-        for usage in &mut h_usage[ra.min(rb) + 1..=ra.max(rb)] {
-            *usage += 2 * w;
-        }
-        for usage in &mut v_usage[ca.min(cb) + 1..=ca.max(cb)] {
-            *usage += 2 * w;
-        }
-        for r in [ra, rb] {
-            h_usage[r] += w;
-            h_usage[r + 1] += w;
-        }
-        for c in [ca, cb] {
-            v_usage[c] += w;
-            v_usage[c + 1] += w;
-        }
-    }
-
-    let mut adjusted = chip.clone();
-    redistribute(&mut adjusted, true, &h_usage);
-    redistribute(&mut adjusted, false, &v_usage);
-    adjusted
-}
-
-/// Moves one dimension's lanes from cold channels to hot ones — but only
-/// under strong imbalance (3× usage-per-lane), so near-uniform traffic
-/// keeps the uniform allocation. Stealing a lane from a lightly-used
-/// channel is not free: node-disjoint detours need it, so the threshold
-/// errs conservative.
-fn redistribute(chip: &mut Chip, horizontal: bool, usage: &[u64]) {
-    let mut lanes: Vec<u32> =
-        if horizontal { chip.h_bandwidths().to_vec() } else { chip.v_bandwidths().to_vec() };
-    let channels = lanes.len();
-    if channels < 2 || usage.iter().all(|&u| u == 0) {
-        return;
-    }
-    let total: u32 = lanes.iter().sum();
-    for _ in 0..total {
-        // Usage per lane, scaled to integers to avoid float compare.
-        let ratio = |i: usize, lanes: &[u32]| -> u64 { usage[i] * 1000 / u64::from(lanes[i]) };
-        // Disabled (0-lane) channels are physically broken: they can
-        // neither receive lanes nor enter the ratio (division by zero).
-        let recipient = (0..channels)
-            .filter(|&i| lanes[i] > 0)
-            .max_by_key(|&i| ratio(i, &lanes))
-            .expect("at least one channel per orientation stays open");
-        let donor = (0..channels)
-            .filter(|&i| lanes[i] > 1 && i != recipient)
-            .min_by_key(|&i| ratio(i, &lanes));
-        let Some(donor) = donor else { break };
-        if ratio(recipient, &lanes) > 3 * ratio(donor, &lanes).max(1) {
-            lanes[donor] -= 1;
-            lanes[recipient] += 1;
-        } else {
-            break;
-        }
-    }
-    for (i, &b) in lanes.iter().enumerate() {
-        if horizontal {
-            chip.set_h_bandwidth(i, b).expect("index in range");
-        } else {
-            chip.set_v_bandwidth(i, b).expect("index in range");
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -360,48 +272,6 @@ mod tests {
             .unwrap();
         let trivial = initial_mapping(&comm, &chip, LocationStrategy::Trivial).unwrap();
         assert!(cost(&ecmas) < cost(&trivial), "{} !< {}", cost(&ecmas), cost(&trivial));
-    }
-
-    #[test]
-    fn adjust_keeps_minimum_viable_unchanged() {
-        let c = ecmas_circuit::benchmarks::qft_n10();
-        let comm = c.comm_graph();
-        let base = chip(4, 4, 1);
-        let mapping = initial_mapping(&comm, &base, LocationStrategy::Trivial).unwrap();
-        assert_eq!(adjust_bandwidth(&base, &mapping, &comm), base);
-    }
-
-    #[test]
-    fn adjust_preserves_lane_totals() {
-        let c = ecmas_circuit::benchmarks::qft_n10();
-        let comm = c.comm_graph();
-        let base = chip(4, 4, 2);
-        let mapping = initial_mapping(&comm, &base, LocationStrategy::Trivial).unwrap();
-        let adjusted = adjust_bandwidth(&base, &mapping, &comm);
-        let sum = |v: &[u32]| v.iter().sum::<u32>();
-        assert_eq!(sum(adjusted.h_bandwidths()), sum(base.h_bandwidths()));
-        assert_eq!(sum(adjusted.v_bandwidths()), sum(base.v_bandwidths()));
-        assert!(adjusted.h_bandwidths().iter().all(|&b| b >= 1));
-        assert!(adjusted.v_bandwidths().iter().all(|&b| b >= 1));
-    }
-
-    #[test]
-    fn adjust_feeds_the_hot_channel() {
-        // All traffic crosses the single middle vertical channel of a 1×2
-        // array: with slack, that channel should gain lanes.
-        let mut c = Circuit::new(2);
-        for _ in 0..10 {
-            c.cnot(0, 1);
-        }
-        let comm = c.comm_graph();
-        let base = chip(1, 2, 2);
-        let mapping = vec![0, 1];
-        let adjusted = adjust_bandwidth(&base, &mapping, &comm);
-        assert!(
-            adjusted.v_bandwidth(1) > base.v_bandwidth(1),
-            "middle channel should widen, got {:?}",
-            adjusted.v_bandwidths()
-        );
     }
 }
 

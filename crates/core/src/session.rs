@@ -59,7 +59,7 @@ use crate::diag::{diagnostics_to_json, Diagnostic};
 use crate::encoded::EncodedCircuit;
 use crate::engine::{schedule_limited, ScheduleConfig};
 use crate::error::CompileError;
-use crate::mapping::{adjust_bandwidth, initial_mapping, LocationStrategy};
+use crate::mapping::{initial_mapping, LocationStrategy};
 use crate::profile::{para_finding, ExecutionScheme};
 use crate::resources::ResourceEstimate;
 use crate::resu::schedule_sufficient;
@@ -85,32 +85,21 @@ impl Algorithm {
     }
 }
 
-/// What the bandwidth-adjusting pre-processing step did.
+/// The report's `bandwidth_adjust` field. The paper's bandwidth-adjusting
+/// step (§IV-B1, Fig. 10c) is not implemented (DESIGN.md, "Bandwidth
+/// adjusting is not implemented"), so every report says
+/// [`Disabled`](Self::Disabled).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum BandwidthDecision {
-    /// The config disabled the step.
+    /// No bandwidth adjustment ran: the label of every report.
     Disabled,
-    /// The step ran but left the chip unchanged (no slack to move).
-    Unchanged,
-    /// The adjusted chip was scheduled and won (fewer cycles). Only the
-    /// limited-resources path produces this: it schedules both chips and
-    /// keeps the cheaper result.
+    /// Never produced. Kept only because the repository benchmark
+    /// (`benchmark/src/paper_suite.rs`) still names it.
     Adopted,
-    /// The adjusted chip was scheduled and lost; the base chip's schedule
-    /// was kept (Algorithm 1 treats the adjustment as a candidate).
+    /// Never produced. Kept only because the repository benchmark
+    /// (`benchmark/src/paper_suite.rs`) still names it.
     Rejected,
-    /// The adjusted chip was used without a comparison run — the ReSu
-    /// path applies the adjustment up front, when the adjusted chip's
-    /// capacity still reaches `ĝPM`, and schedules once.
-    Applied,
-    /// The adjusted chip was set aside without a run because a bound
-    /// settles the outcome. On the limited-resources path the base
-    /// schedule already takes `Δ = α` cycles, which no schedule can beat,
-    /// so the candidate could not win. On the ReSu path the adjustment
-    /// would drop the communication capacity below `ĝPM` and forfeit
-    /// Theorem 2's one-cycle-per-layer guarantee.
-    Bounded,
 }
 
 impl BandwidthDecision {
@@ -119,11 +108,8 @@ impl BandwidthDecision {
     pub fn label(self) -> &'static str {
         match self {
             BandwidthDecision::Disabled => "disabled",
-            BandwidthDecision::Unchanged => "unchanged",
             BandwidthDecision::Adopted => "adopted",
             BandwidthDecision::Rejected => "rejected",
-            BandwidthDecision::Applied => "applied",
-            BandwidthDecision::Bounded => "bounded",
         }
     }
 }
@@ -136,8 +122,7 @@ pub struct StageTimings {
     /// Initial mapping (shape determining + placement restarts) and cut
     /// initialization.
     pub map: Duration,
-    /// Scheduling, including the bandwidth-adjust candidate run when one
-    /// was made.
+    /// Scheduling.
     pub schedule: Duration,
 }
 
@@ -235,11 +220,11 @@ pub struct CompileReport {
     /// was injected or the strategy is deterministic, e.g. the trivial
     /// snake).
     pub placement_restarts: usize,
-    /// What the bandwidth-adjusting step did.
+    /// Always [`BandwidthDecision::Disabled`]: bandwidth adjusting is not
+    /// implemented. Kept so the JSON schema keeps its `bandwidth_adjust`
+    /// key.
     pub bandwidth_adjust: BandwidthDecision,
-    /// Router effort/conflict counters, summed over every scheduling run
-    /// this compilation performed (including a rejected bandwidth-adjust
-    /// candidate).
+    /// Router effort/conflict counters of the scheduling run.
     pub router: RouterStats,
     /// Clock cycles Δ of the encoded circuit.
     pub cycles: u64,
@@ -430,10 +415,10 @@ impl ProfileArtifact {
 /// Validity domain: reusable only for the same circuit *and* the same
 /// chip *and* the same mapping-relevant config knobs
 /// (`location`, `cut_init` — see `stable::write_mapping_config`);
-/// schedule-only knobs (`order`, `cut_policy`, `adjust_bandwidth`) may
-/// differ. Captured by [`Mapped::artifact`], resumed by
-/// [`Profiled::resume_mapped`], which re-validates the mapping and cuts
-/// against the resuming pipeline's circuit and chip.
+/// schedule-only knobs (`order`, `cut_policy`) may differ. Captured by
+/// [`Mapped::artifact`], resumed by [`Profiled::resume_mapped`], which
+/// re-validates the mapping and cuts against the resuming pipeline's
+/// circuit and chip.
 #[derive(Clone, Debug)]
 pub struct MapArtifact {
     mapping: Vec<usize>,
@@ -464,9 +449,9 @@ impl MapArtifact {
 pub struct Profiled<'c> {
     config: crate::compiler::EcmasConfig,
     circuit: &'c Circuit,
-    // Shared, not owned: this one Arc flows through every scheduling run
+    // Shared, not owned: this one Arc flows through the scheduling run
     // into the resulting `EncodedCircuit`, so a compilation clones the
-    // chip exactly once (here), however many schedule candidates it runs.
+    // chip exactly once (here).
     chip: Arc<Chip>,
     dag: GateDag,
     comm: CommGraph,
@@ -771,13 +756,7 @@ impl<'c> Mapped<'c> {
         Ok(self)
     }
 
-    /// Schedules with Algorithm 1 (limited resources), running the
-    /// bandwidth-adjust candidate when the config enables it and keeping
-    /// whichever schedule is cheaper. The candidate is skipped
-    /// ([`BandwidthDecision::Bounded`]) when the base schedule already
-    /// meets the critical-path depth `α`: the adjusted chip is adopted
-    /// only on strictly fewer cycles, and no schedule takes fewer than
-    /// `α`.
+    /// Schedules with Algorithm 1 (limited resources).
     ///
     /// # Errors
     ///
@@ -788,44 +767,14 @@ impl<'c> Mapped<'c> {
             order: self.profiled.config.order,
             cut_policy: self.profiled.config.cut_policy,
         };
-        let chip = &self.profiled.chip;
-        let (base, base_stats) = schedule_limited(
+        let (encoded, stats) = schedule_limited(
             &self.profiled.dag,
-            chip,
+            &self.profiled.chip,
             &self.mapping,
             self.cuts.as_deref(),
             config,
         )?;
-        let (encoded, stats, decision) = if !self.profiled.config.adjust_bandwidth {
-            (base, base_stats, BandwidthDecision::Disabled)
-        } else {
-            // Bandwidth adjusting is a candidate, not a commitment:
-            // stealing a lane from a lightly-used channel can cost
-            // node-disjoint detours more than the hot channel gains, so
-            // the cheaper schedule wins (the paper's
-            // select-best-candidate spirit, Fig. 10c).
-            let adjusted_chip = adjust_bandwidth(chip, &self.mapping, &self.profiled.comm);
-            if adjusted_chip == **chip {
-                (base, base_stats, BandwidthDecision::Unchanged)
-            } else if base.cycles() <= self.profiled.dag.depth() as u64 {
-                (base, base_stats, BandwidthDecision::Bounded)
-            } else {
-                let (adjusted, adj_stats) = schedule_limited(
-                    &self.profiled.dag,
-                    &Arc::new(adjusted_chip),
-                    &self.mapping,
-                    self.cuts.as_deref(),
-                    config,
-                )?;
-                let stats = base_stats.merged(adj_stats);
-                if adjusted.cycles() < base.cycles() {
-                    (adjusted, stats, BandwidthDecision::Adopted)
-                } else {
-                    (base, stats, BandwidthDecision::Rejected)
-                }
-            }
-        };
-        Ok(self.finish(Algorithm::Limited, encoded, stats, decision, t.elapsed()))
+        Ok(self.finish(Algorithm::Limited, encoded, stats, t.elapsed()))
     }
 
     /// Schedules with Algorithm 2 (Ecmas-ReSu). Intended for chips built
@@ -843,33 +792,15 @@ impl<'c> Mapped<'c> {
     /// As [`schedule`](Self::schedule).
     pub fn schedule_resu(self) -> Result<Scheduled, CompileError> {
         let t = Instant::now();
-        let chip = &self.profiled.chip;
-        let (chip, decision) = if self.profiled.config.adjust_bandwidth {
-            let adjusted = adjust_bandwidth(chip, &self.mapping, &self.profiled.comm);
-            if adjusted == **chip {
-                (Arc::clone(chip), BandwidthDecision::Unchanged)
-            } else if adjusted.communication_capacity() < self.profiled.scheme.gpm() {
-                // Theorem 2 routes every layer in one cycle only while the
-                // capacity reaches ĝPM; an adjustment that drops below it
-                // would trade that guarantee for spilled layers.
-                (Arc::clone(chip), BandwidthDecision::Bounded)
-            } else {
-                // No comparison run on this path (unlike `schedule`): the
-                // adjusted chip is simply used.
-                (Arc::new(adjusted), BandwidthDecision::Applied)
-            }
-        } else {
-            (Arc::clone(chip), BandwidthDecision::Disabled)
-        };
         let injected = if self.cuts_injected { self.cuts.as_deref() } else { None };
         let (encoded, stats) = schedule_sufficient(
             &self.profiled.dag,
             &self.profiled.scheme,
-            &chip,
+            &self.profiled.chip,
             &self.mapping,
             injected,
         )?;
-        Ok(self.finish(Algorithm::ReSu, encoded, stats, decision, t.elapsed()))
+        Ok(self.finish(Algorithm::ReSu, encoded, stats, t.elapsed()))
     }
 
     /// The paper's resource-adaptive choice (Fig. 9): Ecmas-ReSu when the
@@ -891,7 +822,6 @@ impl<'c> Mapped<'c> {
         algorithm: Algorithm,
         encoded: EncodedCircuit,
         router: RouterStats,
-        bandwidth_adjust: BandwidthDecision,
         schedule_time: Duration,
     ) -> Scheduled {
         let resources = ResourceEstimate::compute(
@@ -912,7 +842,7 @@ impl<'c> Mapped<'c> {
             gpm: self.profiled.scheme.gpm(),
             capacity: self.profiled.chip.communication_capacity(),
             placement_restarts: self.placement_restarts,
-            bandwidth_adjust,
+            bandwidth_adjust: BandwidthDecision::Disabled,
             router,
             cycles: encoded.cycles(),
             events: encoded.events().len(),
@@ -964,7 +894,6 @@ fn check_fit(qubits: usize, chip: &Chip) -> Result<(), CompileError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compiler::EcmasConfig;
     use crate::encoded::validate_encoded;
     use ecmas_circuit::benchmarks;
 
@@ -994,8 +923,7 @@ mod tests {
         assert!(report.router.paths_found > 0);
         assert_eq!(report.cycles, outcome.encoded().cycles());
         assert_eq!(report.events, outcome.encoded().events().len());
-        // Min-viable chips have no slack: the adjust step must be a no-op.
-        assert_eq!(report.bandwidth_adjust, BandwidthDecision::Unchanged);
+        assert_eq!(report.bandwidth_adjust, BandwidthDecision::Disabled);
     }
 
     #[test]
@@ -1145,9 +1073,8 @@ mod tests {
         assert_eq!(resu.encoded.cycles() as usize, c.depth(), "LS ReSu is depth-optimal");
     }
 
-    /// On a sufficient chip the adjustment would steal lanes until the
-    /// capacity drops below ĝPM (dnn_n8: 4 → 3), so ReSu keeps the base
-    /// chip and its Theorem 2 guarantee.
+    /// ReSu schedules the chip it is given, so a `Chip::sufficient` chip
+    /// keeps the capacity Theorem 2 needs (at least ĝPM).
     #[test]
     fn resu_keeps_the_capacity_theorem_2_needs() {
         let c = benchmarks::dnn_n8();
@@ -1155,74 +1082,10 @@ mod tests {
         for model in [CodeModel::DoubleDefect, CodeModel::LatticeSurgery] {
             let chip = Chip::sufficient(model, 8, gpm, 3).unwrap();
             let mapped = Ecmas::default().session(&c, &chip).unwrap().map().unwrap();
-            let adjusted = adjust_bandwidth(&chip, mapped.mapping(), &mapped.profiled.comm);
-            assert!(adjusted.communication_capacity() < gpm, "{model:?}");
             let resu = mapped.schedule_resu().unwrap().into_outcome();
-            assert_eq!(resu.report.bandwidth_adjust, BandwidthDecision::Bounded, "{model:?}");
-            assert_eq!(*resu.encoded.chip(), chip, "{model:?}: the base chip is scheduled");
+            assert_eq!(*resu.encoded.chip(), chip, "{model:?}: the given chip is scheduled");
+            assert!(resu.encoded.chip().communication_capacity() >= gpm, "{model:?}");
+            assert_eq!(resu.report.bandwidth_adjust, BandwidthDecision::Disabled, "{model:?}");
         }
-    }
-
-    /// Algorithm 1 with the bandwidth-adjust candidate run whenever the
-    /// adjustment changes the chip, bound or no bound: the reference the
-    /// depth-bound skip must agree with. Returns the kept schedule, the
-    /// base schedule's Δ and whether the adjustment changed the chip.
-    fn schedule_always_running_candidate(mapped: &Mapped<'_>) -> (EncodedCircuit, u64, bool) {
-        let profiled = &mapped.profiled;
-        let config =
-            ScheduleConfig { order: profiled.config.order, cut_policy: profiled.config.cut_policy };
-        let run = |chip: &Arc<Chip>| {
-            schedule_limited(&profiled.dag, chip, &mapped.mapping, mapped.cuts.as_deref(), config)
-                .unwrap()
-                .0
-        };
-        let base = run(&profiled.chip);
-        let base_cycles = base.cycles();
-        let adjusted = adjust_bandwidth(&profiled.chip, &mapped.mapping, &profiled.comm);
-        if adjusted == *profiled.chip {
-            return (base, base_cycles, false);
-        }
-        let candidate = run(&Arc::new(adjusted));
-        let kept = if candidate.cycles() < base_cycles { candidate } else { base };
-        (kept, base_cycles, true)
-    }
-
-    #[test]
-    fn depth_bound_keeps_every_table1_schedule_on_wide_chips() {
-        use crate::stable::fingerprint_encoded;
-        for c in benchmarks::table1_suite() {
-            for model in [CodeModel::DoubleDefect, CodeModel::LatticeSurgery] {
-                let chip = Chip::four_x(model, c.qubits(), 3).unwrap();
-                let mapped = Ecmas::default().session(&c, &chip).unwrap().map().unwrap();
-                let (reference, base_cycles, adjusted) = schedule_always_running_candidate(&mapped);
-                let scheduled = mapped.schedule().unwrap();
-                let row = format!("{}/{model:?}", c.name());
-                assert_eq!(scheduled.report().cycles, reference.cycles(), "{row}");
-                assert_eq!(
-                    fingerprint_encoded(scheduled.encoded()),
-                    fingerprint_encoded(&reference),
-                    "{row}"
-                );
-                assert!(base_cycles >= c.depth() as u64, "{row}: Δ below α");
-                let bounded = adjusted && base_cycles == c.depth() as u64;
-                assert_eq!(
-                    scheduled.report().bandwidth_adjust == BandwidthDecision::Bounded,
-                    bounded,
-                    "{row}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn adjust_candidate_is_reported_on_wide_chips() {
-        let c = benchmarks::dnn_n8();
-        let chip = Chip::four_x(CodeModel::DoubleDefect, 8, 3).unwrap();
-        let on = Ecmas::default().compile_outcome(&c, &chip).unwrap();
-        assert_eq!(on.report.bandwidth_adjust, BandwidthDecision::Bounded);
-        let off = Ecmas::new(EcmasConfig { adjust_bandwidth: false, ..EcmasConfig::default() })
-            .compile_outcome(&c, &chip)
-            .unwrap();
-        assert_eq!(off.report.bandwidth_adjust, BandwidthDecision::Disabled);
     }
 }

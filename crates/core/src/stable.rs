@@ -228,8 +228,8 @@ fn write_cut_init(h: &mut StableHasher, cut_init: CutInitStrategy) {
 /// location strategy (placement) and cut-init strategy (initial cut
 /// types are computed during mapping).
 ///
-/// `order`, `cut_policy`, and `adjust_bandwidth` only steer scheduling,
-/// so two configs differing solely in those can share a mapping.
+/// `order` and `cut_policy` only steer scheduling, so two configs
+/// differing solely in those can share a mapping.
 pub fn write_mapping_config(h: &mut StableHasher, config: &EcmasConfig) {
     write_location(h, config.location);
     write_cut_init(h, config.cut_init);
@@ -249,7 +249,6 @@ pub fn write_config(h: &mut StableHasher, config: &EcmasConfig) {
         CutPolicy::ChannelFirst => 2,
         CutPolicy::NeverModify => 3,
     });
-    h.write_bool(config.adjust_bandwidth);
 }
 
 #[cfg(test)]
@@ -322,7 +321,6 @@ mod tests {
         let sched_only = EcmasConfig {
             order: GateOrder::CircuitOrder,
             cut_policy: CutPolicy::NeverModify,
-            adjust_bandwidth: false,
             ..base
         };
         let hash = |cfg: &EcmasConfig, full: bool| {

@@ -142,8 +142,7 @@ pub enum Disjointness {
     Edge,
 }
 
-/// Cumulative routing-effort counters, reset with
-/// [`Router::reset_stats`] and read with [`Router::stats`].
+/// Cumulative routing-effort counters, read with [`Router::stats`].
 ///
 /// The scheduler-facing stats hook: compilers surface these in their
 /// structured reports so congestion (failed finds) and search effort
@@ -185,27 +184,6 @@ pub struct RouterStats {
     /// failure, never more than doubling the flood work the exhausted
     /// search already did, and zero on uncongested workloads).
     pub recolor_cells: u64,
-}
-
-impl RouterStats {
-    /// Component-wise sum — used to combine the stats of several router
-    /// instances (e.g. the base and bandwidth-adjusted scheduling runs).
-    /// The per-cycle peak takes the maximum: the runs are alternatives
-    /// over the same chip, not concurrent occupants.
-    #[must_use]
-    pub fn merged(self, other: RouterStats) -> RouterStats {
-        RouterStats {
-            paths_found: self.paths_found + other.paths_found,
-            conflicts: self.conflicts + other.conflicts,
-            cells_expanded: self.cells_expanded + other.cells_expanded,
-            pruned_expansions: self.pruned_expansions + other.pruned_expansions,
-            path_cells: self.path_cells + other.path_cells,
-            peak_cycle_path_cells: self.peak_cycle_path_cells.max(other.peak_cycle_path_cells),
-            failed_searches: self.failed_searches + other.failed_searches,
-            cache_hits: self.cache_hits + other.cache_hits,
-            recolor_cells: self.recolor_cells + other.recolor_cells,
-        }
-    }
 }
 
 /// A committed or candidate CNOT path: the endpoint tile cells plus the
@@ -439,20 +417,13 @@ impl Router {
         }
     }
 
-    /// The cumulative routing counters since construction or the last
-    /// [`reset_stats`](Self::reset_stats), with the in-progress cycle's
-    /// committed cells folded into the per-cycle peak.
+    /// The cumulative routing counters since construction, with the
+    /// in-progress cycle's committed cells folded into the per-cycle peak.
     #[must_use]
     pub fn stats(&self) -> RouterStats {
         let mut stats = self.stats;
         stats.peak_cycle_path_cells = stats.peak_cycle_path_cells.max(self.commit_cells);
         stats
-    }
-
-    /// Zeroes the routing counters (reservations are untouched).
-    pub fn reset_stats(&mut self) {
-        self.stats = RouterStats::default();
-        self.commit_cells = 0;
     }
 
     /// The underlying grid.
@@ -461,25 +432,11 @@ impl Router {
         &self.grid
     }
 
-    /// The disjointness rule in force.
-    #[must_use]
-    pub fn mode(&self) -> Disjointness {
-        self.mode
-    }
-
     /// Marks the cell of tile slot `slot` as hosting a logical qubit
     /// (paths may start/end there but not pass through).
     pub fn block_tile(&mut self, slot: usize) {
         let cell = self.grid.tile_cell(slot);
         self.blocked[cell] = true;
-        self.region_cycle = None;
-    }
-
-    /// Clears a tile blockage (used when remapping). Dead cells stay
-    /// blocked: a defective tile can never become routable.
-    pub fn unblock_tile(&mut self, slot: usize) {
-        let cell = self.grid.tile_cell(slot);
-        self.blocked[cell] = self.grid.is_dead(cell);
         self.region_cycle = None;
     }
 
@@ -894,19 +851,11 @@ impl Router {
         Some(path)
     }
 
-    /// Drops all reservations (but keeps tile blockages). Used when a
-    /// compiler restarts scheduling from cycle 0.
-    pub fn clear_reservations(&mut self) {
-        self.node_free_at.fill(0);
-        self.edge_free_at.fill(0);
-        self.watermark = 0;
-        // Availability grew: any cached disconnection verdict is void.
-        self.region_cycle = None;
-    }
-
     /// Checks that a set of `(path, start, duration)` triples is mutually
-    /// conflict-free under `mode` — the independent validity oracle used by
-    /// the schedule validator.
+    /// conflict-free under `mode` by comparing every pair — the route
+    /// tests' reference oracle. (The schedule validator checks spatial
+    /// conflicts with its own sweep, `sweep_spatial_conflicts` in
+    /// `ecmas-core`'s `encoded.rs`.)
     #[must_use]
     pub fn paths_conflict_free(
         grid: &RoutingGrid,
@@ -1135,17 +1084,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_reservations_resets_state() {
-        let mut r = router(1, 2, 1, Disjointness::Node);
-        r.block_tile(0);
-        r.block_tile(1);
-        let p = r.route_tiles(0, 1, 0, 100).expect("path");
-        r.clear_reservations();
-        let p2 = r.find_tile_path(0, 1, 0).expect("path after clear");
-        assert_eq!(p.len(), p2.len());
-    }
-
-    #[test]
     fn conflict_checker_flags_shared_interior() {
         let mut r = router(2, 2, 1, Disjointness::Node);
         for t in 0..4 {
@@ -1180,12 +1118,6 @@ mod tests {
         assert_eq!(s.conflicts, 1);
         assert!(s.cells_expanded >= 4, "every search expands at least the source");
         assert!(s.path_cells >= 3 * 3, "three paths of ≥3 cells each");
-        r.reset_stats();
-        assert_eq!(r.stats(), RouterStats::default());
-        let merged = s.merged(s);
-        assert_eq!(merged.paths_found, 6);
-        assert_eq!(merged.conflicts, 2);
-        assert_eq!(merged.pruned_expansions, 2 * s.pruned_expansions);
     }
 
     #[test]
@@ -1271,43 +1203,6 @@ mod tests {
         );
         assert!(r.find_tile_path(0, 1, 0).is_none());
         assert_eq!(r.stats().cache_hits, 1, "the miss recolored, so the repeat hits");
-    }
-
-    #[test]
-    fn clear_reservations_invalidates_the_reachability_cache() {
-        let mut r = router(1, 2, 1, Disjointness::Node);
-        r.block_tile(0);
-        r.block_tile(1);
-        for _ in 0..3 {
-            assert!(r.route_tiles(0, 1, 0, 1).is_some());
-        }
-        assert!(r.find_tile_path(0, 1, 0).is_none());
-        r.clear_reservations();
-        assert!(r.find_tile_path(0, 1, 0).is_some(), "cleared reservations must re-route");
-    }
-
-    #[test]
-    fn unblocking_a_tile_invalidates_the_reachability_cache() {
-        // Tiles 0,1,2 in a row, middle mapped. Hand-committed top and
-        // bottom detours (deterministic geometry, unlike router-chosen
-        // paths) saturate every 0→2 route around the middle tile; then
-        // unmapping it opens the straight lane, and the stale
-        // "disconnected" coloring must not answer `None`.
-        let mut r = router(1, 3, 1, Disjointness::Node);
-        for t in 0..3 {
-            r.block_tile(t);
-        }
-        let g = r.grid().clone();
-        let over = Path::from_cells(&g, (0..=6).map(|c| g.index(0, c)).collect());
-        let under = Path::from_cells(&g, (0..=6).map(|c| g.index(2, c)).collect());
-        r.commit(&over, 0, 1);
-        r.commit(&under, 0, 1);
-        assert!(r.find_tile_path(0, 2, 0).is_none(), "both detour rows reserved");
-        assert!(r.find_tile_path(0, 2, 0).is_none());
-        assert_eq!(r.stats().cache_hits, 1, "the repeat hits the cache");
-        r.unblock_tile(1);
-        let p = r.find_tile_path(0, 2, 0).expect("unmapped slot opens the straight lane");
-        assert_eq!(p.len(), 4, "straight through the unmapped middle slot");
     }
 
     #[test]
@@ -1696,21 +1591,6 @@ mod edp_tests {
     }
 
     #[test]
-    fn unblock_tile_does_not_resurrect_dead_cells() {
-        let chip = Chip::uniform(CodeModel::DoubleDefect, 1, 3, 1, 3)
-            .unwrap()
-            .with_defects(&[(0, 1)])
-            .unwrap();
-        let mut r = Router::new(chip.grid(), Disjointness::Node);
-        let mid = r.grid().tile_cell(1);
-        r.block_tile(1);
-        r.unblock_tile(1);
-        assert!(r.is_blocked(mid), "a dead tile stays blocked after unblock");
-        r.unblock_tile(0);
-        assert!(!r.is_blocked(r.grid().tile_cell(0)), "live tiles unblock normally");
-    }
-
-    #[test]
     fn peak_cycle_path_cells_tracks_the_busiest_cycle() {
         // Two disjoint pairs routed in cycle 0, one pair in cycle 1.
         let chip = Chip::uniform(CodeModel::DoubleDefect, 1, 4, 1, 3).unwrap();
@@ -1729,9 +1609,5 @@ mod edp_tests {
         let before = r.stats().peak_cycle_path_cells;
         r.find_tile_path(2, 3, 1).expect("probe");
         assert_eq!(r.stats().peak_cycle_path_cells, before);
-        // merged() takes the max of peaks, not the sum.
-        let merged =
-            r.stats().merged(RouterStats { peak_cycle_path_cells: 1, ..RouterStats::default() });
-        assert_eq!(merged.peak_cycle_path_cells, cycle0);
     }
 }

@@ -954,10 +954,7 @@ impl CompileService {
             config.shed_cost_budget,
         ));
         let cache = (config.cache_bytes > 0).then(|| {
-            CompileCache::new(ecmas_cache::CacheConfig {
-                byte_budget: config.cache_bytes,
-                stage_artifacts: true,
-            })
+            CompileCache::new(ecmas_cache::CacheConfig { byte_budget: config.cache_bytes })
         });
         let supervisor = Arc::new(Supervisor::new());
         for _ in 0..workers {

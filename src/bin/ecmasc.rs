@@ -14,10 +14,9 @@
 //! Ecmas-ReSu when the chip's communication capacity reaches the profiled
 //! `ĝPM`, Algorithm 1 otherwise) and a human-readable summary is printed.
 //! `--json` instead emits the structured `CompileReport` — per-stage wall
-//! times, router path/conflict counters, the bandwidth-adjust decision,
-//! the chosen algorithm, and the per-job `resources` estimate — as a
-//! single JSON object on stdout, wrapped with the input's circuit/chip
-//! facts.
+//! times, router path/conflict counters, the chosen algorithm, and the
+//! per-job `resources` estimate — as a single JSON object on stdout,
+//! wrapped with the input's circuit/chip facts.
 //!
 //! `--defects "r,c;r,c"` marks tile slots dead before compiling — the
 //! compiler places and routes around them. Coordinates outside the chip
@@ -415,13 +414,12 @@ fn run() -> Result<(), String> {
         report.cut_modifications,
     );
     println!(
-        "ĝPM={} capacity={} restarts={} bandwidth-adjust={} | profile {:.2?} map {:.2?} \
+        "ĝPM={} capacity={} restarts={} | profile {:.2?} map {:.2?} \
          schedule {:.2?} | router: {} paths, {} conflicts ({} failed searches, \
          {} cache hits)",
         report.gpm,
         report.capacity,
         report.placement_restarts,
-        report.bandwidth_adjust.label(),
         report.timings.profile,
         report.timings.map,
         report.timings.schedule,

@@ -62,9 +62,9 @@ proptest! {
         workers_pick in 0usize..2,
         model_pick in 0u8..2,
         mode_pick in 0u8..2,
-        // order (2) × cut policy (3) × adjust-bandwidth (2), packed into
-        // one draw (the vendored proptest tuples cap at 6 strategies).
-        knobs in 0u8..12,
+        // order (2) × cut policy (3), packed into one draw (the vendored
+        // proptest tuples cap at 6 strategies).
+        knobs in 0u8..6,
     ) {
         let circuit = random::layered(12, 8, pm, seed);
         let model =
@@ -78,7 +78,6 @@ proptest! {
                 1 => CutPolicy::TimeFirst,
                 _ => CutPolicy::NeverModify,
             },
-            adjust_bandwidth: knobs / 6 == 0,
             ..EcmasConfig::default()
         };
         let workers = [1usize, 4][workers_pick];
@@ -126,7 +125,6 @@ fn stage_artifact_reuse_is_bit_identical_to_cold_compiles() {
     let config_b = EcmasConfig {
         order: GateOrder::CircuitOrder,
         cut_policy: CutPolicy::ChannelFirst,
-        adjust_bandwidth: false,
         ..config_a
     };
     assert_eq!(config_a.cut_init, CutInitStrategy::GreedyBipartitePrefix);

@@ -121,44 +121,6 @@ pub fn run_ecmas(circuit: &Circuit, chip: &Chip, config: EcmasConfig) -> u64 {
     run_compiler(&Ecmas::new(config), circuit, chip).encoded.cycles()
 }
 
-/// Compiles with Ecmas-ReSu on a sufficient-resources chip.
-///
-/// # Panics
-///
-/// As [`run_ecmas`].
-#[must_use]
-pub fn run_ecmas_resu(circuit: &Circuit, model: CodeModel) -> u64 {
-    let scheme = ecmas::para_finding(&circuit.dag());
-    let chip = Chip::sufficient(model, circuit.qubits(), scheme.gpm(), 3)
-        .expect("sufficient chip construction");
-    let enc = Ecmas::default()
-        .compile_resu(circuit, &chip)
-        .unwrap_or_else(|e| panic!("{}: resu compile failed: {e}", circuit.name()));
-    validate_encoded(circuit, &enc)
-        .unwrap_or_else(|e| panic!("{}: invalid resu schedule: {e}", circuit.name()));
-    enc.cycles()
-}
-
-/// Compiles with the AutoBraid baseline (validated).
-///
-/// # Panics
-///
-/// As [`run_compiler`].
-#[must_use]
-pub fn run_autobraid(circuit: &Circuit, chip: &Chip) -> u64 {
-    run_compiler(&AutoBraid::new(), circuit, chip).encoded.cycles()
-}
-
-/// Compiles with the EDPCI baseline (validated).
-///
-/// # Panics
-///
-/// As [`run_compiler`].
-#[must_use]
-pub fn run_edpci(circuit: &Circuit, chip: &Chip) -> u64 {
-    run_compiler(&Edpci::new(), circuit, chip).encoded.cycles()
-}
-
 /// One planned table cell: which compiler to run on which chip. The
 /// chips are sized per circuit (that is why the tables cannot ride the
 /// single-chip [`compile_batch`] shape and fan out over
@@ -340,12 +302,6 @@ pub fn table2_row(circuit: &Circuit) -> Row {
     row_sequential(circuit, &table2_plan(circuit))
 }
 
-/// Table II (congested chip): one row, compiled sequentially.
-#[must_use]
-pub fn table2_row_congested(circuit: &Circuit) -> Row {
-    row_sequential(circuit, &table2_plan_congested(circuit))
-}
-
 /// Table III plan: cut-type-initialization ablation (double defect, min
 /// chip).
 ///
@@ -412,12 +368,6 @@ pub fn table4_plan_congested(circuit: &Circuit) -> Vec<Cell> {
 #[must_use]
 pub fn table4_row(circuit: &Circuit) -> Row {
     row_sequential(circuit, &table4_plan(circuit))
-}
-
-/// Table IV (congested chip): one row, compiled sequentially.
-#[must_use]
-pub fn table4_row_congested(circuit: &Circuit) -> Row {
-    row_sequential(circuit, &table4_plan_congested(circuit))
 }
 
 /// Table V plan: cut-type-scheduling ablation (double defect, min chip).

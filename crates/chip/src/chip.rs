@@ -235,20 +235,6 @@ impl Chip {
     /// Returns [`ChipError::DefectOutOfRange`] if the coordinate falls
     /// outside the tile array.
     pub fn add_defect(&mut self, row: usize, col: usize) -> Result<(), ChipError> {
-        self.set_defect(row, col, true)
-    }
-
-    /// Clears a defect flag set by [`add_defect`](Self::add_defect).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ChipError::DefectOutOfRange`] if the coordinate falls
-    /// outside the tile array.
-    pub fn clear_defect(&mut self, row: usize, col: usize) -> Result<(), ChipError> {
-        self.set_defect(row, col, false)
-    }
-
-    fn set_defect(&mut self, row: usize, col: usize, dead: bool) -> Result<(), ChipError> {
         if row >= self.tile_rows || col >= self.tile_cols {
             return Err(ChipError::DefectOutOfRange {
                 row,
@@ -257,7 +243,7 @@ impl Chip {
                 cols: self.tile_cols,
             });
         }
-        self.defects[row * self.tile_cols + col] = dead;
+        self.defects[row * self.tile_cols + col] = true;
         Ok(())
     }
 
@@ -607,8 +593,6 @@ mod tests {
         assert!(chip.is_dead(6) && chip.is_dead(11)); // slots (1,2) and (2,3)
         assert_eq!(chip.live_tiles(), 10);
         assert_eq!(chip.defect_slots().collect::<Vec<_>>(), vec![6, 11]);
-        chip.clear_defect(1, 2).unwrap();
-        assert_eq!(chip.defect_count(), 1);
         assert_eq!(
             chip.add_defect(3, 0),
             Err(ChipError::DefectOutOfRange { row: 3, col: 0, rows: 3, cols: 4 })

@@ -212,13 +212,6 @@ impl RoutingGrid {
         self.tile_cells[slot]
     }
 
-    /// Number of tile slots.
-    #[must_use]
-    #[inline]
-    pub fn tile_count(&self) -> usize {
-        self.tile_cells.len()
-    }
-
     /// The 4-neighborhood of `idx` in the fixed up, down, left, right
     /// order, `None` where clipped at the boundary or at a
     /// disabled-channel seam: the tile rows/cols a bandwidth-0 channel
@@ -366,7 +359,6 @@ mod tests {
     fn bandwidth1_grid_dimensions() {
         let g = chip(3, 3, 1).grid();
         assert_eq!((g.rows(), g.cols()), (7, 7));
-        assert_eq!(g.tile_count(), 9);
     }
 
     #[test]

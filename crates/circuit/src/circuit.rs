@@ -336,28 +336,6 @@ impl Circuit {
         self.ops.reserve(ops);
     }
 
-    /// Appends every operation of `other`, offsetting its qubits by `offset`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `other` does not fit (i.e. `offset + other.qubits() >
-    /// self.qubits()`).
-    pub fn append_offset(&mut self, other: &Circuit, offset: usize) {
-        assert!(
-            offset + other.qubits <= self.qubits,
-            "appended circuit does not fit: offset {offset} + {} > {}",
-            other.qubits,
-            self.qubits
-        );
-        for op in &other.ops {
-            match *op {
-                Op::Cnot { control, target } => self.cnot(control + offset, target + offset),
-                Op::Single { qubit, kind } => self.single(qubit + offset, kind),
-                Op::Barrier => self.barrier(),
-            }
-        }
-    }
-
     /// Builds the CNOT dependency DAG `G_P` (see [`GateDag`]).
     #[must_use]
     pub fn dag(&self) -> GateDag {
@@ -378,15 +356,6 @@ impl Circuit {
         self.ops
             .iter()
             .filter(|op| matches!(op, Op::Single { kind: SingleGate::T | SingleGate::Tdg, .. }))
-            .count()
-    }
-
-    /// Number of measurement operations.
-    #[must_use]
-    pub fn measure_count(&self) -> usize {
-        self.ops
-            .iter()
-            .filter(|op| matches!(op, Op::Single { kind: SingleGate::Measure, .. }))
             .count()
     }
 
@@ -485,22 +454,12 @@ mod tests {
     }
 
     #[test]
-    fn append_offset_shifts_qubits() {
-        let mut inner = Circuit::new(2);
-        inner.cnot(0, 1);
-        let mut outer = Circuit::new(5);
-        outer.append_offset(&inner, 3);
-        assert_eq!(outer.cnot_gates(), &[CnotGate { control: 3, target: 4 }]);
-    }
-
-    #[test]
     fn gate_statistics() {
         let mut c = Circuit::new(3);
         c.h(0);
         c.ccx(0, 1, 2); // 6 CNOTs, 7 T/T†, 2 H inside + more singles
         c.single(2, SingleGate::Measure);
         assert_eq!(c.t_count(), 7);
-        assert_eq!(c.measure_count(), 1);
         assert!(c.single_gate_count() >= 8);
         assert_eq!(c.cnot_count(), 6);
     }

@@ -259,18 +259,6 @@ impl GateDag {
         }
         counts
     }
-
-    /// Groups gate ids by ASAP level: `result[l]` holds the gates of layer
-    /// `l+1`. The greedy ASAP layering is a valid execution scheme, though
-    /// Para-Finding (in the `ecmas` crate) balances layer sizes better.
-    #[must_use]
-    pub fn asap_layers(&self) -> Vec<Vec<GateId>> {
-        let mut layers = vec![Vec::new(); self.depth as usize];
-        for id in 0..self.len() {
-            layers[self.level[id] as usize - 1].push(id);
-        }
-        layers
-    }
 }
 
 #[cfg(test)]
@@ -364,7 +352,6 @@ mod tests {
         assert_eq!(dag.depth(), 1);
         assert_eq!(dag.level(0), 1);
         assert_eq!(dag.level(1), 1);
-        assert_eq!(dag.asap_layers(), vec![vec![0, 1]]);
     }
 
     #[test]

@@ -12,8 +12,13 @@
 //! The registry lives here, in one enum, so a code can never be reused
 //! with two meanings; see ARCHITECTURE.md for the full table and the
 //! policy for adding new ones.
+//!
+//! Diagnostics travel as JSON, so this module also holds the workspace's
+//! one JSON writer: [`object`] builds every object the workspace emits
+//! (reports, diagnostics, `ecmasd` lines), escaping strings with
+//! [`escape`].
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// How serious a diagnostic is.
 ///
@@ -199,16 +204,12 @@ impl Diagnostic {
     /// the `span` key is omitted when absent).
     #[must_use]
     pub fn to_json(&self) -> String {
-        let span = self
-            .span
-            .map(|s| format!(",\"span\":{{\"line\":{},\"col\":{}}}", s.line, s.col))
-            .unwrap_or_default();
-        format!(
-            "{{\"code\":\"{}\",\"severity\":\"{}\",\"message\":\"{}\"{span}}}",
-            self.code,
-            self.severity.label(),
-            escape(&self.message),
-        )
+        object()
+            .str("code", self.code.as_str())
+            .str("severity", self.severity.label())
+            .str("message", &self.message)
+            .opt("span", self.span.map(|s| object().field("line", s.line).field("col", s.col)))
+            .to_string()
     }
 }
 
@@ -225,15 +226,8 @@ impl fmt::Display for Diagnostic {
 /// Serializes a diagnostic list as a JSON array.
 #[must_use]
 pub fn diagnostics_to_json(diags: &[Diagnostic]) -> String {
-    let mut out = String::from("[");
-    for (i, d) in diags.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&d.to_json());
-    }
-    out.push(']');
-    out
+    let items: Vec<String> = diags.iter().map(Diagnostic::to_json).collect();
+    format!("[{}]", items.join(","))
 }
 
 /// Escapes `s` for embedding in a JSON string literal: quotes,
@@ -251,12 +245,86 @@ pub fn escape(s: &str) -> String {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
     }
     out
+}
+
+/// Starts a JSON object; see [`JsonObject`].
+pub fn object() -> JsonObject {
+    JsonObject(String::from("{"))
+}
+
+/// A JSON object under construction, the one place the workspace
+/// writes JSON punctuation. Fields are written in call order; its
+/// `Display` closes the object, so an object nests in another through
+/// [`field`](Self::field).
+///
+/// ```
+/// use ecmas_core::diag::object;
+///
+/// let span = object().field("line", 3).field("col", 7);
+/// let json = object().str("code", "E010").field("span", span).field("ok", false);
+/// assert_eq!(json.to_string(), r#"{"code":"E010","span":{"line":3,"col":7},"ok":false}"#);
+/// ```
+#[derive(Debug)]
+#[must_use]
+pub struct JsonObject(String);
+
+impl JsonObject {
+    /// Writes `"key":value` with `value`'s `Display` as the JSON text:
+    /// numbers, bools, `null`, and nested JSON.
+    pub fn field(mut self, key: &str, value: impl fmt::Display) -> Self {
+        self.key(key);
+        let _ = write!(self.0, "{value}");
+        self
+    }
+
+    /// Writes `"key":"value"` with `value` escaped.
+    pub fn str(mut self, key: &str, value: &str) -> Self {
+        self.key(key);
+        self.0.push('"');
+        self.0.push_str(&escape(value));
+        self.0.push('"');
+        self
+    }
+
+    /// [`field`](Self::field) when `value` is `Some`; the key is
+    /// omitted otherwise.
+    pub fn opt(self, key: &str, value: Option<impl fmt::Display>) -> Self {
+        match value {
+            Some(value) => self.field(key, value),
+            None => self,
+        }
+    }
+
+    /// [`str`](Self::str) when `value` is `Some`; the key is omitted
+    /// otherwise.
+    pub fn opt_str(self, key: &str, value: Option<&str>) -> Self {
+        match value {
+            Some(value) => self.str(key, value),
+            None => self,
+        }
+    }
+
+    fn key(&mut self, key: &str) {
+        if self.0.len() > 1 {
+            self.0.push(',');
+        }
+        self.0.push('"');
+        self.0.push_str(key);
+        self.0.push_str("\":");
+    }
+}
+
+impl fmt::Display for JsonObject {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)?;
+        f.write_str("}")
+    }
 }
 
 #[cfg(test)]

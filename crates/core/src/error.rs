@@ -16,6 +16,15 @@ pub enum CompileError {
         /// Tile slots on the chip.
         slots: usize,
     },
+    /// The circuit is wider than
+    /// [`MAX_COMPILE_QUBITS`](crate::session::MAX_COMPILE_QUBITS), the
+    /// bound that keeps the compiler's `n²` tables allocatable.
+    TooWide {
+        /// Logical qubits in the circuit.
+        qubits: usize,
+        /// The widest register the compiler accepts.
+        max: usize,
+    },
     /// The scheduler made no progress for an implausibly long stretch —
     /// a defensive bound that indicates a routing-model bug rather than a
     /// legitimate compilation outcome.
@@ -51,6 +60,9 @@ impl fmt::Display for CompileError {
         match self {
             CompileError::TooManyQubits { qubits, slots } => {
                 write!(f, "{qubits} logical qubits do not fit on a chip with {slots} tile slots")
+            }
+            CompileError::TooWide { qubits, max } => {
+                write!(f, "{qubits} logical qubits exceed the compiler's limit of {max}")
             }
             CompileError::ScheduleStuck { cycle, pending } => {
                 write!(f, "scheduler stalled at cycle {cycle} with {pending} gates pending")

@@ -12,6 +12,8 @@
 use ecmas_chip::Chip;
 use ecmas_route::RouterStats;
 
+use crate::diag::object;
+
 /// Deterministic per-stage cost model in abstract work units.
 ///
 /// These are *work* proxies, not wall times: they depend only on the
@@ -113,27 +115,24 @@ impl ResourceEstimate {
     /// external serializer in this workspace — see `vendor/README.md`).
     #[must_use]
     pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"logical_qubits\":{},\"live_tiles\":{},",
-                "\"physical_qubits\":{},\"cycles\":{},",
-                "\"space_time_volume\":{},\"channel_cells\":{},",
-                "\"channel_mean_utilization_ppm\":{},",
-                "\"channel_peak_utilization_ppm\":{},",
-                "\"stage_cost\":{{\"profile\":{},\"map\":{},\"schedule\":{}}}}}"
-            ),
-            self.logical_qubits,
-            self.live_tiles,
-            self.physical_qubits,
-            self.cycles,
-            self.space_time_volume,
-            self.channel_cells,
-            self.channel_mean_utilization_ppm,
-            self.channel_peak_utilization_ppm,
-            self.stage_cost.profile,
-            self.stage_cost.map,
-            self.stage_cost.schedule,
-        )
+        let cost = &self.stage_cost;
+        object()
+            .field("logical_qubits", self.logical_qubits)
+            .field("live_tiles", self.live_tiles)
+            .field("physical_qubits", self.physical_qubits)
+            .field("cycles", self.cycles)
+            .field("space_time_volume", self.space_time_volume)
+            .field("channel_cells", self.channel_cells)
+            .field("channel_mean_utilization_ppm", self.channel_mean_utilization_ppm)
+            .field("channel_peak_utilization_ppm", self.channel_peak_utilization_ppm)
+            .field(
+                "stage_cost",
+                object()
+                    .field("profile", cost.profile)
+                    .field("map", cost.map)
+                    .field("schedule", cost.schedule),
+            )
+            .to_string()
     }
 }
 

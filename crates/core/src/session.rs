@@ -55,7 +55,7 @@ pub use ecmas_route::RouterStats;
 
 use crate::compiler::Ecmas;
 use crate::cut::{initialize_cuts, CutType};
-use crate::diag::{diagnostics_to_json, Diagnostic};
+use crate::diag::{diagnostics_to_json, object, Diagnostic};
 use crate::encoded::EncodedCircuit;
 use crate::engine::{schedule_limited, ScheduleConfig};
 use crate::error::CompileError;
@@ -182,7 +182,9 @@ impl CacheSource {
 pub struct CacheInfo {
     /// How this particular result was obtained.
     pub source: CacheSource,
-    /// Full-result cache hits so far (including coalesced waits).
+    /// Full-result cache hits so far. A request that waited on an
+    /// identical in-flight compile counts in
+    /// [`coalesced_waits`](Self::coalesced_waits) instead.
     pub hits: u64,
     /// Full-result cache misses so far.
     pub misses: u64,
@@ -258,60 +260,57 @@ impl CompileReport {
     /// serializer in this workspace — see `vendor/README.md`).
     #[must_use]
     pub fn to_json(&self) -> String {
-        let ms = |d: Duration| d.as_secs_f64() * 1e3;
-        format!(
-            concat!(
-                "{{\"algorithm\":\"{}\",\"cycles\":{},\"events\":{},",
-                "\"cut_modifications\":{},\"gpm\":{},\"capacity\":{},",
-                "\"placement_restarts\":{},\"bandwidth_adjust\":\"{}\",",
-                "\"timings_ms\":{{\"profile\":{:.3},\"map\":{:.3},",
-                "\"schedule\":{:.3},\"total\":{:.3}}},",
-                "\"router\":{{\"paths_found\":{},\"conflicts\":{},",
-                "\"cells_expanded\":{},\"pruned_expansions\":{},",
-                "\"path_cells\":{},\"peak_cycle_path_cells\":{},",
-                "\"failed_searches\":{},",
-                "\"cache_hits\":{},\"recolor_cells\":{}}},",
-                "\"cache\":{{\"source\":\"{}\",\"hits\":{},\"misses\":{},",
-                "\"stage_hits\":{},\"evictions\":{},\"resident_bytes\":{},",
-                "\"coalesced_waits\":{}}},",
-                "\"resources\":{},\"diagnostics\":{},",
-                "\"attempts\":{},\"last_fault\":{}}}"
-            ),
-            self.algorithm.label(),
-            self.cycles,
-            self.events,
-            self.cut_modifications,
-            self.gpm,
-            self.capacity,
-            self.placement_restarts,
-            self.bandwidth_adjust.label(),
-            ms(self.timings.profile),
-            ms(self.timings.map),
-            ms(self.timings.schedule),
-            ms(self.timings.total()),
-            self.router.paths_found,
-            self.router.conflicts,
-            self.router.cells_expanded,
-            self.router.pruned_expansions,
-            self.router.path_cells,
-            self.router.peak_cycle_path_cells,
-            self.router.failed_searches,
-            self.router.cache_hits,
-            self.router.recolor_cells,
-            self.cache.source.label(),
-            self.cache.hits,
-            self.cache.misses,
-            self.cache.stage_hits,
-            self.cache.evictions,
-            self.cache.resident_bytes,
-            self.cache.coalesced_waits,
-            self.resources.to_json(),
-            diagnostics_to_json(&self.diagnostics),
-            self.attempts,
-            self.last_fault
-                .as_deref()
-                .map_or_else(|| "null".to_string(), |f| format!("\"{}\"", crate::diag::escape(f)),),
-        )
+        let ms = |d: Duration| format!("{:.3}", d.as_secs_f64() * 1e3);
+        let (t, r, c) = (&self.timings, &self.router, &self.cache);
+        let json = object()
+            .str("algorithm", self.algorithm.label())
+            .field("cycles", self.cycles)
+            .field("events", self.events)
+            .field("cut_modifications", self.cut_modifications)
+            .field("gpm", self.gpm)
+            .field("capacity", self.capacity)
+            .field("placement_restarts", self.placement_restarts)
+            .str("bandwidth_adjust", self.bandwidth_adjust.label())
+            .field(
+                "timings_ms",
+                object()
+                    .field("profile", ms(t.profile))
+                    .field("map", ms(t.map))
+                    .field("schedule", ms(t.schedule))
+                    .field("total", ms(t.total())),
+            )
+            .field(
+                "router",
+                object()
+                    .field("paths_found", r.paths_found)
+                    .field("conflicts", r.conflicts)
+                    .field("cells_expanded", r.cells_expanded)
+                    .field("pruned_expansions", r.pruned_expansions)
+                    .field("path_cells", r.path_cells)
+                    .field("peak_cycle_path_cells", r.peak_cycle_path_cells)
+                    .field("failed_searches", r.failed_searches)
+                    .field("cache_hits", r.cache_hits)
+                    .field("recolor_cells", r.recolor_cells),
+            )
+            .field(
+                "cache",
+                object()
+                    .str("source", c.source.label())
+                    .field("hits", c.hits)
+                    .field("misses", c.misses)
+                    .field("stage_hits", c.stage_hits)
+                    .field("evictions", c.evictions)
+                    .field("resident_bytes", c.resident_bytes)
+                    .field("coalesced_waits", c.coalesced_waits),
+            )
+            .field("resources", self.resources.to_json())
+            .field("diagnostics", diagnostics_to_json(&self.diagnostics))
+            .field("attempts", self.attempts);
+        match &self.last_fault {
+            Some(fault) => json.str("last_fault", fault),
+            None => json.field("last_fault", "null"),
+        }
+        .to_string()
     }
 }
 
@@ -883,7 +882,17 @@ impl Scheduled {
     }
 }
 
+/// The widest register the compiler accepts. Placement refinement keeps
+/// an `n²` `i64` weight table and the limited scheduler an `n²` `u32`
+/// table, 192 MiB together at this width; both grow with the square, so
+/// a 200 000-qubit program would ask for 480 GB and abort on the failed
+/// allocation. Every width compiled today is at most 200 qubits.
+pub const MAX_COMPILE_QUBITS: usize = 4096;
+
 fn check_fit(qubits: usize, chip: &Chip) -> Result<(), CompileError> {
+    if qubits > MAX_COMPILE_QUBITS {
+        return Err(CompileError::TooWide { qubits, max: MAX_COMPILE_QUBITS });
+    }
     // Capacity is the *live* tile count: defective slots hold no qubit.
     if qubits > chip.live_tiles() {
         return Err(CompileError::TooManyQubits { qubits, slots: chip.live_tiles() });

@@ -90,31 +90,6 @@ pub fn render_timeline(enc: &EncodedCircuit, max_cycles: u64) -> String {
     out
 }
 
-/// One-line-per-event schedule summary, sorted by start cycle.
-#[must_use]
-pub fn event_summary(enc: &EncodedCircuit) -> String {
-    let mut events: Vec<_> = enc.events().iter().collect();
-    events.sort_by_key(|e| (e.start, e.gate));
-    let mut out = String::new();
-    for e in events {
-        let desc = match &e.kind {
-            EventKind::Braid { path } => format!("braid len={}", path.len()),
-            EventKind::DirectSameCut { path } => format!("direct-same-cut len={}", path.len()),
-            EventKind::LatticeCnot { path } => format!("lattice-cnot len={}", path.len()),
-            EventKind::CutModification { qubit } => format!("cut-modify q{qubit}"),
-        };
-        match e.gate {
-            Some(g) => {
-                let _ = writeln!(out, "[{:>4}..{:<4}] g{:<4} {desc}", e.start, e.end(), g);
-            }
-            None => {
-                let _ = writeln!(out, "[{:>4}..{:<4}]       {desc}", e.start, e.end());
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,14 +132,6 @@ mod tests {
         assert!(t.contains("-- cycle 0 --"));
         assert!(!t.contains("-- cycle 1 --"));
         assert!(t.contains("more cycles"));
-    }
-
-    #[test]
-    fn event_summary_lists_all_events() {
-        let (_, enc) = compiled();
-        let s = event_summary(&enc);
-        assert_eq!(s.lines().count(), enc.events().len());
-        assert!(s.contains("lattice-cnot"));
     }
 
     #[test]

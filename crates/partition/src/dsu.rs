@@ -63,11 +63,6 @@ impl ParityDsu {
         self.find(x).0
     }
 
-    /// `true` if `a` and `b` are in the same set.
-    pub fn same_set(&mut self, a: usize, b: usize) -> bool {
-        self.find(a).0 == self.find(b).0
-    }
-
     /// Relative parity of `a` and `b` if they are connected: `Some(0)` when
     /// they are forced to the same side, `Some(1)` when forced to opposite
     /// sides, `None` when not yet related.
@@ -174,7 +169,6 @@ mod tests {
         let mut dsu = ParityDsu::new(4);
         dsu.union_different(0, 1);
         assert_eq!(dsu.parity_between(0, 3), None);
-        assert!(!dsu.same_set(0, 3));
     }
 
     /// Brute-force bipartiteness via BFS 2-coloring.

@@ -35,13 +35,14 @@
 //! `"diagnostics"` array with the `E010` finding and its line/column
 //! span.
 
+use std::fmt::Write as _;
 use std::time::Duration;
 
 use ecmas_analyze::lint_qasm;
 use ecmas_chip::{Chip, ChipError, CodeModel};
 use ecmas_circuit::random::{layered, StressSpec, StressWorkload};
 use ecmas_circuit::Circuit;
-use ecmas_core::diag::escape;
+use ecmas_core::diag::{object, JsonObject};
 use ecmas_core::session::CompileOutcome;
 use ecmas_core::{diagnostics_to_json, para_finding, Diagnostic, Severity};
 
@@ -153,6 +154,23 @@ struct Entry {
     state: EntryState,
 }
 
+impl Entry {
+    /// The fields every line about job number `job` starts with.
+    fn line(&self, op: &str, job: usize) -> JsonObject {
+        object().str("op", op).field("job", job).opt_str("tag", self.tag.as_deref())
+    }
+}
+
+/// Job counts by state: in flight, then by final protocol status.
+#[derive(Default)]
+struct Tally {
+    pending: usize,
+    done: usize,
+    cancelled: usize,
+    deadline: usize,
+    failed: usize,
+}
+
 /// Running totals over the [`ResourceEstimate`]s of completed jobs,
 /// reported in the `stats` line's `"resources"` object.
 ///
@@ -252,13 +270,7 @@ impl Daemon {
             };
             self.entries[index].state = match handle.try_wait() {
                 Ok(result) => {
-                    if let Ok(outcome) = &result {
-                        self.totals.absorb(&outcome.report.resources);
-                        self.diag_totals.absorb(&outcome.report.diagnostics);
-                    }
-                    let entry = &self.entries[index];
-                    let (label, line) =
-                        result_line(index, entry.tag.as_deref(), &entry.name, entry.qubits, result);
+                    let (label, line) = self.settle(index, result);
                     EntryState::Ready { label, line }
                 }
                 Err(handle) => EntryState::Pending(handle),
@@ -318,24 +330,15 @@ impl Daemon {
                 lines.push(self.take_result(index));
             }
         }
-        let mut done = 0usize;
-        let mut cancelled = 0usize;
-        let mut deadline = 0usize;
-        let mut failed = 0usize;
-        for entry in &self.entries {
-            match entry.state {
-                EntryState::Reported("done") => done += 1,
-                EntryState::Reported("cancelled") => cancelled += 1,
-                EntryState::Reported("deadline") => deadline += 1,
-                EntryState::Reported(_) => failed += 1,
-                EntryState::Pending(_) | EntryState::Ready { .. } => unreachable!("drained above"),
-            }
-        }
-        lines.push(format!(
-            "{{\"op\":\"drained\",\"jobs\":{},\"done\":{done},\"cancelled\":{cancelled},\
-             \"deadline\":{deadline},\"failed\":{failed}}}",
-            self.entries.len()
-        ));
+        let tally = self.tally();
+        let drained = object()
+            .str("op", "drained")
+            .field("jobs", self.entries.len())
+            .field("done", tally.done)
+            .field("cancelled", tally.cancelled)
+            .field("deadline", tally.deadline)
+            .field("failed", tally.failed);
+        lines.push(drained.to_string());
         lines
     }
 
@@ -346,25 +349,20 @@ impl Daemon {
         };
         match self.service.submit(compile_request) {
             Ok(handle) => {
-                self.entries.push(Entry {
-                    tag: tag.clone(),
-                    name: name.clone(),
-                    qubits,
-                    state: EntryState::Pending(handle),
-                });
+                self.entries.push(Entry { tag, name, qubits, state: EntryState::Pending(handle) });
                 let job = self.entries.len();
-                vec![format!(
-                    "{{\"op\":\"submitted\",\"job\":{job}{},\"circuit\":\"{}\",\
-                     \"qubits\":{qubits},\"queued\":{}}}",
-                    tag_field(tag.as_deref()),
-                    escape(&name),
-                    self.service.queued()
-                )]
+                let entry = &self.entries[job - 1];
+                let submitted = entry
+                    .line("submitted", job)
+                    .str("circuit", &entry.name)
+                    .field("qubits", entry.qubits)
+                    .field("queued", self.service.queued());
+                vec![submitted.to_string()]
             }
             Err(SubmitError::Saturated(_)) => vec![error_line("queue saturated")],
-            Err(SubmitError::Overloaded { retry_after_ms, .. }) => vec![format!(
-                "{{\"op\":\"error\",\"error\":\"overloaded\",\"retry_after_ms\":{retry_after_ms}}}"
-            )],
+            Err(SubmitError::Overloaded { retry_after_ms, .. }) => {
+                vec![error_object("overloaded").field("retry_after_ms", retry_after_ms).to_string()]
+            }
             Err(SubmitError::Draining(_)) => vec![error_line("service draining")],
         }
     }
@@ -430,11 +428,7 @@ impl Daemon {
             EntryState::Ready { .. } => "finished",
             EntryState::Reported(label) => label,
         };
-        vec![format!(
-            "{{\"op\":\"status\",\"job\":{}{},\"status\":\"{status}\"}}",
-            index + 1,
-            tag_field(entry.tag.as_deref())
-        )]
+        vec![entry.line("status", index + 1).str("status", status).to_string()]
     }
 
     fn cancel(&mut self, request: &Value) -> Vec<String> {
@@ -447,11 +441,7 @@ impl Daemon {
             EntryState::Pending(handle) => handle.cancel(),
             EntryState::Ready { .. } | EntryState::Reported(_) => false,
         };
-        vec![format!(
-            "{{\"op\":\"cancel\",\"job\":{}{},\"accepted\":{accepted}}}",
-            index + 1,
-            tag_field(entry.tag.as_deref())
-        )]
+        vec![entry.line("cancel", index + 1).field("accepted", accepted).to_string()]
     }
 
     fn result(&mut self, request: &Value) -> Vec<String> {
@@ -474,79 +464,96 @@ impl Daemon {
     /// the `"cache"` object is present with `"enabled":false` and zeroed
     /// counters, so consumers can parse one shape unconditionally.
     fn stats_line(&self) -> String {
-        let mut pending = 0usize;
-        let mut done = 0usize;
-        let mut cancelled = 0usize;
-        let mut deadline = 0usize;
-        let mut failed = 0usize;
-        for entry in &self.entries {
-            match entry.state {
-                EntryState::Pending(_) => pending += 1,
-                EntryState::Ready { label, .. } | EntryState::Reported(label) => match label {
-                    "done" => done += 1,
-                    "cancelled" => cancelled += 1,
-                    "deadline" => deadline += 1,
-                    _ => failed += 1,
-                },
-            }
-        }
+        let tally = self.tally();
         let cache = self.service.cache_stats();
-        let enabled = cache.is_some();
         let c = cache.unwrap_or_default();
         let sup = self.service.supervisor_stats();
         let faults = self.service.fault_stats();
         let f = faults.unwrap_or_default();
         let retries = self.service.retry_stats();
-        format!(
-            "{{\"op\":\"stats\",\"jobs\":{},\"pending\":{pending},\"done\":{done},\
-             \"cancelled\":{cancelled},\"deadline\":{deadline},\"failed\":{failed},\
-             \"queued\":{},\"workers\":{},\"cache\":{{\"enabled\":{enabled},\
-             \"hits\":{},\"misses\":{},\"stage_hits\":{},\"evictions\":{},\
-             \"resident_bytes\":{},\"coalesced_waits\":{},\"entries\":{}}},\
-             \"supervisor\":{{\"workers\":{},\"spawned\":{},\"panics\":{},\
-             \"respawns\":{},\"requeued\":{}}},\
-             \"faults\":{{\"enabled\":{},\"spurious_errors\":{},\"panics\":{},\
-             \"latencies\":{},\"poisoned\":{}}},\
-             \"retries\":{{\"spent\":{},\"budget\":{}}},\
-             \"shed\":{},\"draining\":{},\
-             \"resources\":{{\"jobs\":{},\"logical_qubits\":{},\"cycles\":{},\
-             \"space_time_volume\":{},\"stage_cost\":{},\
-             \"peak_channel_utilization_ppm\":{}}},\
-             \"diagnostics\":{{\"errors\":{},\"warnings\":{},\"hints\":{}}}}}",
-            self.entries.len(),
-            self.service.queued(),
-            self.service.workers(),
-            c.hits,
-            c.misses,
-            c.stage_hits,
-            c.evictions,
-            c.resident_bytes,
-            c.coalesced_waits,
-            c.entries,
-            sup.workers,
-            sup.spawned,
-            sup.panics,
-            sup.respawns,
-            sup.requeued,
-            faults.is_some(),
-            f.spurious_errors,
-            f.panics,
-            f.latencies,
-            f.poisoned,
-            retries.spent,
-            retries.budget,
-            self.service.shed_count(),
-            self.service.is_draining(),
-            self.totals.jobs,
-            self.totals.logical_qubits,
-            self.totals.cycles,
-            self.totals.space_time_volume,
-            self.totals.stage_cost,
-            self.totals.peak_channel_utilization_ppm,
-            self.diag_totals.errors,
-            self.diag_totals.warnings,
-            self.diag_totals.hints,
-        )
+        let (r, d) = (&self.totals, &self.diag_totals);
+        object()
+            .str("op", "stats")
+            .field("jobs", self.entries.len())
+            .field("pending", tally.pending)
+            .field("done", tally.done)
+            .field("cancelled", tally.cancelled)
+            .field("deadline", tally.deadline)
+            .field("failed", tally.failed)
+            .field("queued", self.service.queued())
+            .field("workers", self.service.workers())
+            .field(
+                "cache",
+                object()
+                    .field("enabled", cache.is_some())
+                    .field("hits", c.hits)
+                    .field("misses", c.misses)
+                    .field("stage_hits", c.stage_hits)
+                    .field("evictions", c.evictions)
+                    .field("resident_bytes", c.resident_bytes)
+                    .field("coalesced_waits", c.coalesced_waits)
+                    .field("entries", c.entries),
+            )
+            .field(
+                "supervisor",
+                object()
+                    .field("workers", sup.workers)
+                    .field("spawned", sup.spawned)
+                    .field("panics", sup.panics)
+                    .field("respawns", sup.respawns)
+                    .field("requeued", sup.requeued),
+            )
+            .field(
+                "faults",
+                object()
+                    .field("enabled", faults.is_some())
+                    .field("spurious_errors", f.spurious_errors)
+                    .field("panics", f.panics)
+                    .field("latencies", f.latencies)
+                    .field("poisoned", f.poisoned),
+            )
+            .field(
+                "retries",
+                object().field("spent", retries.spent).field("budget", retries.budget),
+            )
+            .field("shed", self.service.shed_count())
+            .field("draining", self.service.is_draining())
+            .field(
+                "resources",
+                object()
+                    .field("jobs", r.jobs)
+                    .field("logical_qubits", r.logical_qubits)
+                    .field("cycles", r.cycles)
+                    .field("space_time_volume", r.space_time_volume)
+                    .field("stage_cost", r.stage_cost)
+                    .field("peak_channel_utilization_ppm", r.peak_channel_utilization_ppm),
+            )
+            .field(
+                "diagnostics",
+                object()
+                    .field("errors", d.errors)
+                    .field("warnings", d.warnings)
+                    .field("hints", d.hints),
+            )
+            .to_string()
+    }
+
+    /// Counts the jobs by state; a reaped job counts under its final
+    /// status before its line is emitted.
+    fn tally(&self) -> Tally {
+        let mut tally = Tally::default();
+        for entry in &self.entries {
+            match entry.state {
+                EntryState::Pending(_) => tally.pending += 1,
+                EntryState::Ready { label, .. } | EntryState::Reported(label) => match label {
+                    "done" => tally.done += 1,
+                    "cancelled" => tally.cancelled += 1,
+                    "deadline" => tally.deadline += 1,
+                    _ => tally.failed += 1,
+                },
+            }
+        }
+        tally
     }
 
     /// Reports job `index` (it must not be reported yet): waits if the
@@ -555,55 +562,44 @@ impl Daemon {
     fn take_result(&mut self, index: usize) -> String {
         let state = std::mem::replace(&mut self.entries[index].state, EntryState::Reported("done"));
         let (label, line) = match state {
-            EntryState::Pending(handle) => {
-                let result = handle.wait();
-                if let Ok(outcome) = &result {
-                    self.totals.absorb(&outcome.report.resources);
-                    self.diag_totals.absorb(&outcome.report.diagnostics);
-                }
-                let entry = &self.entries[index];
-                result_line(index, entry.tag.as_deref(), &entry.name, entry.qubits, result)
-            }
+            EntryState::Pending(handle) => self.settle(index, handle.wait()),
             EntryState::Ready { label, line } => (label, line),
             EntryState::Reported(_) => unreachable!("caller checked the entry is unreported"),
         };
         self.entries[index].state = EntryState::Reported(label);
         line
     }
-}
 
-/// Renders one job's result line and its final protocol status label.
-fn result_line(
-    index: usize,
-    tag: Option<&str>,
-    name: &str,
-    qubits: usize,
-    result: Result<CompileOutcome, JobError>,
-) -> (&'static str, String) {
-    let head = format!(
-        "{{\"op\":\"result\",\"job\":{}{},\"circuit\":\"{}\",\"qubits\":{qubits}",
-        index + 1,
-        tag_field(tag),
-        escape(name),
-    );
-    let (label, body) = match result {
-        Ok(CompileOutcome { report, .. }) => {
-            ("done", format!(",\"status\":\"done\",\"report\":{}}}", report.to_json()))
-        }
-        Err(JobError::Cancelled) => ("cancelled", ",\"status\":\"cancelled\"}".to_string()),
-        Err(e @ JobError::DeadlineExceeded { .. }) => (
-            "deadline",
-            format!(",\"status\":\"deadline\",\"error\":\"{}\"}}", escape(&e.to_string())),
-        ),
-        Err(e) => {
-            ("error", format!(",\"status\":\"error\",\"error\":\"{}\"}}", escape(&e.to_string())))
-        }
-    };
-    (label, format!("{head}{body}"))
-}
-
-fn tag_field(tag: Option<&str>) -> String {
-    tag.map_or_else(String::new, |t| format!(",\"tag\":\"{}\"", escape(t)))
+    /// Absorbs finished job `index`'s totals and renders its result line,
+    /// returned with its final protocol status label.
+    fn settle(
+        &mut self,
+        index: usize,
+        result: Result<CompileOutcome, JobError>,
+    ) -> (&'static str, String) {
+        let label = match &result {
+            Ok(outcome) => {
+                self.totals.absorb(&outcome.report.resources);
+                self.diag_totals.absorb(&outcome.report.diagnostics);
+                "done"
+            }
+            Err(JobError::Cancelled) => "cancelled",
+            Err(JobError::DeadlineExceeded { .. }) => "deadline",
+            Err(_) => "error",
+        };
+        let entry = &self.entries[index];
+        let line = entry
+            .line("result", index + 1)
+            .str("circuit", &entry.name)
+            .field("qubits", entry.qubits)
+            .str("status", label);
+        let line = match result {
+            Ok(CompileOutcome { report, .. }) => line.field("report", report.to_json()),
+            Err(JobError::Cancelled) => line,
+            Err(e) => line.str("error", &e.to_string()),
+        };
+        (label, line.to_string())
+    }
 }
 
 /// What an integer field must be: the integers an f64 wire number
@@ -622,8 +618,13 @@ fn opt_field<'a, T>(
     request.get(key).map(|v| read(v).ok_or_else(|| format!("\"{key}\" must be {want}"))).transpose()
 }
 
+/// An `error` response with its message; callers may add fields.
+fn error_object(message: &str) -> JsonObject {
+    object().str("op", "error").str("error", message)
+}
+
 fn error_line(message: &str) -> String {
-    format!("{{\"op\":\"error\",\"error\":\"{}\"}}", escape(message))
+    error_object(message).to_string()
 }
 
 /// The error response the `ecmasd` binary emits for a stdin line it
@@ -704,15 +705,9 @@ impl BuildError {
     /// Renders the protocol `error` line, appending a `"diagnostics"`
     /// array when structured findings exist.
     fn into_line(self) -> String {
-        if self.diagnostics.is_empty() {
-            error_line(&self.message)
-        } else {
-            format!(
-                "{{\"op\":\"error\",\"error\":\"{}\",\"diagnostics\":{}}}",
-                escape(&self.message),
-                diagnostics_to_json(&self.diagnostics),
-            )
-        }
+        let diagnostics =
+            (!self.diagnostics.is_empty()).then(|| diagnostics_to_json(&self.diagnostics));
+        error_object(&self.message).opt("diagnostics", diagnostics).to_string()
     }
 }
 
@@ -791,34 +786,30 @@ pub fn stress_stream(
     deadline_ms: Option<u64>,
 ) -> String {
     let workload = StressWorkload::new(spec);
+    let percent = workload.defect_percent();
     let mut out = String::new();
-    let deadline = deadline_ms.map_or_else(String::new, |ms| format!(",\"deadline_ms\":{ms}"));
     for (i, job) in workload.jobs().iter().enumerate() {
         let number = i + 1;
-        let defects = if workload.defect_percent() > 0 {
-            format!(
-                ",\"defect_percent\":{},\"defect_seed\":{}",
-                workload.defect_percent(),
-                workload.defect_seed(i)
-            )
-        } else {
-            String::new()
-        };
-        out.push_str(&format!(
-            "{{\"op\":\"submit\",\"tag\":\"stress{i}\",\"random\":{{\"qubits\":{},\
-             \"depth\":{},\"parallelism\":{},\"seed\":{}}}{defects}{deadline}}}\n",
-            job.qubits,
-            job.depth,
-            job.parallelism,
-            job.seed & WIRE_SEED_MASK
-        ));
+        let random = object()
+            .field("qubits", job.qubits)
+            .field("depth", job.depth)
+            .field("parallelism", job.parallelism)
+            .field("seed", job.seed & WIRE_SEED_MASK);
+        let submit = object()
+            .str("op", "submit")
+            .str("tag", &format!("stress{i}"))
+            .field("random", random)
+            .opt("defect_percent", (percent > 0).then_some(percent))
+            .opt("defect_seed", (percent > 0).then(|| workload.defect_seed(i)))
+            .opt("deadline_ms", deadline_ms);
+        let _ = writeln!(out, "{submit}");
         if let Some(every) = cancel_every {
             if every > 0 && number % every == 0 {
-                out.push_str(&format!("{{\"op\":\"cancel\",\"job\":{number}}}\n"));
+                let _ = writeln!(out, "{}", object().str("op", "cancel").field("job", number));
             }
         }
     }
-    out.push_str("{\"op\":\"drain\"}\n");
+    let _ = writeln!(out, "{}", object().str("op", "drain"));
     out
 }
 

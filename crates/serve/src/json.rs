@@ -1,11 +1,10 @@
-//! A minimal JSON reader/writer for the `ecmasd` line protocol.
+//! A minimal JSON reader for the `ecmasd` line protocol.
 //!
 //! The workspace is offline (see `vendor/README.md`), so there is no
 //! serde; the daemon's requests are small flat objects, and this module
-//! parses exactly standard JSON into a tiny [`Value`] tree. Emission
-//! stays `format!`-based throughout the workspace — reports already know
-//! how to print themselves — with one string escape shared for output,
-//! [`ecmas_core::diag::escape`].
+//! parses exactly standard JSON into a tiny [`Value`] tree. Every JSON
+//! object the workspace emits — reports and every `ecmasd` line — is
+//! built by the one writer, [`ecmas_core::diag::object`].
 
 use std::error::Error;
 use std::fmt;

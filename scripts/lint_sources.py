@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Source lint gate for hazards the Rust toolchain cannot express.
 
-Two bans, each guarding an invariant that broke (or nearly broke) once:
+Three bans, each guarding an invariant that broke (or nearly broke) once:
 
 1. Nondeterministic inputs in cache-key paths. The compile cache is
    content-addressed: keys must be identical across platforms, runs, and
@@ -15,6 +15,14 @@ Two bans, each guarding an invariant that broke (or nearly broke) once:
    input must get an `{"op":"error",...}` line; a panic kills every
    queued job. Unwraps inside a file's `mod tests` block are fine (tests
    should panic).
+
+3. Hand-built JSON object templates (`{{\"` in a format string, or a
+   `"{\"` literal) in production Rust under `crates/*/src` and `src/`.
+   Reports and `ecmasd` lines once assembled their JSON by hand in five
+   files, each with its own braces, commas and escapes; every object is
+   now built through the one writer, `ecmas_core::diag::object`, whose
+   file is the only exemption. Templates inside a file's `mod tests`
+   block are fine (tests write request lines by hand).
 
 Vetted exceptions go in ALLOWLIST as (path-suffix, line-substring)
 pairs; a line matching an entry is skipped. Keep each entry justified
@@ -42,6 +50,12 @@ UNTRUSTED_INPUT_PATHS = [
     "crates/circuit/src/qasm",
 ]
 
+# Production Rust that must build JSON objects through the writer, and
+# the writer's own file.
+JSON_PATHS = ["crates/*/src", "src"]
+JSON_WRITER = "crates/core/src/diag.rs"
+JSON_TEMPLATES = ['{{\\"', '"{\\"']
+
 # (path-suffix, line-substring): lines matching both are exempt.
 ALLOWLIST: list[tuple[str, str]] = []
 
@@ -57,10 +71,18 @@ def is_comment(line: str) -> bool:
 
 
 def rust_files(spec: str) -> list[Path]:
-    root = REPO / spec
-    if root.is_file():
-        return [root]
-    return sorted(root.rglob("*.rs"))
+    files = []
+    for root in sorted(REPO.glob(spec)):
+        files += [root] if root.is_file() else sorted(root.rglob("*.rs"))
+    return files
+
+
+def production_lines(path: Path):
+    """(lineno, line) for every line before the file's `mod tests` block."""
+    for lineno, line in enumerate(path.read_text().splitlines(), 1):
+        if line.startswith("mod tests"):
+            return  # module blocks start at column 0; tests run to EOF
+        yield lineno, line
 
 
 def check_cache_key_paths() -> list[str]:
@@ -85,11 +107,8 @@ def check_untrusted_input_unwraps() -> list[str]:
     for spec in UNTRUSTED_INPUT_PATHS:
         for path in rust_files(spec):
             rel = path.relative_to(REPO).as_posix()
-            in_tests = False
-            for lineno, line in enumerate(path.read_text().splitlines(), 1):
-                if line.startswith("mod tests"):
-                    in_tests = True  # module blocks start at column 0; tests run to EOF
-                if in_tests or is_comment(line) or allowed(path, line):
+            for lineno, line in production_lines(path):
+                if is_comment(line) or allowed(path, line):
                     continue
                 if ".unwrap()" in line:
                     problems.append(
@@ -99,8 +118,28 @@ def check_untrusted_input_unwraps() -> list[str]:
     return problems
 
 
+def check_json_templates() -> list[str]:
+    problems = []
+    for spec in JSON_PATHS:
+        for path in rust_files(spec):
+            rel = path.relative_to(REPO).as_posix()
+            if rel == JSON_WRITER:
+                continue
+            for lineno, line in production_lines(path):
+                if is_comment(line) or allowed(path, line):
+                    continue
+                if any(template in line for template in JSON_TEMPLATES):
+                    problems.append(
+                        f"{rel}:{lineno}: hand-built JSON object template "
+                        f"(build it with `ecmas_core::diag::object`): {line.strip()}"
+                    )
+    return problems
+
+
 def main() -> int:
-    problems = check_cache_key_paths() + check_untrusted_input_unwraps()
+    problems = (
+        check_cache_key_paths() + check_untrusted_input_unwraps() + check_json_templates()
+    )
     for p in problems:
         print(p, file=sys.stderr)
     if problems:

@@ -55,7 +55,7 @@ use ecmas::{
 };
 use ecmas_chip::{Chip, CodeModel};
 use ecmas_circuit::Circuit;
-use ecmas_core::diag::escape;
+use ecmas_core::diag::object;
 
 struct Args {
     path: String,
@@ -225,22 +225,22 @@ fn json_line(
     chip: &Chip,
     report: &str,
 ) -> String {
-    format!(
-        "{{\"file\":\"{}\",\"qubits\":{},\"cnots\":{},\"depth\":{},\
-         \"model\":\"{}\",\"chip\":{{\"kind\":\"{}\",\"tile_rows\":{},\"tile_cols\":{},\
-         \"bandwidth\":{},\"defects\":{},\"live_tiles\":{}}},\"report\":{report}}}",
-        escape(path),
-        circuit.qubits(),
-        circuit.cnot_count(),
-        circuit.depth(),
-        chip.model().label(),
-        chip_kind.label(),
-        chip.tile_rows(),
-        chip.tile_cols(),
-        chip.bandwidth(),
-        chip.defect_count(),
-        chip.live_tiles(),
-    )
+    let chip_json = object()
+        .str("kind", chip_kind.label())
+        .field("tile_rows", chip.tile_rows())
+        .field("tile_cols", chip.tile_cols())
+        .field("bandwidth", chip.bandwidth())
+        .field("defects", chip.defect_count())
+        .field("live_tiles", chip.live_tiles());
+    object()
+        .str("file", path)
+        .field("qubits", circuit.qubits())
+        .field("cnots", circuit.cnot_count())
+        .field("depth", circuit.depth())
+        .str("model", chip.model().label())
+        .field("chip", chip_json)
+        .field("report", report)
+        .to_string()
 }
 
 /// Build the `--chip` target for a circuit and apply any `--defects`
@@ -274,11 +274,10 @@ fn run_lint(args: &Args) -> Result<(), String> {
         }
     }
     if args.json {
-        println!(
-            "{{\"file\":\"{}\",\"diagnostics\":{}}}",
-            escape(&args.path),
-            diagnostics_to_json(&diagnostics)
-        );
+        let json = object()
+            .str("file", &args.path)
+            .field("diagnostics", diagnostics_to_json(&diagnostics));
+        println!("{json}");
     } else {
         for d in &diagnostics {
             println!("{}: {d}", args.path);

@@ -1,17 +1,30 @@
 //! The front end's memory, measured by a counting global allocator: the
 //! live heap peak of one `qasm::parse` call on the largest Table I text
 //! (`quantum_walk_n11`, ≈408 KB), where the token list and the circuit
-//! under construction dominate, and of the descendant counts on a wide,
-//! nearly idle register, which must not grow with the register squared.
+//! under construction dominate, of the descendant counts on a wide,
+//! nearly idle register, which must not grow with the register squared,
+//! and of a wide program refused by `ecmasd` and `ecmasc` before any
+//! `n²` table is built.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::process::Command;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
+use ecmas::serve::daemon::{Daemon, DaemonOptions};
+use ecmas::serve::json::{self, Value};
+use ecmas::session::MAX_COMPILE_QUBITS;
+use ecmas::ServiceConfig;
 use ecmas_circuit::{benchmarks, qasm};
+use ecmas_core::diag::object;
 
 /// Forwards to the system allocator, tracking live bytes and their peak.
+/// A request above [`CEILING`] is refused (the process aborts) instead
+/// of being passed on, so a regression that builds an `n²` table over a
+/// wide register fails here without asking the host for gigabytes.
 struct Counting;
+
+const CEILING: usize = 1 << 30;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
@@ -20,6 +33,9 @@ static PEAK: AtomicUsize = AtomicUsize::new(0);
 // the counters never influence the returned memory.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        if layout.size() > CEILING {
+            return std::ptr::null_mut();
+        }
         let ptr = System.alloc(layout);
         if !ptr.is_null() {
             let live = LIVE.fetch_add(layout.size(), Ordering::SeqCst) + layout.size();
@@ -34,6 +50,9 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        if new_size > CEILING {
+            return std::ptr::null_mut();
+        }
         let new = System.realloc(ptr, layout, new_size);
         if !new.is_null() {
             let live = LIVE.fetch_add(new_size, Ordering::SeqCst) + new_size;
@@ -78,4 +97,39 @@ fn descendant_counts_on_a_200k_qubit_register_stay_under_2_mb() {
     println!("descendant_counts live peak on 200 000 qubits: {:.2} MB", peak as f64 / 1e6);
     assert_eq!(counts, [1, 0]);
     assert!(peak < 2_000_000, "live peak {peak} bytes");
+}
+
+/// A 200 000-qubit program is past [`MAX_COMPILE_QUBITS`]: an `ecmasd`
+/// submit answers with an error result and `ecmasc` exits 1 with a
+/// message, where the compiler's `n²` tables would have asked for 480 GB.
+#[test]
+fn a_register_past_the_width_limit_gets_an_error_not_an_abort() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let source = "OPENQASM 2.0;\nqreg q[200000];\ncx q[0],q[1];\n";
+    let before = LIVE.load(Ordering::SeqCst);
+    PEAK.store(before, Ordering::SeqCst);
+    let mut daemon = Daemon::new(DaemonOptions {
+        service: ServiceConfig { workers: 1, ..ServiceConfig::default() },
+        ..DaemonOptions::default()
+    });
+    let submit = object().str("op", "submit").str("qasm", source).to_string();
+    let submitted = daemon.handle_line(&submit);
+    assert!(submitted[0].contains(r#""op":"submitted""#), "{submitted:?}");
+    let result = daemon.handle_line(r#"{"op":"result","job":1}"#);
+    drop(daemon);
+    let peak = PEAK.load(Ordering::SeqCst) - before;
+    println!("daemon live peak on a refused 200 000-qubit submit: {:.2} MB", peak as f64 / 1e6);
+    let result = json::parse(&result[0]).expect("result line is JSON");
+    assert_eq!(result.get("status").and_then(Value::as_str), Some("error"));
+    let error = result.get("error").and_then(Value::as_str).unwrap();
+    assert!(error.contains(&format!("limit of {MAX_COMPILE_QUBITS}")), "{error}");
+    assert!(peak < 32_000_000, "live peak {peak} bytes");
+
+    let path = std::env::temp_dir().join(format!("ecmas-wide-{}.qasm", std::process::id()));
+    std::fs::write(&path, source).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_ecmasc")).arg(&path).output().unwrap();
+    std::fs::remove_file(&path).unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains(&format!("limit of {MAX_COMPILE_QUBITS}")), "{stderr}");
 }

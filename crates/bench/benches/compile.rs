@@ -12,7 +12,7 @@ use ecmas_chip::{Chip, CodeModel};
 use ecmas_circuit::random::{StressSpec, StressWorkload};
 use ecmas_circuit::{benchmarks, qasm, random};
 use ecmas_partition::{place, WeightedGraph};
-use ecmas_route::{Disjointness, RouteRequest, Router};
+use ecmas_route::{Disjointness, Router};
 
 fn bench_para_finding(c: &mut Criterion) {
     let qft = benchmarks::qft_n50();
@@ -111,8 +111,8 @@ fn bench_router(c: &mut Criterion) {
             routed
         });
     });
-    // The same workload through the per-cycle batch API (8 requests per
-    // cycle, distance-ordered) — what the schedulers actually drive.
+    // The same workload through the distance-ordered batch API (8 pairs
+    // per cycle) — what ReSu drives for each layer.
     c.bench_function("router/64_pairs_batched_8x8_b2", |b| {
         b.iter(|| {
             let mut router = Router::new(chip.grid(), Disjointness::Node);
@@ -122,14 +122,14 @@ fn bench_router(c: &mut Criterion) {
             let mut routed = 0;
             let mut outcomes = Vec::new();
             for cycle in 0..8u64 {
-                let requests: Vec<RouteRequest> = (8 * cycle..8 * (cycle + 1))
+                let pairs: Vec<(usize, usize)> = (8 * cycle..8 * (cycle + 1))
                     .filter_map(|k| {
                         let from = (k * 17 % 64) as usize;
                         let to = (k * 29 % 64) as usize;
-                        (from != to).then(|| RouteRequest::route(from, to, 1))
+                        (from != to).then_some((from, to))
                     })
                     .collect();
-                router.route_ready_by_distance(&requests, cycle, &mut outcomes);
+                router.route_ready_by_distance(&pairs, cycle, &mut outcomes);
                 routed += outcomes.iter().flatten().count();
             }
             routed
@@ -140,7 +140,7 @@ fn bench_router(c: &mut Criterion) {
 /// The congested worst case the reachability cache targets: qft_n50's
 /// all-to-all pair traffic on `Chip::congested` (16×16 tiles, every
 /// channel at the bandwidth-1 floor), with the mapped tiles spread far
-/// apart. Every cycle submits a saturating 50-request batch; a handful
+/// apart. Every cycle submits a saturating 100-pair batch; a handful
 /// route, the channels jam, and the rest provably cannot — without the
 /// cache each of those failures floods the entire reachable region
 /// before returning `None`.
@@ -150,18 +150,15 @@ fn bench_congested_router(c: &mut Criterion) {
     let stride = chip.tile_slots() / qubits; // spread the mapping out
     let slot = |q: usize| q * stride;
     // qft-style traffic: each cycle pairs every qubit i with qubits i+k
-    // and i+k+11 — a 100-request saturating batch per cycle (roughly 40
+    // and i+k+11 — a 100-pair saturating batch per cycle (roughly 40
     // route, the rest fail; the cache answers >90% of the failures).
     let cycles = 8u64;
-    let batches: Vec<Vec<RouteRequest>> = (0..cycles)
+    let batches: Vec<Vec<(usize, usize)>> = (0..cycles)
         .map(|cycle| {
             let k = cycle as usize + 1;
             (0..qubits)
                 .flat_map(|i| {
-                    [
-                        RouteRequest::route(slot(i), slot((i + k) % qubits), 1),
-                        RouteRequest::route(slot(i), slot((i + k + 11) % qubits), 1),
-                    ]
+                    [(slot(i), slot((i + k) % qubits)), (slot(i), slot((i + k + 11) % qubits))]
                 })
                 .collect()
         })

@@ -7,14 +7,6 @@
 //! chooses between direct 3-cycle execution and a 3-cycle cut-type
 //! modification, steered by the M-value `Mt + θ·Ms` (§IV-C2) or by the
 //! Table V baseline policies.
-//!
-//! Routing goes through the router's batched per-cycle API: each cycle's
-//! unconditional gates (lattice CNOTs, different-cut braids) accumulate
-//! into one [`Router::route_ready`] call, flushed whenever a same-cut
-//! gate needs its direct-vs-modify decision (whose M-values read state
-//! the batch updates). Because ready gates are pairwise qubit-disjoint
-//! and the flush preserves priority order, the batched schedule is
-//! bit-identical to the historical per-gate loop.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -22,7 +14,7 @@ use std::sync::Arc;
 
 use ecmas_chip::{Chip, CodeModel};
 use ecmas_circuit::{GateDag, GateId};
-use ecmas_route::{Disjointness, RouteRequest, Router, RouterStats};
+use ecmas_route::{Disjointness, Router, RouterStats};
 
 use crate::cut::CutType;
 use crate::encoded::{EncodedCircuit, Event, EventKind};
@@ -168,16 +160,8 @@ pub fn schedule_limited(
     // One event per gate plus any cut modifications: reserving the
     // gate count up front saves the doubling regrowth of the log.
     let mut events: Vec<Event> = Vec::with_capacity(dag.len());
-    // Per-cycle routing batch, reused across cycles. Ready gates are
-    // pairwise qubit-disjoint (sharing a qubit implies a DAG dependency),
-    // so a cycle's unconditional gates can be handed to the router as one
-    // `route_ready` batch; only a same-cut gate forces a flush, because
-    // its modify/direct decision reads state the batch updates.
-    let mut batch: Vec<RouteRequest> = Vec::new();
-    let mut batch_items: Vec<(usize, GateId)> = Vec::new();
-    // More per-cycle scratch, reused so the steady-state cycle loop
-    // allocates nothing: batch outcomes and the scheduled-index list.
-    let mut outcomes: Vec<Option<ecmas_route::Path>> = Vec::new();
+    // Indices into `active` of the gates scheduled this cycle, reused so
+    // the steady-state cycle loop allocates nothing.
     let mut scheduled: Vec<usize> = Vec::new();
     let mut done = 0usize;
     let mut cycle: u64 = 0;
@@ -227,102 +211,65 @@ pub fn schedule_limited(
                 CodeModel::LatticeSurgery => true,
                 CodeModel::DoubleDefect => cuts[a] != cuts[b],
             };
-            if unconditional {
-                // Routed at the next flush; batching preserves the
-                // sequential find/commit order because the batch runs in
-                // priority order and nothing between here and the flush
-                // touches the router.
-                batch.push(RouteRequest::route(sa, sb, 1));
-                batch_items.push((idx, g));
-                continue;
-            }
-            // Same cut types (double defect): direct vs modify. This is a
-            // decision point — the M-values read cut types and remaining
-            // counts that earlier gates of this cycle update — so route
-            // everything batched so far, then probe and decide.
-            flush_routed_batch(FlushCtx {
-                router: &mut router,
-                dag,
-                model,
-                n,
-                cycle,
-                batch: &mut batch,
-                batch_items: &mut batch_items,
-                outcomes: &mut outcomes,
-                events: &mut events,
-                qubit_free: &mut qubit_free,
-                remaining: &mut remaining,
-                pending_parents: &mut pending_parents,
-                earliest: &mut earliest,
-                heap: &mut heap,
-                done: &mut done,
-                scheduled: &mut scheduled,
-                last_progress_cycle: &mut last_progress_cycle,
-            });
-            let candidate = router.find_tile_path(sa, sb, cycle);
-            let decision = decide_same_cut(
-                dag,
-                g,
-                &cuts,
-                &remaining,
-                candidate.is_some(),
-                n,
-                config.cut_policy,
-            );
-            match decision {
-                SameCutDecision::Modify(qubit) => {
-                    events.push(Event {
-                        gate: None,
-                        start: cycle,
-                        kind: EventKind::CutModification { qubit },
-                    });
-                    cuts[qubit] = cuts[qubit].flipped();
-                    qubit_free[qubit] = cycle + MODIFY_LATENCY;
-                    // The gate stays pending; it retries once the
-                    // tile is free and will braid in one cycle.
-                    last_progress_cycle = cycle;
-                }
-                SameCutDecision::Direct => {
-                    if let Some(path) = candidate {
-                        router.commit(&path, cycle, DIRECT_PATH_HOLD);
+            // The gate's event kind and latency if it starts this cycle.
+            let started = if unconditional {
+                router.route_tiles(sa, sb, cycle, 1).map(|path| {
+                    let kind = match model {
+                        CodeModel::LatticeSurgery => EventKind::LatticeCnot { path },
+                        CodeModel::DoubleDefect => EventKind::Braid { path },
+                    };
+                    (kind, 1)
+                })
+            } else {
+                // Same cut types (double defect): direct vs modify. The
+                // M-values read the cut types and remaining counts that
+                // earlier gates of this cycle have already updated.
+                let candidate = router.find_tile_path(sa, sb, cycle);
+                let decision = decide_same_cut(
+                    dag,
+                    g,
+                    &cuts,
+                    &remaining,
+                    candidate.is_some(),
+                    n,
+                    config.cut_policy,
+                );
+                match (decision, candidate) {
+                    (SameCutDecision::Modify(qubit), _) => {
                         events.push(Event {
-                            gate: Some(g),
+                            gate: None,
                             start: cycle,
-                            kind: EventKind::DirectSameCut { path },
+                            kind: EventKind::CutModification { qubit },
                         });
-                        let end = cycle + DIRECT_LATENCY;
-                        qubit_free[a] = end;
-                        qubit_free[b] = end;
-                        complete(dag, g, end, &mut pending_parents, &mut earliest, &mut heap);
-                        remaining[a * n + b] -= 1;
-                        remaining[b * n + a] -= 1;
-                        done += 1;
-                        scheduled.push(idx);
+                        cuts[qubit] = cuts[qubit].flipped();
+                        qubit_free[qubit] = cycle + MODIFY_LATENCY;
+                        // The gate stays pending; it retries once the
+                        // tile is free and will braid in one cycle.
                         last_progress_cycle = cycle;
+                        None
                     }
+                    (SameCutDecision::Direct, Some(path)) => {
+                        router.commit(&path, cycle, DIRECT_PATH_HOLD);
+                        Some((EventKind::DirectSameCut { path }, DIRECT_LATENCY))
+                    }
+                    _ => None,
                 }
-                SameCutDecision::Wait => {}
-            }
+            };
+            let Some((kind, latency)) = started else { continue };
+            events.push(Event { gate: Some(g), start: cycle, kind });
+            let end = cycle + latency;
+            qubit_free[a] = end;
+            qubit_free[b] = end;
+            complete(dag, g, end, &mut pending_parents, &mut earliest, &mut heap);
+            // Every completed gate leaves the look-ahead table, braids
+            // included, so the Adaptive policy's M-values count only work
+            // still to do.
+            remaining[a * n + b] -= 1;
+            remaining[b * n + a] -= 1;
+            done += 1;
+            scheduled.push(idx);
+            last_progress_cycle = cycle;
         }
-        flush_routed_batch(FlushCtx {
-            router: &mut router,
-            dag,
-            model,
-            n,
-            cycle,
-            batch: &mut batch,
-            batch_items: &mut batch_items,
-            outcomes: &mut outcomes,
-            events: &mut events,
-            qubit_free: &mut qubit_free,
-            remaining: &mut remaining,
-            pending_parents: &mut pending_parents,
-            earliest: &mut earliest,
-            heap: &mut heap,
-            done: &mut done,
-            scheduled: &mut scheduled,
-            last_progress_cycle: &mut last_progress_cycle,
-        });
         for &idx in scheduled.iter().rev() {
             active.swap_remove(idx);
         }
@@ -339,66 +286,6 @@ pub fn schedule_limited(
         events,
     );
     Ok((encoded, router.stats()))
-}
-
-/// Mutable scheduler state one routing-batch flush updates — bundled so
-/// [`flush_routed_batch`] stays a plain function instead of a closure over
-/// a dozen locals.
-struct FlushCtx<'a> {
-    router: &'a mut Router,
-    dag: &'a GateDag,
-    model: CodeModel,
-    n: usize,
-    cycle: u64,
-    batch: &'a mut Vec<RouteRequest>,
-    batch_items: &'a mut Vec<(usize, GateId)>,
-    outcomes: &'a mut Vec<Option<ecmas_route::Path>>,
-    events: &'a mut Vec<Event>,
-    qubit_free: &'a mut [u64],
-    remaining: &'a mut [u32],
-    pending_parents: &'a mut [usize],
-    earliest: &'a mut [u64],
-    heap: &'a mut BinaryHeap<Reverse<(u64, GateId)>>,
-    done: &'a mut usize,
-    scheduled: &'a mut Vec<usize>,
-    last_progress_cycle: &'a mut u64,
-}
-
-/// Routes the pending unconditional batch through
-/// [`Router::route_ready`] and applies the completions (events, qubit
-/// release times, DAG bookkeeping) in batch order — the same order and
-/// router-call sequence the per-gate loop used to produce.
-fn flush_routed_batch(ctx: FlushCtx<'_>) {
-    if ctx.batch.is_empty() {
-        return;
-    }
-    ctx.router.route_ready(ctx.batch, ctx.cycle, ctx.outcomes);
-    for (&(idx, g), outcome) in ctx.batch_items.iter().zip(ctx.outcomes.drain(..)) {
-        let Some(path) = outcome else { continue };
-        let gate = ctx.dag.gate(g);
-        let (a, b) = (gate.control, gate.target);
-        let kind = match ctx.model {
-            CodeModel::LatticeSurgery => EventKind::LatticeCnot { path },
-            CodeModel::DoubleDefect => EventKind::Braid { path },
-        };
-        ctx.events.push(Event { gate: Some(g), start: ctx.cycle, kind });
-        let end = ctx.cycle + 1;
-        ctx.qubit_free[a] = end;
-        ctx.qubit_free[b] = end;
-        complete(ctx.dag, g, end, ctx.pending_parents, ctx.earliest, ctx.heap);
-        // Every completed gate leaves the look-ahead table, braids included:
-        // a different-cut braid that skipped this decrement (the latent
-        // modeling bug recorded in ROADMAP) left the Adaptive policy's
-        // M-values counting work that was already done, so later same-cut
-        // decisions over-estimated the channel swing of a flip.
-        ctx.remaining[a * ctx.n + b] -= 1;
-        ctx.remaining[b * ctx.n + a] -= 1;
-        *ctx.done += 1;
-        ctx.scheduled.push(idx);
-        *ctx.last_progress_cycle = ctx.cycle;
-    }
-    ctx.batch.clear();
-    ctx.batch_items.clear();
 }
 
 fn complete(

@@ -19,7 +19,7 @@ use std::sync::Arc;
 use ecmas_chip::{Chip, CodeModel};
 use ecmas_circuit::{GateDag, GateId};
 use ecmas_partition::ParityDsu;
-use ecmas_route::{Disjointness, Path, RouteRequest, Router, RouterStats};
+use ecmas_route::{Disjointness, Path, Router, RouterStats};
 
 use crate::cut::CutType;
 use crate::encoded::{EncodedCircuit, Event, EventKind};
@@ -100,14 +100,14 @@ fn schedule_sufficient_ls(
 }
 
 /// Reusable buffers for [`route_layer_batched`]: the pending/spill gate
-/// lists, the per-cycle request batch, and the outcome scratch — reused
+/// lists, the per-cycle tile pairs, and the outcome scratch — reused
 /// across every layer of a schedule so the steady-state layer loop
 /// allocates nothing but the paths it emits.
 #[derive(Default)]
 struct LayerScratch {
     pending: Vec<GateId>,
     still: Vec<GateId>,
-    requests: Vec<RouteRequest>,
+    pairs: Vec<(usize, usize)>,
     outcomes: Vec<Option<Path>>,
 }
 
@@ -131,12 +131,12 @@ fn route_layer_batched(
     scratch.pending.clear();
     scratch.pending.extend_from_slice(layer);
     while !scratch.pending.is_empty() {
-        scratch.requests.clear();
-        scratch.requests.extend(scratch.pending.iter().map(|&g| {
+        scratch.pairs.clear();
+        scratch.pairs.extend(scratch.pending.iter().map(|&g| {
             let gate = dag.gate(g);
-            RouteRequest::route(mapping[gate.control], mapping[gate.target], 1)
+            (mapping[gate.control], mapping[gate.target])
         }));
-        router.route_ready_by_distance(&scratch.requests, cycle, &mut scratch.outcomes);
+        router.route_ready_by_distance(&scratch.pairs, cycle, &mut scratch.outcomes);
         scratch.still.clear();
         for (&g, outcome) in scratch.pending.iter().zip(scratch.outcomes.drain(..)) {
             match outcome {

@@ -52,12 +52,12 @@
 //! [`RouterStats`] counts `failed_searches`, `cache_hits`, and
 //! `recolor_cells` so the hit rate is observable per compilation.
 //!
-//! Schedulers submit each cycle's requests as one batch through
-//! [`Router::route_ready`], which can also order the batch by estimated
-//! distance ([`Router::route_ready_by_distance`]) so short paths are laid
-//! down before long greedy ones block them. Both write outcomes into
-//! caller-owned scratch so a scheduler's cycle loop performs no
-//! per-cycle allocation.
+//! Schedulers route one gate at a time with [`Router::route_tiles`]
+//! (find, then commit), or split the two to decide between candidates.
+//! [`Router::route_ready_by_distance`] routes a whole cycle's tile pairs
+//! shortest-estimated-distance first, so short paths are laid down before
+//! long greedy ones block them; it writes outcomes into caller-owned
+//! scratch so a scheduler's cycle loop performs no per-cycle allocation.
 //!
 //! Reservations are multi-cycle: a double-defect direct CNOT between equal
 //! cut types holds its path for two cycles, so [`Router::commit`] carries a
@@ -263,35 +263,6 @@ impl Path {
     }
 }
 
-/// One entry of a per-cycle routing batch for [`Router::route_ready`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RouteRequest {
-    /// Source tile slot.
-    pub from_slot: usize,
-    /// Destination tile slot.
-    pub to_slot: usize,
-    /// Cycles the found path is reserved for when committed.
-    pub hold: u64,
-    /// `true` routes (find + commit); `false` probes (find only) —
-    /// schedulers use probes for candidate queries whose commit decision
-    /// depends on other state (the double-defect direct-vs-modify choice).
-    pub commit: bool,
-}
-
-impl RouteRequest {
-    /// A find-and-commit request holding the path for `hold` cycles.
-    #[must_use]
-    pub fn route(from_slot: usize, to_slot: usize, hold: u64) -> Self {
-        RouteRequest { from_slot, to_slot, hold, commit: true }
-    }
-
-    /// A find-only request (no reservation on success).
-    #[must_use]
-    pub fn probe(from_slot: usize, to_slot: usize) -> Self {
-        RouteRequest { from_slot, to_slot, hold: 0, commit: false }
-    }
-}
-
 /// Shortest-path router with per-cycle reservations.
 ///
 /// The router owns the grid, its neighbour/coordinate table (see the
@@ -344,7 +315,7 @@ pub struct Router {
     region: Vec<u32>,
     region_queue: Vec<u32>,
     region_cycle: Option<u64>,
-    // Scratch for `route_ready_by_distance` request ordering.
+    // Scratch for `route_ready_by_distance` pair ordering.
     order_scratch: Vec<u32>,
     // Highest cycle any search or commit has used — the
     // reservations-start-now invariant that makes search durations
@@ -768,7 +739,9 @@ impl Router {
         }
     }
 
-    /// Convenience: find and immediately commit.
+    /// Finds a path between two tile slots and, if one exists, reserves
+    /// it for `[cycle, cycle + duration)` — Algorithm 1's routing call for
+    /// a gate that needs no decision before its path is laid.
     pub fn route_tiles(
         &mut self,
         from_slot: usize,
@@ -781,53 +754,36 @@ impl Router {
         Some(path)
     }
 
-    /// Routes one clock cycle's batch of requests, in the order given.
-    ///
-    /// Equivalent to looping [`find_tile_path`](Self::find_tile_path) +
-    /// [`commit`](Self::commit) per request — earlier requests' commits are
-    /// visible to later searches, exactly as in sequential routing — but
-    /// hands the router the whole cycle at once, so schedulers stop
-    /// driving the hot path one gate at a time. Outcomes go into
-    /// caller-owned scratch `out` (cleared first, then indexed like
-    /// `requests`), so a scheduler's cycle loop allocates nothing; `None`
-    /// marks a blocked request.
-    pub fn route_ready(
-        &mut self,
-        requests: &[RouteRequest],
-        cycle: u64,
-        out: &mut Vec<Option<Path>>,
-    ) {
-        out.clear();
-        out.extend(requests.iter().map(|req| self.route_one(req, cycle)));
-    }
-
-    /// [`route_ready`](Self::route_ready), with the router choosing the
-    /// order: requests are served shortest-estimated-distance first
-    /// (Manhattan between the endpoint tiles, ties in batch order), so a
-    /// long greedy path laid down early cannot block several short ones.
-    /// Outcomes are still indexed by the *original* request positions; the
-    /// ordering permutation lives in router-owned scratch, so steady-state
-    /// batches allocate nothing.
+    /// Routes one clock cycle's `(from_slot, to_slot)` tile pairs, each
+    /// found path reserved for that cycle, serving them
+    /// shortest-estimated-distance first (Manhattan between the endpoint
+    /// tiles, ties in the order given) so a long greedy path laid down
+    /// early cannot block several short ones. Earlier pairs' reservations
+    /// are visible to later searches. Outcomes go into caller-owned
+    /// scratch `out` (cleared first, then indexed like `pairs`; `None`
+    /// marks a blocked pair); the ordering permutation lives in
+    /// router-owned scratch, so steady-state batches allocate nothing.
     pub fn route_ready_by_distance(
         &mut self,
-        requests: &[RouteRequest],
+        pairs: &[(usize, usize)],
         cycle: u64,
         out: &mut Vec<Option<Path>>,
     ) {
         out.clear();
-        out.resize(requests.len(), None);
+        out.resize(pairs.len(), None);
         let mut order = std::mem::take(&mut self.order_scratch);
         order.clear();
-        order.extend(0..u32::try_from(requests.len()).expect("batch fits in u32"));
+        order.extend(0..u32::try_from(pairs.len()).expect("batch fits in u32"));
         // Unstable sort with the original index as tie-break: same order
         // as a stable sort on distance alone, without the stable sort's
         // temporary buffer.
         order.sort_unstable_by_key(|&i| {
-            let req = &requests[i as usize];
-            (self.estimated_distance(req.from_slot, req.to_slot), i)
+            let (from, to) = pairs[i as usize];
+            (self.estimated_distance(from, to), i)
         });
         for &i in &order {
-            out[i as usize] = self.route_one(&requests[i as usize], cycle);
+            let (from, to) = pairs[i as usize];
+            out[i as usize] = self.route_tiles(from, to, cycle, 1);
         }
         self.order_scratch = order;
     }
@@ -841,14 +797,6 @@ impl Router {
     pub fn estimated_distance(&self, from_slot: usize, to_slot: usize) -> usize {
         let (from, to) = (self.grid.tile_cell(from_slot), self.grid.tile_cell(to_slot));
         self.table[from].distance(&self.table[to])
-    }
-
-    fn route_one(&mut self, req: &RouteRequest, cycle: u64) -> Option<Path> {
-        let path = self.find_tile_path(req.from_slot, req.to_slot, cycle)?;
-        if req.commit {
-            self.commit(&path, cycle, req.hold);
-        }
-        Some(path)
     }
 
     /// Checks that a set of `(path, start, duration)` triples is mutually
@@ -1207,25 +1155,18 @@ mod tests {
 
     #[test]
     fn route_ready_clears_stale_outcomes() {
-        let reqs =
-            [RouteRequest::route(0, 3, 1), RouteRequest::probe(1, 2), RouteRequest::route(1, 2, 1)];
-        for by_distance in [false, true] {
-            let run = |out: &mut Vec<Option<Path>>| {
-                let mut r = router(2, 2, 1, Disjointness::Node);
-                for t in 0..4 {
-                    r.block_tile(t);
-                }
-                if by_distance {
-                    r.route_ready_by_distance(&reqs, 0, out);
-                } else {
-                    r.route_ready(&reqs, 0, out);
-                }
-            };
-            let (mut stale, mut fresh) = (vec![None; 17], Vec::new());
-            run(&mut stale);
-            run(&mut fresh);
-            assert_eq!(stale, fresh, "by_distance={by_distance}");
-        }
+        let pairs = [(0, 3), (1, 2), (1, 2)];
+        let run = |out: &mut Vec<Option<Path>>| {
+            let mut r = router(2, 2, 1, Disjointness::Node);
+            for t in 0..4 {
+                r.block_tile(t);
+            }
+            r.route_ready_by_distance(&pairs, 0, out);
+        };
+        let (mut stale, mut fresh) = (vec![None; 17], Vec::new());
+        run(&mut stale);
+        run(&mut fresh);
+        assert_eq!(stale, fresh);
     }
 
     #[test]
@@ -1317,38 +1258,6 @@ mod tests {
     }
 
     #[test]
-    fn route_ready_matches_sequential_routing() {
-        let reqs = [
-            RouteRequest::route(0, 3, 1),
-            RouteRequest::probe(1, 2),
-            RouteRequest::route(1, 2, 1),
-            RouteRequest::route(2, 1, 1),
-        ];
-        let mut batched = router(2, 2, 1, Disjointness::Node);
-        let mut sequential = router(2, 2, 1, Disjointness::Node);
-        for t in 0..4 {
-            batched.block_tile(t);
-            sequential.block_tile(t);
-        }
-        let mut got = Vec::new();
-        batched.route_ready(&reqs, 0, &mut got);
-        let want: Vec<Option<Path>> = reqs
-            .iter()
-            .map(|req| {
-                let p = sequential.find_tile_path(req.from_slot, req.to_slot, 0)?;
-                if req.commit {
-                    sequential.commit(&p, 0, req.hold);
-                }
-                Some(p)
-            })
-            .collect();
-        assert_eq!(got, want);
-        assert_eq!(batched.stats(), sequential.stats());
-        // The probe reserved nothing; the commit right after it did.
-        assert!(got[1].is_some() && got[2].is_some());
-    }
-
-    #[test]
     fn route_ready_by_distance_serves_short_requests_first() {
         // On a 1×3 row with tiles 0,1,2 mapped, the long 0→2 request
         // hogs a boundary lane if served first. Distance ordering routes
@@ -1357,13 +1266,8 @@ mod tests {
         for t in 0..3 {
             r.block_tile(t);
         }
-        let reqs = [
-            RouteRequest::route(0, 2, 1),
-            RouteRequest::route(0, 1, 1),
-            RouteRequest::route(1, 2, 1),
-        ];
         let mut out = Vec::new();
-        r.route_ready_by_distance(&reqs, 0, &mut out);
+        r.route_ready_by_distance(&[(0, 2), (0, 1), (1, 2)], 0, &mut out);
         let short01 = out[1].as_ref().expect("short pair routes");
         let short12 = out[2].as_ref().expect("short pair routes");
         assert_eq!(short01.len(), 2, "served before the long request could block it");

@@ -77,14 +77,6 @@ pub fn compile_batch_with_threads<C: Compiler + Sync + ?Sized>(
 /// chip — through the service dispatch machine. Results in input order.
 pub fn compile_jobs(jobs: &[BatchJob<'_>]) -> Vec<Result<CompileOutcome, CompileError>> {
     let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    compile_jobs_with_threads(jobs, threads)
-}
-
-/// [`compile_jobs`] with an explicit worker count (`1` runs inline).
-pub fn compile_jobs_with_threads(
-    jobs: &[BatchJob<'_>],
-    threads: usize,
-) -> Vec<Result<CompileOutcome, CompileError>> {
     run_scoped(jobs.len(), threads, |i| BorrowedJob {
         compiler: jobs[i].compiler,
         circuit: jobs[i].circuit,

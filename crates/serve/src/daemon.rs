@@ -9,7 +9,7 @@
 //!
 //! | op       | fields |
 //! |----------|--------|
-//! | `submit` | a circuit source — `"qasm"` (inline source), `"file"` (path), or `"random"` (`{qubits, depth, parallelism, seed}`; `seed` defaults to 0) — plus optional `"chip"`, `"model"`, `"deadline_ms"`, `"tag"`, `"analyze"` (run the static analyzer; the result line's report carries the diagnostics), and a defect mask: `"defects"` (explicit `"r,c;r,c"` coordinates) or `"defect_percent"` + `"defect_seed"` (seeded random dead tiles, capped so the circuit still fits). A missing optional field takes its default; a present one of the wrong type or range gets an `error` line naming it: `chip`, `model`, `tag` and `defects` are strings, `analyze` is a bool, and `seed`, `deadline_ms`, `defect_percent` and `defect_seed` are integers in [0, 2^53) |
+//! | `submit` | a circuit source — `"qasm"` (inline source), `"file"` (path), or `"random"` (`{qubits, depth, parallelism, seed}`; `seed` defaults to 0; at most `MAX_COMPILE_QUBITS` qubits and [`MAX_RANDOM_CNOTS`] CNOTs, `depth × parallelism`) — plus optional `"chip"`, `"model"`, `"deadline_ms"`, `"tag"`, `"analyze"` (run the static analyzer; the result line's report carries the diagnostics), and a defect mask: `"defects"` (explicit `"r,c;r,c"` coordinates) or `"defect_percent"` + `"defect_seed"` (seeded random dead tiles, capped so the circuit still fits). A missing optional field takes its default; a present one of the wrong type or range gets an `error` line naming it: `chip`, `model`, `tag` and `defects` are strings, `analyze` is a bool, and `seed`, `deadline_ms`, `defect_percent` and `defect_seed` are integers in [0, 2^53) |
 //! | `status` | `"job"` — non-blocking lifecycle probe |
 //! | `cancel` | `"job"` — cooperative cancellation |
 //! | `result` | `"job"` — blocking wait; emits the job's result line now |
@@ -43,7 +43,7 @@ use ecmas_chip::{Chip, ChipError, CodeModel};
 use ecmas_circuit::random::{layered, StressSpec, StressWorkload};
 use ecmas_circuit::Circuit;
 use ecmas_core::diag::{object, JsonObject};
-use ecmas_core::session::CompileOutcome;
+use ecmas_core::session::{CompileOutcome, MAX_COMPILE_QUBITS};
 use ecmas_core::{diagnostics_to_json, para_finding, Diagnostic, Severity};
 
 use crate::job::{JobError, JobHandle, JobStatus};
@@ -54,6 +54,14 @@ use crate::service::{CompileRequest, CompileService, ServiceConfig, SubmitError}
 /// must bound its allocations before parsing. The binary's reader
 /// enforces the same cap without buffering the oversized line.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// The most CNOTs (`depth × parallelism`) a `random` source may ask
+/// for: as many as an inline `qasm` submit can carry under
+/// [`MAX_LINE_BYTES`] at 13 bytes for the shortest statement,
+/// `cx q[0],q[1];` (≈80k). A `random` submit is a few dozen bytes at any
+/// size, so without this bound one line could make the daemon build a
+/// circuit of any size.
+pub const MAX_RANDOM_CNOTS: usize = MAX_LINE_BYTES / "cx q[0],q[1];".len();
 
 /// The chip families `ecmasc`/`ecmasd` can build per circuit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -750,10 +758,17 @@ fn build_circuit(request: &Value) -> Result<Circuit, BuildError> {
         let depth = field("depth")?;
         let parallelism = field("parallelism")?;
         let seed = opt_field(random, "seed", Value::as_u64, WIRE_INTEGER)?.unwrap_or(0);
-        if parallelism == 0 || 2 * parallelism > qubits || depth == 0 {
+        let cnots = depth.checked_mul(parallelism).filter(|&c| c <= MAX_RANDOM_CNOTS);
+        if parallelism == 0
+            || 2 * parallelism > qubits
+            || depth == 0
+            || qubits > MAX_COMPILE_QUBITS
+            || cnots.is_none()
+        {
             return Err(BuildError::plain(format!(
                 "random source out of range: qubits={qubits} depth={depth} \
-                 parallelism={parallelism}"
+                 parallelism={parallelism} (at most {MAX_COMPILE_QUBITS} qubits and \
+                 {MAX_RANDOM_CNOTS} CNOTs)"
             )));
         }
         return Ok(layered(qubits, depth, parallelism, seed));

@@ -65,9 +65,7 @@ pub mod json;
 mod queue;
 pub mod service;
 
-pub use batch::{
-    compile_batch, compile_batch_with_threads, compile_jobs, compile_jobs_with_threads, BatchJob,
-};
+pub use batch::{compile_batch, compile_batch_with_threads, compile_jobs, BatchJob};
 pub use job::{JobError, JobHandle, JobId, JobStatus};
 pub use queue::Backpressure;
 pub use service::{

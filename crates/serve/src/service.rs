@@ -90,14 +90,6 @@ pub struct ServiceConfig {
     /// built-in Ecmas pipeline; `0` (the default) disables caching
     /// entirely. Custom compilers always bypass the cache.
     pub cache_bytes: u64,
-    /// Run the static analyzer on every job's result (circuit lints
-    /// plus schedule verification), filling
-    /// [`CompileReport::diagnostics`](ecmas_core::CompileReport). Off by
-    /// default; individual requests can opt in with
-    /// [`CompileRequest::with_analyze`]. Analysis runs after the cache,
-    /// so cached outcomes stay diagnostic-free and hits pay the
-    /// analyzer cost only when asked.
-    pub analyze: bool,
     /// Seeded fault injection for chaos testing; `None` (the default)
     /// disables every injection site.
     pub faults: Option<FaultConfig>,
@@ -119,7 +111,6 @@ impl Default for ServiceConfig {
             queue_capacity: 0,
             backpressure: Backpressure::Block,
             cache_bytes: 0,
-            analyze: false,
             faults: None,
             retry: RetryConfig::default(),
             shed_cost_budget: 0,
@@ -722,7 +713,6 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
 struct OwnedJob {
     request: CompileRequest,
     cache: Option<Arc<CompileCache>>,
-    analyze: bool,
 }
 
 impl RunJob for OwnedJob {
@@ -743,7 +733,7 @@ impl RunJob for OwnedJob {
                 compiler.compile_outcome(circuit, chip)?
             }
         };
-        if self.analyze {
+        if self.request.analyze {
             // After the cache on purpose: cached outcomes stay
             // diagnostic-free and every analyze-mode response (hit or
             // miss) carries a freshly computed set.
@@ -892,7 +882,6 @@ fn run_cached(
 pub struct CompileService {
     core: Arc<ServiceCore<OwnedJob>>,
     cache: Option<Arc<CompileCache>>,
-    analyze: bool,
     shed_enabled: bool,
     worker_count: usize,
     supervisor: Arc<Supervisor>,
@@ -963,7 +952,6 @@ impl CompileService {
         CompileService {
             core,
             cache,
-            analyze: config.analyze,
             shed_enabled: config.shed_cost_budget > 0,
             worker_count: workers,
             supervisor,
@@ -981,10 +969,9 @@ impl CompileService {
     /// admission control sheds the request; [`SubmitError::Draining`]
     /// after [`drain`](Self::drain) begins.
     pub fn submit(&self, request: CompileRequest) -> Result<JobHandle, SubmitError> {
-        let analyze = self.analyze || request.analyze;
         let deadline = request.deadline;
         let cost = if self.shed_enabled { request.estimated_cost() } else { 0 };
-        let job = OwnedJob { request, cache: self.cache.clone(), analyze };
+        let job = OwnedJob { request, cache: self.cache.clone() };
         match self.core.submit(deadline, cost, job) {
             Ok(handle) => Ok(handle),
             Err(CoreSubmitError::Full(OwnedJob { request, .. })) => {

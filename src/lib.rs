@@ -79,8 +79,7 @@ pub use ecmas_cache::{CacheConfig, CacheStats, CompileCache, CompileKey};
 pub use ecmas_serve as serve;
 
 pub use ecmas_serve::{
-    compile_batch, compile_batch_with_threads, compile_jobs, compile_jobs_with_threads,
-    Backpressure, BatchJob, CompileRequest, CompileService, FaultConfig, FaultSnapshot, JobError,
-    JobHandle, JobId, JobStatus, RetryConfig, RetryStats, ScheduleMode, ServiceConfig, SubmitError,
-    SupervisorStats,
+    compile_batch, compile_batch_with_threads, compile_jobs, Backpressure, BatchJob,
+    CompileRequest, CompileService, FaultConfig, FaultSnapshot, JobError, JobHandle, JobId,
+    JobStatus, RetryConfig, RetryStats, ScheduleMode, ServiceConfig, SubmitError, SupervisorStats,
 };

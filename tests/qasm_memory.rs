@@ -3,15 +3,16 @@
 //! (`quantum_walk_n11`, ≈408 KB), where the token list and the circuit
 //! under construction dominate, of the descendant counts on a wide,
 //! nearly idle register, which must not grow with the register squared,
-//! and of a wide program refused by `ecmasd` and `ecmasc` before any
-//! `n²` table is built.
+//! of a wide program refused by `ecmasd` and `ecmasc` before any `n²`
+//! table is built, and of oversized `random` sources refused by `ecmasd`
+//! before any circuit is built.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::process::Command;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
-use ecmas::serve::daemon::{Daemon, DaemonOptions};
+use ecmas::serve::daemon::{Daemon, DaemonOptions, MAX_RANDOM_CNOTS};
 use ecmas::serve::json::{self, Value};
 use ecmas::session::MAX_COMPILE_QUBITS;
 use ecmas::ServiceConfig;
@@ -132,4 +133,37 @@ fn a_register_past_the_width_limit_gets_an_error_not_an_abort() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(stderr.contains(&format!("limit of {MAX_COMPILE_QUBITS}")), "{stderr}");
+}
+
+/// A `random` source is a few dozen bytes whatever circuit it names. One
+/// past [`MAX_COMPILE_QUBITS`] (a 1.6 TB qubit pool) or past
+/// [`MAX_RANDOM_CNOTS`] (CNOTs pushed until memory runs out) gets an
+/// `error` line before anything is built, and the daemon keeps serving.
+#[test]
+fn an_oversized_random_source_gets_an_error_line_not_an_abort() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let mut daemon = Daemon::new(DaemonOptions {
+        service: ServiceConfig { workers: 1, ..ServiceConfig::default() },
+        ..DaemonOptions::default()
+    });
+    let before = LIVE.load(Ordering::SeqCst);
+    PEAK.store(before, Ordering::SeqCst);
+    for random in [
+        r#"{"qubits":200000000000,"depth":1,"parallelism":1}"#,
+        r#"{"qubits":8,"depth":9000000000000,"parallelism":1}"#,
+    ] {
+        let response = daemon.handle_line(&format!(r#"{{"op":"submit","random":{random}}}"#));
+        let response = json::parse(&response[0]).expect("response line is JSON");
+        assert_eq!(response.get("op").and_then(Value::as_str), Some("error"), "{random}");
+        let error = response.get("error").and_then(Value::as_str).unwrap();
+        assert!(error.contains(&format!("{MAX_RANDOM_CNOTS} CNOTs")), "{error}");
+    }
+    let peak = PEAK.load(Ordering::SeqCst) - before;
+    println!("daemon live peak on two refused random submits: {:.2} MB", peak as f64 / 1e6);
+    assert!(peak < 1_000_000, "live peak {peak} bytes");
+    let submitted =
+        daemon.handle_line(r#"{"op":"submit","random":{"qubits":8,"depth":4,"parallelism":2}}"#);
+    assert!(submitted[0].contains(r#""op":"submitted","job":1"#), "{submitted:?}");
+    let result = daemon.handle_line(r#"{"op":"result","job":1}"#);
+    assert!(result[0].contains(r#""status":"done""#), "{result:?}");
 }

@@ -28,7 +28,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use ecmas_core::error::CompileError;
-use ecmas_core::session::{CacheInfo, CacheSource, CompileOutcome, MapArtifact, ProfileArtifact};
+use ecmas_core::session::{CacheInfo, CacheSource, CompileOutcome};
 
 use crate::key::CompileKey;
 use crate::lru::Lru;
@@ -36,8 +36,8 @@ use crate::lru::Lru;
 /// Compile-cache sizing.
 #[derive(Clone, Copy, Debug)]
 pub struct CacheConfig {
-    /// Estimated-byte budget for resident entries (full results and stage
-    /// artifacts share it). The resident total never exceeds this.
+    /// Estimated-byte budget for resident full results (see
+    /// [`estimate_outcome_bytes`]). The resident total never exceeds this.
     pub byte_budget: u64,
 }
 
@@ -55,22 +55,14 @@ pub struct CacheStats {
     pub hits: u64,
     /// Full-result misses (each started one real compile).
     pub misses: u64,
-    /// Stage-artifact (profile/map) reuses.
-    pub stage_hits: u64,
     /// Entries evicted by the byte budget.
     pub evictions: u64,
     /// Estimated bytes currently resident.
     pub resident_bytes: u64,
     /// Requests that waited on an identical in-flight compile.
     pub coalesced_waits: u64,
-    /// Entries currently resident (full results + stage artifacts).
+    /// Full results currently resident.
     pub entries: usize,
-}
-
-enum Value {
-    Full(Arc<CompileOutcome>),
-    Profile(Arc<ProfileArtifact>),
-    Map(Arc<MapArtifact>),
 }
 
 enum FlightState {
@@ -85,11 +77,10 @@ struct Flight {
 }
 
 struct Inner {
-    lru: Lru<Value>,
+    lru: Lru<Arc<CompileOutcome>>,
     inflight: HashMap<CompileKey, Arc<Flight>>,
     hits: u64,
     misses: u64,
-    stage_hits: u64,
     coalesced_waits: u64,
 }
 
@@ -149,7 +140,6 @@ impl CompileCache {
                 inflight: HashMap::new(),
                 hits: 0,
                 misses: 0,
-                stage_hits: 0,
                 coalesced_waits: 0,
             }),
         })
@@ -166,7 +156,7 @@ impl CompileCache {
     #[must_use]
     pub fn begin(self: &Arc<Self>, key: CompileKey) -> Begin {
         let mut inner = self.lock();
-        if let Some(Value::Full(outcome)) = inner.lru.get(&key) {
+        if let Some(outcome) = inner.lru.get(&key) {
             let outcome = Arc::clone(outcome);
             inner.hits += 1;
             return Begin::Hit(outcome);
@@ -181,42 +171,6 @@ impl CompileCache {
         inner.inflight.insert(key, Arc::clone(&flight));
         inner.misses += 1;
         Begin::Lead(LeadGuard { cache: Arc::clone(self), key, flight, resolved: false })
-    }
-
-    /// A cached profile artifact.
-    #[must_use]
-    pub fn get_profile(&self, key: CompileKey) -> Option<Arc<ProfileArtifact>> {
-        let mut inner = self.lock();
-        if let Some(Value::Profile(artifact)) = inner.lru.get(&key) {
-            let artifact = Arc::clone(artifact);
-            inner.stage_hits += 1;
-            return Some(artifact);
-        }
-        None
-    }
-
-    /// Stores a profile artifact.
-    pub fn put_profile(&self, key: CompileKey, artifact: Arc<ProfileArtifact>) {
-        let cost = artifact.estimated_bytes();
-        self.lock().lru.insert(key, Value::Profile(artifact), cost);
-    }
-
-    /// A cached map artifact.
-    #[must_use]
-    pub fn get_map(&self, key: CompileKey) -> Option<Arc<MapArtifact>> {
-        let mut inner = self.lock();
-        if let Some(Value::Map(artifact)) = inner.lru.get(&key) {
-            let artifact = Arc::clone(artifact);
-            inner.stage_hits += 1;
-            return Some(artifact);
-        }
-        None
-    }
-
-    /// Stores a map artifact.
-    pub fn put_map(&self, key: CompileKey, artifact: Arc<MapArtifact>) {
-        let cost = artifact.estimated_bytes();
-        self.lock().lru.insert(key, Value::Map(artifact), cost);
     }
 
     /// Chaos hook: drops the resident entry for `key`, if any. In-flight
@@ -237,7 +191,6 @@ impl CompileCache {
         CacheStats {
             hits: inner.hits,
             misses: inner.misses,
-            stage_hits: inner.stage_hits,
             evictions: inner.lru.evictions(),
             resident_bytes: inner.lru.resident_bytes(),
             coalesced_waits: inner.coalesced_waits,
@@ -254,7 +207,6 @@ impl CompileCache {
             source,
             hits: stats.hits,
             misses: stats.misses,
-            stage_hits: stats.stage_hits,
             evictions: stats.evictions,
             resident_bytes: stats.resident_bytes,
             coalesced_waits: stats.coalesced_waits,
@@ -294,7 +246,7 @@ impl LeadGuard {
         let cost = estimate_outcome_bytes(&shared);
         {
             let mut inner = self.cache.lock();
-            inner.lru.insert(self.key, Value::Full(Arc::clone(&shared)), cost);
+            inner.lru.insert(self.key, Arc::clone(&shared), cost);
             inner.inflight.remove(&self.key);
         }
         self.resolve(FlightState::Done(Ok(Arc::clone(&shared))));

@@ -7,16 +7,10 @@
 //! passes push the birthday bound far past any realistic workload, with
 //! no new dependency.
 //!
-//! Three key spaces share the type, separated by a leading kind tag so a
-//! profile key can never alias a full-result key:
-//!
-//! * **full** — (circuit, chip, complete [`EcmasConfig`], schedule mode):
-//!   addresses a finished `CompileOutcome`.
-//! * **profile** — (circuit only): profiling never reads the chip or
-//!   config, so one profile artifact serves every chip and config.
-//! * **map** — (circuit, chip, mapping-relevant config knobs): a map
-//!   artifact is valid across schedule-only config changes
-//!   (`order`, `cut_policy`) but pinned to `location` and `cut_init`.
+//! A key addresses a finished `CompileOutcome` by (circuit, chip,
+//! complete [`EcmasConfig`], schedule mode). The stream opens with a
+//! constant kind byte; it distinguishes nothing, but dropping it would
+//! change the value of every key.
 //!
 //! Chip identity includes the defect mask (`ecmas_core::stable`'s
 //! `write_chip`), so chips differing only in dead tiles or disabled
@@ -26,9 +20,7 @@
 use ecmas_chip::Chip;
 use ecmas_circuit::Circuit;
 use ecmas_core::compiler::EcmasConfig;
-use ecmas_core::stable::{
-    write_chip, write_circuit, write_config, write_mapping_config, StableHasher, FNV_ALT_BASIS,
-};
+use ecmas_core::stable::{write_chip, write_circuit, write_config, StableHasher, FNV_ALT_BASIS};
 
 /// A 128-bit content-addressed cache key (two independent FNV-1a passes).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -48,10 +40,19 @@ pub(crate) fn test_key(a: u64, b: u64) -> CompileKey {
 }
 
 const KIND_FULL: u8 = 0;
-const KIND_PROFILE: u8 = 1;
-const KIND_MAP: u8 = 2;
 
-fn derive(write: impl Fn(&mut StableHasher)) -> CompileKey {
+/// The key of a finished compile result. `mode` is the schedule-mode
+/// label (`"auto"` / `"limited"` / `"resu"`) — it lives in the serve
+/// layer, so it crosses this boundary as its stable string.
+#[must_use]
+pub fn full_key(circuit: &Circuit, chip: &Chip, config: &EcmasConfig, mode: &str) -> CompileKey {
+    let write = |h: &mut StableHasher| {
+        h.write_u8(KIND_FULL);
+        write_circuit(h, circuit);
+        write_chip(h, chip);
+        write_config(h, config);
+        h.write_str(mode);
+    };
     let mut a = StableHasher::new();
     let mut b = StableHasher::with_basis(FNV_ALT_BASIS);
     write(&mut a);
@@ -59,46 +60,13 @@ fn derive(write: impl Fn(&mut StableHasher)) -> CompileKey {
     CompileKey(a.finish(), b.finish())
 }
 
-/// The key of a finished compile result. `mode` is the schedule-mode
-/// label (`"auto"` / `"limited"` / `"resu"`) — it lives in the serve
-/// layer, so it crosses this boundary as its stable string.
-#[must_use]
-pub fn full_key(circuit: &Circuit, chip: &Chip, config: &EcmasConfig, mode: &str) -> CompileKey {
-    derive(|h| {
-        h.write_u8(KIND_FULL);
-        write_circuit(h, circuit);
-        write_chip(h, chip);
-        write_config(h, config);
-        h.write_str(mode);
-    })
-}
-
-/// The key of a cached profile artifact: the circuit alone.
-#[must_use]
-pub fn profile_key(circuit: &Circuit) -> CompileKey {
-    derive(|h| {
-        h.write_u8(KIND_PROFILE);
-        write_circuit(h, circuit);
-    })
-}
-
-/// The key of a cached map artifact: circuit, chip, and the
-/// mapping-relevant config knobs only.
-#[must_use]
-pub fn map_key(circuit: &Circuit, chip: &Chip, config: &EcmasConfig) -> CompileKey {
-    derive(|h| {
-        h.write_u8(KIND_MAP);
-        write_circuit(h, circuit);
-        write_chip(h, chip);
-        write_mapping_config(h, config);
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ecmas_chip::CodeModel;
+    use ecmas_core::cut::CutInitStrategy;
     use ecmas_core::engine::{CutPolicy, GateOrder};
+    use ecmas_core::mapping::LocationStrategy;
 
     fn circuit() -> Circuit {
         let mut c = Circuit::new(4);
@@ -108,17 +76,32 @@ mod tests {
         c
     }
 
+    /// Full keys computed before the profile and map key spaces were
+    /// deleted: the same inputs must keep addressing the same entries.
     #[test]
-    fn key_spaces_do_not_alias() {
+    fn full_key_values_are_pinned() {
         let c = circuit();
-        let chip = Chip::min_viable(CodeModel::LatticeSurgery, 4, 3).unwrap();
-        let cfg = EcmasConfig::default();
-        let full = full_key(&c, &chip, &cfg, "auto");
-        let profile = profile_key(&c);
-        let map = map_key(&c, &chip, &cfg);
-        assert_ne!(full, profile);
-        assert_ne!(full, map);
-        assert_ne!(profile, map);
+        let ls = Chip::min_viable(CodeModel::LatticeSurgery, 4, 3).unwrap();
+        let dd = Chip::min_viable(CodeModel::DoubleDefect, 4, 3)
+            .unwrap()
+            .with_defects(&[(0, 0)])
+            .unwrap();
+        let base = EcmasConfig::default();
+        let alt = EcmasConfig {
+            location: LocationStrategy::Partitioner { seed: 7 },
+            cut_init: CutInitStrategy::MaxCut { seed: 9 },
+            order: GateOrder::CircuitOrder,
+            cut_policy: CutPolicy::NeverModify,
+        };
+        let pins = [
+            (&ls, &base, "auto", (0x6643_12d6_0fd2_4f60, 0x1cd1_0f64_43a1_10c9)),
+            (&dd, &base, "limited", (0xe8c3_6471_7f65_7e2e, 0xc303_1e82_f288_7e5d)),
+            (&ls, &alt, "resu", (0x9c2b_9e07_9aed_97c4, 0xfa97_96b4_c7e7_6135)),
+            (&dd, &alt, "auto", (0x9909_4826_58ae_5872, 0xb020_4d26_8102_a19b)),
+        ];
+        for (chip, cfg, mode, want) in pins {
+            assert_eq!(full_key(&c, chip, cfg, mode).parts(), want, "{mode} {cfg:?}");
+        }
     }
 
     #[test]
@@ -135,27 +118,16 @@ mod tests {
         let wide = Chip::four_x(CodeModel::LatticeSurgery, 4, 3).unwrap();
         assert_ne!(base, full_key(&c, &wide, &cfg, "auto"));
 
-        let cfg2 = EcmasConfig { order: GateOrder::CircuitOrder, ..cfg };
-        assert_ne!(base, full_key(&c, &chip, &cfg2, "auto"));
+        for knob in [
+            EcmasConfig { location: LocationStrategy::Trivial, ..cfg },
+            EcmasConfig { cut_init: CutInitStrategy::AllSame, ..cfg },
+            EcmasConfig { order: GateOrder::CircuitOrder, ..cfg },
+            EcmasConfig { cut_policy: CutPolicy::NeverModify, ..cfg },
+        ] {
+            assert_ne!(base, full_key(&c, &chip, &knob, "auto"), "{knob:?}");
+        }
 
         assert_ne!(base, full_key(&c, &chip, &cfg, "limited"));
-    }
-
-    #[test]
-    fn map_key_ignores_schedule_only_knobs() {
-        let c = circuit();
-        let chip = Chip::min_viable(CodeModel::DoubleDefect, 4, 3).unwrap();
-        let cfg = EcmasConfig::default();
-        let sched_only = EcmasConfig {
-            order: GateOrder::CircuitOrder,
-            cut_policy: CutPolicy::NeverModify,
-            ..cfg
-        };
-        assert_eq!(map_key(&c, &chip, &cfg), map_key(&c, &chip, &sched_only));
-        assert_ne!(
-            full_key(&c, &chip, &cfg, "limited"),
-            full_key(&c, &chip, &sched_only, "limited")
-        );
     }
 
     #[test]
@@ -171,7 +143,6 @@ mod tests {
             .with_defects(&[])
             .unwrap();
         assert_eq!(base, full_key(&c, &masked_clean, &cfg, "auto"));
-        assert_eq!(map_key(&c, &uniform, &cfg), map_key(&c, &masked_clean, &cfg));
 
         // Distinct defect masks are distinct hardware: distinct keys.
         let dead_a = Chip::uniform(CodeModel::LatticeSurgery, 3, 3, 1, 3)
@@ -187,7 +158,6 @@ mod tests {
         assert_ne!(base, ka);
         assert_ne!(base, kb);
         assert_ne!(ka, kb);
-        assert_ne!(map_key(&c, &dead_a, &cfg), map_key(&c, &dead_b, &cfg));
     }
 
     #[test]

@@ -4,25 +4,21 @@
 //! Production traffic to a compile service is highly repetitive: the same
 //! circuits arrive again and again, and every job otherwise pays the full
 //! profile → map → schedule pipeline from scratch. This crate makes
-//! repeated work cheap at three granularities:
+//! repeated work cheap at two granularities:
 //!
 //! 1. **Full results** ([`full_key`]): a finished `CompileOutcome` keyed
 //!    by a platform-stable 128-bit hash of (circuit, chip, config,
 //!    schedule mode). A hit skips compilation entirely.
-//! 2. **Stage artifacts** ([`profile_key`], [`map_key`]): when only
-//!    downstream config changes, the cached `ProfileArtifact` /
-//!    `MapArtifact` seed a resumed session and only the later stages
-//!    re-run. The session API's stage boundaries make the validity rules
-//!    explicit — see the key functions' docs.
-//! 3. **In-flight coalescing** ([`CompileCache::begin`]): N identical
+//! 2. **In-flight coalescing** ([`CompileCache::begin`]): N identical
 //!    concurrent jobs trigger one compile; the other N−1 park on the
 //!    leader's flight and share its result (or its error).
 //!
+//! A miss runs the whole pipeline and stores one entry, its full result.
 //! Storage is a byte-budgeted LRU whose estimated resident total never
 //! exceeds [`CacheConfig::byte_budget`]; every counter
-//! (hits/misses/stage hits/evictions/resident bytes/coalesced waits) is
-//! exact and surfaces through [`CacheStats`] and the `CacheInfo` stamped
-//! onto every report.
+//! (hits/misses/evictions/resident bytes/coalesced waits) is exact and
+//! surfaces through [`CacheStats`] and the `CacheInfo` stamped onto every
+//! report.
 //!
 //! Hashing is FNV-1a over explicit byte streams (`ecmas_core::stable`) —
 //! no `DefaultHasher`, so keys agree across platforms, toolchains, and
@@ -70,4 +66,4 @@ pub use cache::{
     estimate_outcome_bytes, Begin, CacheConfig, CacheStats, CompileCache, FollowGuard,
     FollowStatus, LeadGuard,
 };
-pub use key::{full_key, map_key, profile_key, CompileKey};
+pub use key::{full_key, CompileKey};

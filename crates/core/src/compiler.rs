@@ -8,7 +8,7 @@ use crate::encoded::EncodedCircuit;
 use crate::engine::{CutPolicy, GateOrder};
 use crate::error::CompileError;
 use crate::mapping::LocationStrategy;
-use crate::session::{CompileOutcome, ProfileArtifact, Profiled};
+use crate::session::{CompileOutcome, Profiled};
 
 /// Compiler configuration: every knob the paper ablates, with the paper's
 /// choices as [`Default`].
@@ -173,30 +173,6 @@ impl Ecmas {
         chip: &Chip,
     ) -> Result<Profiled<'c>, CompileError> {
         Profiled::start(self.config, circuit, chip)
-    }
-
-    /// Starts a session from a cached [`ProfileArtifact`] instead of
-    /// re-profiling: the fit check runs, the DAG / communication graph /
-    /// execution scheme are taken from the artifact, and the pipeline
-    /// continues exactly as after [`session`](Self::session). The caller
-    /// must supply an artifact profiled from the *same CNOT stream* —
-    /// profiling ignores the chip and config, so those may differ (see
-    /// [`ProfileArtifact`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CompileError::TooManyQubits`] if the circuit does not
-    /// fit the chip, or [`CompileError::InvalidMapping`] when the
-    /// artifact's qubit count disagrees with the circuit.
-    ///
-    /// [`CompileError::InvalidMapping`]: crate::error::CompileError::InvalidMapping
-    pub fn resume_session<'c>(
-        &self,
-        circuit: &'c Circuit,
-        chip: &Chip,
-        artifact: &ProfileArtifact,
-    ) -> Result<Profiled<'c>, CompileError> {
-        Profiled::resume(self.config, circuit, chip, artifact)
     }
 
     /// Full pipeline for limited resources: profile, map, initialize cut

@@ -87,8 +87,5 @@ pub use mapping::LocationStrategy;
 pub use profile::{para_finding, ExecutionScheme};
 pub use resources::{ResourceEstimate, StageCost};
 pub use resu::schedule_sufficient;
-pub use session::{
-    Algorithm, CacheInfo, CacheSource, CompileOutcome, CompileReport, Compiler, MapArtifact,
-    ProfileArtifact,
-};
+pub use session::{Algorithm, CacheInfo, CacheSource, CompileOutcome, CompileReport, Compiler};
 pub use stable::{fingerprint_encoded, StableHasher};

@@ -153,11 +153,6 @@ pub enum CacheSource {
     /// An identical compile was already in flight; this request waited
     /// for it and shares its result.
     Coalesced,
-    /// A cached profile artifact was reused; mapping and scheduling ran.
-    ProfileReuse,
-    /// A cached map artifact (and its profile) was reused; only
-    /// scheduling ran.
-    MapReuse,
 }
 
 impl CacheSource {
@@ -169,8 +164,6 @@ impl CacheSource {
             CacheSource::Miss => "miss",
             CacheSource::Hit => "hit",
             CacheSource::Coalesced => "coalesced",
-            CacheSource::ProfileReuse => "profile_reuse",
-            CacheSource::MapReuse => "map_reuse",
         }
     }
 }
@@ -188,8 +181,6 @@ pub struct CacheInfo {
     pub hits: u64,
     /// Full-result cache misses so far.
     pub misses: u64,
-    /// Stage-artifact (profile/map) reuses so far.
-    pub stage_hits: u64,
     /// Entries evicted by the byte-budget LRU so far.
     pub evictions: u64,
     /// Estimated bytes currently resident in the cache.
@@ -298,7 +289,6 @@ impl CompileReport {
                     .str("source", c.source.label())
                     .field("hits", c.hits)
                     .field("misses", c.misses)
-                    .field("stage_hits", c.stage_hits)
                     .field("evictions", c.evictions)
                     .field("resident_bytes", c.resident_bytes)
                     .field("coalesced_waits", c.coalesced_waits),
@@ -363,85 +353,6 @@ impl Compiler for Ecmas {
     }
 }
 
-/// The detachable output of the profiling stage: everything
-/// [`Profiled`] computed from the circuit alone, without the borrowed
-/// circuit or the target chip.
-///
-/// Validity domain: an artifact is reusable for any compilation of the
-/// *same CNOT stream on the same qubit count* — profiling never looks at
-/// the chip or the config, so the chip and every config knob may differ.
-/// Captured by [`Profiled::artifact`], resumed by
-/// [`Ecmas::resume_session`]; the recorded `profile` timing in a resumed
-/// report is the original compute time, not the (near-zero) reuse time.
-#[derive(Clone, Debug)]
-pub struct ProfileArtifact {
-    dag: GateDag,
-    comm: CommGraph,
-    scheme: ExecutionScheme,
-    profile_time: Duration,
-}
-
-impl ProfileArtifact {
-    /// The estimated Circuit Parallelism Degree `ĝPM`.
-    #[must_use]
-    pub fn gpm(&self) -> usize {
-        self.scheme.gpm()
-    }
-
-    /// Qubit count of the circuit this artifact was profiled from (used
-    /// to sanity-check a resume against a different circuit).
-    #[must_use]
-    pub fn qubits(&self) -> usize {
-        self.comm.qubits()
-    }
-
-    /// Rough resident-size estimate in bytes, for byte-budgeted caches.
-    /// Counts the DAG's adjacency (parents + children + per-gate levels),
-    /// the communication graph's edge and neighbor lists, and the
-    /// execution scheme's layer vectors.
-    #[must_use]
-    pub fn estimated_bytes(&self) -> u64 {
-        let dag = 64 * self.dag.len() as u64;
-        let comm = 48 * self.comm.edges().len() as u64 + 16 * self.comm.qubits() as u64;
-        let scheme = 8 * self.dag.len() as u64 + 32 * self.scheme.depth() as u64;
-        128 + dag + comm + scheme
-    }
-}
-
-/// The detachable output of the mapping stage: the placement plus
-/// (double defect) initial cut types, without the borrowed pipeline.
-///
-/// Validity domain: reusable only for the same circuit *and* the same
-/// chip *and* the same mapping-relevant config knobs
-/// (`location`, `cut_init` — see `stable::write_mapping_config`);
-/// schedule-only knobs (`order`, `cut_policy`) may differ. Captured by
-/// [`Mapped::artifact`], resumed by [`Profiled::resume_mapped`], which
-/// re-validates the mapping and cuts against the resuming pipeline's
-/// circuit and chip.
-#[derive(Clone, Debug)]
-pub struct MapArtifact {
-    mapping: Vec<usize>,
-    cuts: Option<Vec<CutType>>,
-    cuts_injected: bool,
-    placement_restarts: usize,
-    map_time: Duration,
-}
-
-impl MapArtifact {
-    /// The qubit → tile-slot mapping.
-    #[must_use]
-    pub fn mapping(&self) -> &[usize] {
-        &self.mapping
-    }
-
-    /// Rough resident-size estimate in bytes, for byte-budgeted caches.
-    #[must_use]
-    pub fn estimated_bytes(&self) -> u64 {
-        let cuts = self.cuts.as_ref().map_or(0, |c| c.len() as u64);
-        96 + 8 * self.mapping.len() as u64 + cuts
-    }
-}
-
 /// Stage 1 — the profiled circuit: DAG, communication graph, and the
 /// Para-Finding execution scheme. See the [module docs](self).
 #[derive(Clone, Debug)]
@@ -478,83 +389,6 @@ impl<'c> Profiled<'c> {
             scheme,
             profile_time: t.elapsed(),
         })
-    }
-
-    pub(crate) fn resume(
-        config: crate::compiler::EcmasConfig,
-        circuit: &'c Circuit,
-        chip: &Chip,
-        artifact: &ProfileArtifact,
-    ) -> Result<Self, CompileError> {
-        check_fit(circuit.qubits(), chip)?;
-        if artifact.qubits() != circuit.qubits() {
-            return Err(CompileError::InvalidMapping {
-                reason: format!(
-                    "profile artifact covers {} qubits, circuit has {}",
-                    artifact.qubits(),
-                    circuit.qubits()
-                ),
-            });
-        }
-        Ok(Profiled {
-            config,
-            circuit,
-            chip: Arc::new(chip.clone()),
-            dag: artifact.dag.clone(),
-            comm: artifact.comm.clone(),
-            scheme: artifact.scheme.clone(),
-            profile_time: artifact.profile_time,
-        })
-    }
-
-    /// Detaches the profiling outputs for caching; the stage itself is
-    /// untouched. See [`ProfileArtifact`] for the reuse rules.
-    #[must_use]
-    pub fn artifact(&self) -> ProfileArtifact {
-        ProfileArtifact {
-            dag: self.dag.clone(),
-            comm: self.comm.clone(),
-            scheme: self.scheme.clone(),
-            profile_time: self.profile_time,
-        }
-    }
-
-    /// Skips the mapping stage by resuming a cached [`MapArtifact`],
-    /// re-validating its mapping and cuts against this pipeline's circuit
-    /// and chip. The caller is responsible for the semantic validity
-    /// rules (same circuit, chip, `location`, and `cut_init` as the run
-    /// that produced the artifact — see [`MapArtifact`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CompileError::InvalidMapping`] when the mapping does not
-    /// assign every qubit a distinct in-range tile slot, or
-    /// [`CompileError::CutTypesMismatch`] when the cuts disagree with the
-    /// chip's code model.
-    pub fn resume_mapped(self, artifact: &MapArtifact) -> Result<Mapped<'c>, CompileError> {
-        let cuts_ok = match self.chip.model() {
-            CodeModel::DoubleDefect => {
-                artifact.cuts.as_ref().is_some_and(|c| c.len() == self.circuit.qubits())
-            }
-            CodeModel::LatticeSurgery => artifact.cuts.is_none(),
-        };
-        if !cuts_ok {
-            return Err(CompileError::CutTypesMismatch);
-        }
-        let mapped = Mapped {
-            profiled: self,
-            mapping: Vec::new(),
-            cuts: artifact.cuts.clone(),
-            cuts_injected: artifact.cuts_injected,
-            placement_restarts: artifact.placement_restarts,
-            map_time: artifact.map_time,
-        };
-        // `with_mapping` re-validates length, range, and uniqueness but
-        // zeroes `placement_restarts` (its injected-mapping contract), so
-        // restore the artifact's recorded value afterwards.
-        let mut mapped = mapped.with_mapping(artifact.mapping.clone())?;
-        mapped.placement_restarts = artifact.placement_restarts;
-        Ok(mapped)
     }
 
     /// The circuit being compiled.
@@ -649,19 +483,6 @@ pub struct Mapped<'c> {
 }
 
 impl<'c> Mapped<'c> {
-    /// Detaches the mapping outputs for caching; the stage itself is
-    /// untouched. See [`MapArtifact`] for the reuse rules.
-    #[must_use]
-    pub fn artifact(&self) -> MapArtifact {
-        MapArtifact {
-            mapping: self.mapping.clone(),
-            cuts: self.cuts.clone(),
-            cuts_injected: self.cuts_injected,
-            placement_restarts: self.placement_restarts,
-            map_time: self.map_time,
-        }
-    }
-
     /// The qubit → tile-slot mapping.
     #[must_use]
     pub fn mapping(&self) -> &[usize] {

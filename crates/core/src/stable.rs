@@ -223,22 +223,12 @@ fn write_cut_init(h: &mut StableHasher, cut_init: CutInitStrategy) {
     }
 }
 
-/// Mixes the parts of an [`EcmasConfig`] that the *mapping* stage
-/// depends on — the validity domain of a cached map artifact: the
-/// location strategy (placement) and cut-init strategy (initial cut
-/// types are computed during mapping).
-///
-/// `order` and `cut_policy` only steer scheduling, so two configs
-/// differing solely in those can share a mapping.
-pub fn write_mapping_config(h: &mut StableHasher, config: &EcmasConfig) {
+/// Mixes a complete [`EcmasConfig`] — every knob that can change the
+/// compiled schedule or its report: the location strategy, the cut-init
+/// strategy, the gate order and the cut policy, in that order.
+pub fn write_config(h: &mut StableHasher, config: &EcmasConfig) {
     write_location(h, config.location);
     write_cut_init(h, config.cut_init);
-}
-
-/// Mixes a complete [`EcmasConfig`] — every knob that can change the
-/// compiled schedule or its report.
-pub fn write_config(h: &mut StableHasher, config: &EcmasConfig) {
-    write_mapping_config(h, config);
     h.write_u8(match config.order {
         GateOrder::Priority => 0,
         GateOrder::CircuitOrder => 1,
@@ -313,29 +303,5 @@ mod tests {
         };
         assert_ne!(hash(&dd), hash(&ls));
         assert_ne!(hash(&dd), hash(&wide));
-    }
-
-    #[test]
-    fn mapping_config_ignores_schedule_only_knobs() {
-        let base = EcmasConfig::default();
-        let sched_only = EcmasConfig {
-            order: GateOrder::CircuitOrder,
-            cut_policy: CutPolicy::NeverModify,
-            ..base
-        };
-        let hash = |cfg: &EcmasConfig, full: bool| {
-            let mut h = StableHasher::new();
-            if full {
-                write_config(&mut h, cfg);
-            } else {
-                write_mapping_config(&mut h, cfg);
-            }
-            h.finish()
-        };
-        assert_eq!(hash(&base, false), hash(&sched_only, false));
-        assert_ne!(hash(&base, true), hash(&sched_only, true));
-
-        let moved = EcmasConfig { location: LocationStrategy::Trivial, ..base };
-        assert_ne!(hash(&base, false), hash(&moved, false));
     }
 }

@@ -496,7 +496,6 @@ impl Daemon {
                     .field("enabled", cache.is_some())
                     .field("hits", c.hits)
                     .field("misses", c.misses)
-                    .field("stage_hits", c.stage_hits)
                     .field("evictions", c.evictions)
                     .field("resident_bytes", c.resident_bytes)
                     .field("coalesced_waits", c.coalesced_waits)

@@ -21,9 +21,8 @@
 //! A [`CompileService`] can front its built-in pipeline with the
 //! `ecmas-cache` content-addressed compile cache
 //! ([`ServiceConfig::cache_bytes`]): repeated requests are served from
-//! the byte-budgeted LRU, identical concurrent requests coalesce into
-//! one compile, and partially-matching requests reuse cached
-//! profile/map stage artifacts. Every report then carries its cache
+//! the byte-budgeted LRU of full results, and identical concurrent
+//! requests coalesce into one compile. Every report then carries its cache
 //! provenance (`report.cache`), and [`CompileService::cache_stats`]
 //! snapshots the service-wide counters.
 //!

@@ -21,11 +21,11 @@
 //!
 //! With [`ServiceConfig::cache_bytes`] set, built-in requests run behind
 //! the `ecmas-cache` content-addressed cache: full-result hits skip the
-//! pipeline, identical concurrent jobs coalesce into one compile, and
-//! misses reuse cached profile/map stage artifacts where the config
-//! allows. Determinism makes this transparent — a cached result is
-//! bit-identical (schedule and report, minus wall-clock timings and the
-//! `report.cache` provenance block) to a cold compile.
+//! pipeline, identical concurrent jobs coalesce into one compile, and a
+//! miss runs the whole pipeline and stores its result. Determinism makes
+//! this transparent — a cached result is bit-identical (schedule and
+//! report, minus wall-clock timings and the `report.cache` provenance
+//! block) to a cold compile.
 //!
 //! # Fault tolerance
 //!
@@ -58,7 +58,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use ecmas_cache::{full_key, map_key, profile_key, Begin, CacheStats, CompileCache, FollowStatus};
+use ecmas_cache::{full_key, Begin, CacheStats, CompileCache, FollowStatus};
 use ecmas_chip::Chip;
 use ecmas_circuit::Circuit;
 use ecmas_core::compiler::EcmasConfig;
@@ -86,9 +86,10 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// What a submission does when the queue is at capacity.
     pub backpressure: Backpressure,
-    /// Byte budget of the content-addressed compile cache fronting the
-    /// built-in Ecmas pipeline; `0` (the default) disables caching
-    /// entirely. Custom compilers always bypass the cache.
+    /// Byte budget of the content-addressed compile cache of full
+    /// results in front of the built-in Ecmas pipeline; `0` (the
+    /// default) disables caching entirely. Requests that run a custom
+    /// compiler ([`CompileRequest::with_compiler`]) bypass the cache.
     pub cache_bytes: u64,
     /// Seeded fault injection for chaos testing; `None` (the default)
     /// disables every injection site.
@@ -723,7 +724,7 @@ impl RunJob for OwnedJob {
                 if let Some(cache) = &self.cache {
                     run_cached(cache, circuit, chip, *config, *mode, ctl)?
                 } else {
-                    run_stages(None, circuit, chip, *config, *mode, ctl)?.0
+                    run_stages(circuit, chip, *config, *mode, ctl)?
                 }
             }
             Pipeline::Custom(compiler) => {
@@ -747,60 +748,25 @@ impl RunJob for OwnedJob {
 
 /// The staged pipeline with a checkpoint (and fault-injection hook) at
 /// every stage boundary: a cancel or deadline lapse stops the job at the
-/// next boundary instead of after the whole compile. With a cache, each
-/// stage first tries the corresponding cached artifact (profile: keyed by
-/// circuit alone; map: keyed by circuit + chip + mapping-relevant config)
-/// and publishes what it computes; the returned [`CacheSource`] says how
-/// much was reused.
+/// next boundary instead of after the whole compile.
 fn run_stages(
-    cache: Option<&Arc<CompileCache>>,
     circuit: &Circuit,
     chip: &Chip,
     config: EcmasConfig,
     mode: ScheduleMode,
     ctl: &JobCtl<'_>,
-) -> Result<(CompileOutcome, CacheSource), JobError> {
-    let compiler = Ecmas::new(config);
+) -> Result<CompileOutcome, JobError> {
     ctl.stage_boundary(0)?;
-    let (profiled, profile_reused) = match cache.and_then(|c| {
-        let key = profile_key(circuit);
-        c.get_profile(key).map(|artifact| (key, artifact))
-    }) {
-        Some((_, artifact)) => (compiler.resume_session(circuit, chip, &artifact)?, true),
-        None => {
-            let profiled = compiler.session(circuit, chip)?;
-            if let Some(cache) = cache {
-                cache.put_profile(profile_key(circuit), Arc::new(profiled.artifact()));
-            }
-            (profiled, false)
-        }
-    };
+    let profiled = Ecmas::new(config).session(circuit, chip)?;
     ctl.stage_boundary(1)?;
-    let (mapped, map_reused) = match cache.and_then(|c| c.get_map(map_key(circuit, chip, &config)))
-    {
-        Some(artifact) => (profiled.resume_mapped(&artifact)?, true),
-        None => {
-            let mapped = profiled.map()?;
-            if let Some(cache) = cache {
-                cache.put_map(map_key(circuit, chip, &config), Arc::new(mapped.artifact()));
-            }
-            (mapped, false)
-        }
-    };
+    let mapped = profiled.map()?;
     ctl.stage_boundary(2)?;
     let scheduled = match mode {
         ScheduleMode::Auto => mapped.schedule_auto(),
         ScheduleMode::Limited => mapped.schedule(),
         ScheduleMode::ReSu => mapped.schedule_resu(),
     }?;
-    let source = if map_reused {
-        CacheSource::MapReuse
-    } else if profile_reused {
-        CacheSource::ProfileReuse
-    } else {
-        CacheSource::Miss
-    };
-    Ok((scheduled.into_outcome(), source))
+    Ok(scheduled.into_outcome())
 }
 
 /// The cached dispatch path: full-result lookup with in-flight
@@ -826,9 +792,9 @@ fn run_cached(
                 return Ok(outcome);
             }
             Begin::Lead(lead) => {
-                match run_stages(Some(cache), circuit, chip, config, mode, ctl) {
-                    Ok((mut outcome, source)) => {
-                        outcome.report.cache = cache.info(source);
+                match run_stages(circuit, chip, config, mode, ctl) {
+                    Ok(mut outcome) => {
+                        outcome.report.cache = cache.info(CacheSource::Miss);
                         let shared = lead.complete(outcome);
                         return Ok((*shared).clone());
                     }

@@ -159,7 +159,9 @@ fn parse_args() -> Result<Args, String> {
                     .next()
                     .and_then(|v| v.parse().ok())
                     .ok_or("missing/invalid value for --cache-mb")?;
-                cache_bytes = mb * 1024 * 1024;
+                cache_bytes = mb
+                    .checked_mul(1024 * 1024)
+                    .ok_or_else(|| format!("--cache-mb {mb} overflows the byte count"))?;
             }
             "--help" | "-h" => {
                 return Err("usage: ecmasc <file.qasm> [--model dd|ls] \

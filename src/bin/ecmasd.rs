@@ -111,7 +111,9 @@ fn parse_args() -> Result<Args, String> {
             "--reject" => options.service.backpressure = Backpressure::Reject,
             "--cache-mb" => {
                 let mb: u64 = parse_num(&value(&mut args, "--cache-mb")?, "--cache-mb")?;
-                options.service.cache_bytes = mb * 1024 * 1024;
+                options.service.cache_bytes = mb
+                    .checked_mul(1024 * 1024)
+                    .ok_or_else(|| format!("--cache-mb {mb} overflows the byte count"))?;
             }
             "--fault-percent" => {
                 let percent: u8 =

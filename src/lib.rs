@@ -56,8 +56,8 @@ pub use ecmas_core::{
     schedule_limited, schedule_sufficient, validate_encoded, Algorithm, CacheInfo, CacheSource,
     ChipFleet, Code, CompileError, CompileOutcome, CompileReport, Compiler, CutInitStrategy,
     CutPolicy, CutType, Diagnostic, Ecmas, EcmasConfig, EncodedCircuit, Event, EventKind,
-    ExecutionScheme, FleetSelection, GateOrder, LocationStrategy, MapArtifact, ProfileArtifact,
-    ResourceEstimate, ScheduleConfig, Severity, Span, StableHasher, StageCost, ValidateError,
+    ExecutionScheme, FleetSelection, GateOrder, LocationStrategy, ResourceEstimate, ScheduleConfig,
+    Severity, Span, StableHasher, StageCost, ValidateError,
 };
 
 /// The static-analysis layer (`ecmas-analyze`), re-exported whole:

@@ -1,13 +1,13 @@
 //! Integration tests for the `ecmas-cache` compile cache behind the
 //! service layer: cached results must be bit-identical to cold compiles
 //! (the cache is an optimization, never an answer change), the resident
-//! byte total must respect the budget with real eviction, stage-artifact
-//! reuse must survive schedule-knob changes unchanged, and a burst of
-//! identical jobs must coalesce into exactly one compile.
+//! byte total must respect the budget with real eviction, a miss must
+//! store exactly one entry, a schedule-only config change must miss, and
+//! a burst of identical jobs must coalesce into exactly one compile.
 
 use ecmas::{
-    fingerprint_encoded, CacheSource, CompileOutcome, CompileRequest, CompileService,
-    CutInitStrategy, CutPolicy, EcmasConfig, GateOrder, ScheduleMode, ServiceConfig,
+    fingerprint_encoded, CacheSource, CompileOutcome, CompileRequest, CompileService, CutPolicy,
+    EcmasConfig, GateOrder, ScheduleMode, ServiceConfig,
 };
 use ecmas_chip::{Chip, CodeModel};
 use ecmas_circuit::random;
@@ -111,38 +111,30 @@ proptest! {
     }
 }
 
-/// Changing only a schedule-stage knob must reuse the cached profile and
-/// map artifacts (`stage_hits` > 0, source `MapReuse`) and still produce
-/// output bit-identical to a cold compile under the new config.
+/// The cache is keyed by the whole config: changing only schedule-stage
+/// knobs (`order`, `cut_policy`) is a miss, and its result is
+/// bit-identical to a cold compile under the new config.
 #[test]
-fn stage_artifact_reuse_is_bit_identical_to_cold_compiles() {
+fn schedule_only_config_change_misses_and_matches_a_cold_compile() {
     let circuit = random::layered(14, 10, 4, 0xCAFE);
     let chip = Chip::min_viable(CodeModel::DoubleDefect, 14, 3).unwrap();
     let config_a = EcmasConfig::default();
-    // Schedule-only changes: the mapping inputs (location, cut_init) are
-    // untouched, so the map key — and therefore the cached artifacts —
-    // stay valid.
     let config_b = EcmasConfig {
         order: GateOrder::CircuitOrder,
         cut_policy: CutPolicy::ChannelFirst,
         ..config_a
     };
-    assert_eq!(config_a.cut_init, CutInitStrategy::GreedyBipartitePrefix);
 
     let cached = service_with_cache(2, 16 * 1024 * 1024);
-    let warmup = cached
-        .submit(CompileRequest::new(circuit.clone(), chip.clone()).with_config(config_a))
-        .unwrap()
-        .wait()
-        .unwrap();
-    assert_eq!(warmup.report.cache.source, CacheSource::Miss);
-    let reused = cached
-        .submit(CompileRequest::new(circuit.clone(), chip.clone()).with_config(config_b))
-        .unwrap()
-        .wait()
-        .unwrap();
-    assert_eq!(reused.report.cache.source, CacheSource::MapReuse);
-    assert!(cached.cache_stats().unwrap().stage_hits >= 1, "map reuse counts as a stage hit");
+    let submit = |config: EcmasConfig| {
+        let request = CompileRequest::new(circuit.clone(), chip.clone()).with_config(config);
+        cached.submit(request).unwrap().wait().unwrap()
+    };
+    assert_eq!(submit(config_a).report.cache.source, CacheSource::Miss);
+    let changed = submit(config_b);
+    assert_eq!(changed.report.cache.source, CacheSource::Miss);
+    let stats = cached.cache_stats().unwrap();
+    assert_eq!((stats.misses, stats.hits, stats.entries), (2, 0, 2), "{stats:?}");
 
     let uncached = service_with_cache(2, 0);
     let cold = uncached
@@ -150,9 +142,33 @@ fn stage_artifact_reuse_is_bit_identical_to_cold_compiles() {
         .unwrap()
         .wait()
         .unwrap();
-    assert_eq!(canonical_report(&reused), canonical_report(&cold));
-    assert_eq!(reused.encoded.events(), cold.encoded.events());
-    assert_eq!(fingerprint_encoded(&reused.encoded), fingerprint_encoded(&cold.encoded));
+    assert_eq!(canonical_report(&changed), canonical_report(&cold));
+    assert_eq!(changed.encoded.events(), cold.encoded.events());
+    assert_eq!(fingerprint_encoded(&changed.encoded), fingerprint_encoded(&cold.encoded));
+}
+
+/// A miss stores one entry, its full result: N distinct circuits under a
+/// budget that holds them all leave exactly N entries and N misses, and
+/// resubmitting each one is a hit.
+#[test]
+fn each_miss_stores_one_entry() {
+    const N: u64 = 6;
+    let service = service_with_cache(1, 16 * 1024 * 1024);
+    let chip = Chip::min_viable(CodeModel::LatticeSurgery, 10, 3).unwrap();
+    let circuits: Vec<_> = (0..N).map(|seed| random::layered(10, 8, 3, seed)).collect();
+    let source = |circuit: &ecmas_circuit::Circuit| {
+        let request = CompileRequest::new(circuit.clone(), chip.clone());
+        service.submit(request).unwrap().wait().unwrap().report.cache.source
+    };
+    for circuit in &circuits {
+        assert_eq!(source(circuit), CacheSource::Miss);
+    }
+    let stats = service.cache_stats().unwrap();
+    assert_eq!((stats.entries as u64, stats.misses, stats.evictions), (N, N, 0), "{stats:?}");
+    for circuit in &circuits {
+        assert_eq!(source(circuit), CacheSource::Hit);
+    }
+    assert_eq!(service.cache_stats().unwrap().hits, N);
 }
 
 /// The resident byte estimate never exceeds the configured budget, and a

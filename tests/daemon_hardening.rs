@@ -2,7 +2,9 @@
 //! corpus of malformed input — binary garbage, truncated JSON, wrong
 //! types, unknown ops, oversized lines — must always produce a
 //! structured `error` response (never a panic, never silence), and the
-//! daemon must keep serving real work afterwards and drain cleanly.
+//! daemon must keep serving real work afterwards and drain cleanly. The
+//! binaries' `--cache-mb` flag gets the same treatment: a value too large
+//! for a byte count is a usage error, not a panic.
 
 use ecmas::serve::daemon::{ChipKind, Daemon, DaemonOptions, MAX_LINE_BYTES};
 use ecmas::serve::json::{self, Value};
@@ -138,4 +140,34 @@ fn deeply_nested_qasm_gets_a_positioned_error() {
         .handle_line(r#"{"op":"submit","random":{"qubits":8,"depth":6,"parallelism":2,"seed":3}}"#);
     assert_eq!(parse(&submit[0]).get("op").and_then(Value::as_str), Some("submitted"));
     d.drain();
+}
+
+/// A `--cache-mb` whose byte count does not fit a `u64` is a usage
+/// error on both binaries: exit 1 with a message naming the flag, never
+/// a multiply-overflow panic (debug) or a wrap to a disabled cache
+/// (release).
+#[test]
+fn overflowing_cache_mb_is_a_usage_error() {
+    use std::process::{Command, Stdio};
+    let too_big = (u64::MAX / (1024 * 1024) + 1).to_string();
+    let largest = (u64::MAX / (1024 * 1024)).to_string();
+    let run = |bin: &str, args: &[&str]| {
+        Command::new(bin).args(args).stdin(Stdio::null()).output().unwrap()
+    };
+    let daemon = env!("CARGO_BIN_EXE_ecmasd");
+    let compiler = env!("CARGO_BIN_EXE_ecmasc");
+    for (bin, args) in [
+        (daemon, vec!["--cache-mb", too_big.as_str()]),
+        (compiler, vec!["--jobs", "absent.txt", "--cache-mb", too_big.as_str()]),
+    ] {
+        let out = run(bin, &args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{bin} {args:?}: {stderr}");
+        assert!(stderr.contains("--cache-mb"), "{bin}: the message names the flag: {stderr}");
+        assert!(!stderr.contains("panicked"), "{bin}: {stderr}");
+    }
+    // The largest value that fits is accepted: the daemon starts, reads
+    // an empty stdin, and drains cleanly.
+    let out = run(daemon, &["--cache-mb", &largest]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
 }

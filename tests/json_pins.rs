@@ -108,10 +108,9 @@ fn report() -> CompileReport {
         events: 13,
         cut_modifications: 2,
         cache: CacheInfo {
-            source: CacheSource::MapReuse,
+            source: CacheSource::Coalesced,
             hits: 5,
             misses: 6,
-            stage_hits: 7,
             evictions: 1,
             resident_bytes: 4096,
             coalesced_waits: 2,
@@ -238,8 +237,8 @@ fn ecmasc_json_lines_are_pinned() {
 }
 
 const REPORTS: &[&str] = &[
-    "{\"algorithm\":\"resu\",\"cycles\":17,\"events\":13,\"cut_modifications\":2,\"gpm\":4,\"capacity\":5,\"placement_restarts\":8,\"bandwidth_adjust\":\"disabled\",\"timings_ms\":{\"profile\":1.250,\"map\":0.333,\"schedule\":12.000,\"total\":13.583},\"router\":{\"paths_found\":11,\"conflicts\":2,\"cells_expanded\":345,\"pruned_expansions\":67,\"path_cells\":89,\"peak_cycle_path_cells\":21,\"failed_searches\":1,\"cache_hits\":3,\"recolor_cells\":40},\"cache\":{\"source\":\"map_reuse\",\"hits\":5,\"misses\":6,\"stage_hits\":7,\"evictions\":1,\"resident_bytes\":4096,\"coalesced_waits\":2},\"resources\":{\"logical_qubits\":9,\"live_tiles\":12,\"physical_qubits\":3456,\"cycles\":17,\"space_time_volume\":153,\"channel_cells\":40,\"channel_mean_utilization_ppm\":130882,\"channel_peak_utilization_ppm\":525000,\"stage_cost\":{\"profile\":20,\"map\":96,\"schedule\":474}},\"diagnostics\":[{\"code\":\"E010\",\"severity\":\"error\",\"message\":\"bad \\\"tok\\\"\\there\",\"span\":{\"line\":3,\"col\":7}}],\"attempts\":2,\"last_fault\":\"stage \\\"1\\\"\\nat\\u0001end\u{7f}\"}",
-    "{\"algorithm\":\"resu\",\"cycles\":17,\"events\":13,\"cut_modifications\":2,\"gpm\":4,\"capacity\":5,\"placement_restarts\":8,\"bandwidth_adjust\":\"disabled\",\"timings_ms\":{\"profile\":1.250,\"map\":0.333,\"schedule\":12.000,\"total\":13.583},\"router\":{\"paths_found\":11,\"conflicts\":2,\"cells_expanded\":345,\"pruned_expansions\":67,\"path_cells\":89,\"peak_cycle_path_cells\":21,\"failed_searches\":1,\"cache_hits\":3,\"recolor_cells\":40},\"cache\":{\"source\":\"map_reuse\",\"hits\":5,\"misses\":6,\"stage_hits\":7,\"evictions\":1,\"resident_bytes\":4096,\"coalesced_waits\":2},\"resources\":{\"logical_qubits\":9,\"live_tiles\":12,\"physical_qubits\":3456,\"cycles\":17,\"space_time_volume\":153,\"channel_cells\":40,\"channel_mean_utilization_ppm\":130882,\"channel_peak_utilization_ppm\":525000,\"stage_cost\":{\"profile\":20,\"map\":96,\"schedule\":474}},\"diagnostics\":[],\"attempts\":2,\"last_fault\":null}",
+    "{\"algorithm\":\"resu\",\"cycles\":17,\"events\":13,\"cut_modifications\":2,\"gpm\":4,\"capacity\":5,\"placement_restarts\":8,\"bandwidth_adjust\":\"disabled\",\"timings_ms\":{\"profile\":1.250,\"map\":0.333,\"schedule\":12.000,\"total\":13.583},\"router\":{\"paths_found\":11,\"conflicts\":2,\"cells_expanded\":345,\"pruned_expansions\":67,\"path_cells\":89,\"peak_cycle_path_cells\":21,\"failed_searches\":1,\"cache_hits\":3,\"recolor_cells\":40},\"cache\":{\"source\":\"coalesced\",\"hits\":5,\"misses\":6,\"evictions\":1,\"resident_bytes\":4096,\"coalesced_waits\":2},\"resources\":{\"logical_qubits\":9,\"live_tiles\":12,\"physical_qubits\":3456,\"cycles\":17,\"space_time_volume\":153,\"channel_cells\":40,\"channel_mean_utilization_ppm\":130882,\"channel_peak_utilization_ppm\":525000,\"stage_cost\":{\"profile\":20,\"map\":96,\"schedule\":474}},\"diagnostics\":[{\"code\":\"E010\",\"severity\":\"error\",\"message\":\"bad \\\"tok\\\"\\there\",\"span\":{\"line\":3,\"col\":7}}],\"attempts\":2,\"last_fault\":\"stage \\\"1\\\"\\nat\\u0001end\u{7f}\"}",
+    "{\"algorithm\":\"resu\",\"cycles\":17,\"events\":13,\"cut_modifications\":2,\"gpm\":4,\"capacity\":5,\"placement_restarts\":8,\"bandwidth_adjust\":\"disabled\",\"timings_ms\":{\"profile\":1.250,\"map\":0.333,\"schedule\":12.000,\"total\":13.583},\"router\":{\"paths_found\":11,\"conflicts\":2,\"cells_expanded\":345,\"pruned_expansions\":67,\"path_cells\":89,\"peak_cycle_path_cells\":21,\"failed_searches\":1,\"cache_hits\":3,\"recolor_cells\":40},\"cache\":{\"source\":\"coalesced\",\"hits\":5,\"misses\":6,\"evictions\":1,\"resident_bytes\":4096,\"coalesced_waits\":2},\"resources\":{\"logical_qubits\":9,\"live_tiles\":12,\"physical_qubits\":3456,\"cycles\":17,\"space_time_volume\":153,\"channel_cells\":40,\"channel_mean_utilization_ppm\":130882,\"channel_peak_utilization_ppm\":525000,\"stage_cost\":{\"profile\":20,\"map\":96,\"schedule\":474}},\"diagnostics\":[],\"attempts\":2,\"last_fault\":null}",
 ];
 
 const ESTIMATE_AND_DIAGNOSTICS: &[&str] = &[
@@ -250,9 +249,9 @@ const ESTIMATE_AND_DIAGNOSTICS: &[&str] = &[
 ];
 
 const DAEMON_LINES: &[&str] = &[
-    "{\"op\":\"stats\",\"jobs\":0,\"pending\":0,\"done\":0,\"cancelled\":0,\"deadline\":0,\"failed\":0,\"queued\":_,\"workers\":1,\"cache\":{\"enabled\":false,\"hits\":0,\"misses\":0,\"stage_hits\":0,\"evictions\":0,\"resident_bytes\":0,\"coalesced_waits\":0,\"entries\":0},\"supervisor\":{\"workers\":1,\"spawned\":1,\"panics\":0,\"respawns\":0,\"requeued\":0},\"faults\":{\"enabled\":false,\"spurious_errors\":0,\"panics\":0,\"latencies\":0,\"poisoned\":0},\"retries\":{\"spent\":0,\"budget\":1024},\"shed\":0,\"draining\":false,\"resources\":{\"jobs\":0,\"logical_qubits\":0,\"cycles\":0,\"space_time_volume\":0,\"stage_cost\":0,\"peak_channel_utilization_ppm\":0},\"diagnostics\":{\"errors\":0,\"warnings\":0,\"hints\":0}}",
+    "{\"op\":\"stats\",\"jobs\":0,\"pending\":0,\"done\":0,\"cancelled\":0,\"deadline\":0,\"failed\":0,\"queued\":_,\"workers\":1,\"cache\":{\"enabled\":false,\"hits\":0,\"misses\":0,\"evictions\":0,\"resident_bytes\":0,\"coalesced_waits\":0,\"entries\":0},\"supervisor\":{\"workers\":1,\"spawned\":1,\"panics\":0,\"respawns\":0,\"requeued\":0},\"faults\":{\"enabled\":false,\"spurious_errors\":0,\"panics\":0,\"latencies\":0,\"poisoned\":0},\"retries\":{\"spent\":0,\"budget\":1024},\"shed\":0,\"draining\":false,\"resources\":{\"jobs\":0,\"logical_qubits\":0,\"cycles\":0,\"space_time_volume\":0,\"stage_cost\":0,\"peak_channel_utilization_ppm\":0},\"diagnostics\":{\"errors\":0,\"warnings\":0,\"hints\":0}}",
     "{\"op\":\"submitted\",\"job\":1,\"tag\":\"q\\\"t\\\\x\\n\\u0001\",\"circuit\":\"random_n6_d5_p2\",\"qubits\":6,\"queued\":_}",
-    "{\"op\":\"result\",\"job\":1,\"tag\":\"q\\\"t\\\\x\\n\\u0001\",\"circuit\":\"random_n6_d5_p2\",\"qubits\":6,\"status\":\"done\",\"report\":{\"algorithm\":\"resu\",\"cycles\":5,\"events\":10,\"cut_modifications\":0,\"gpm\":2,\"capacity\":3,\"placement_restarts\":8,\"bandwidth_adjust\":\"disabled\",\"timings_ms\":_,\"router\":{\"paths_found\":10,\"conflicts\":0,\"cells_expanded\":36,\"pruned_expansions\":47,\"path_cells\":38,\"peak_cycle_path_cells\":10,\"failed_searches\":0,\"cache_hits\":0,\"recolor_cells\":0},\"cache\":{\"source\":\"disabled\",\"hits\":0,\"misses\":0,\"stage_hits\":0,\"evictions\":0,\"resident_bytes\":0,\"coalesced_waits\":0},\"resources\":{\"logical_qubits\":6,\"live_tiles\":9,\"physical_qubits\":882,\"cycles\":5,\"space_time_volume\":30,\"channel_cells\":40,\"channel_mean_utilization_ppm\":190000,\"channel_peak_utilization_ppm\":250000,\"stage_cost\":{\"profile\":10,\"map\":72,\"schedule\":74}},\"diagnostics\":[],\"attempts\":1,\"last_fault\":null}}",
+    "{\"op\":\"result\",\"job\":1,\"tag\":\"q\\\"t\\\\x\\n\\u0001\",\"circuit\":\"random_n6_d5_p2\",\"qubits\":6,\"status\":\"done\",\"report\":{\"algorithm\":\"resu\",\"cycles\":5,\"events\":10,\"cut_modifications\":0,\"gpm\":2,\"capacity\":3,\"placement_restarts\":8,\"bandwidth_adjust\":\"disabled\",\"timings_ms\":_,\"router\":{\"paths_found\":10,\"conflicts\":0,\"cells_expanded\":36,\"pruned_expansions\":47,\"path_cells\":38,\"peak_cycle_path_cells\":10,\"failed_searches\":0,\"cache_hits\":0,\"recolor_cells\":0},\"cache\":{\"source\":\"disabled\",\"hits\":0,\"misses\":0,\"evictions\":0,\"resident_bytes\":0,\"coalesced_waits\":0},\"resources\":{\"logical_qubits\":6,\"live_tiles\":9,\"physical_qubits\":882,\"cycles\":5,\"space_time_volume\":30,\"channel_cells\":40,\"channel_mean_utilization_ppm\":190000,\"channel_peak_utilization_ppm\":250000,\"stage_cost\":{\"profile\":10,\"map\":72,\"schedule\":74}},\"diagnostics\":[],\"attempts\":1,\"last_fault\":null}}",
     "{\"op\":\"status\",\"job\":1,\"tag\":\"q\\\"t\\\\x\\n\\u0001\",\"status\":\"done\"}",
     "{\"op\":\"cancel\",\"job\":1,\"tag\":\"q\\\"t\\\\x\\n\\u0001\",\"accepted\":false}",
     "{\"op\":\"submitted\",\"job\":2,\"tag\":\"q\\\"t\\\\x\\n\\u0001\",\"circuit\":\"random_n60_d300_p20\",\"qubits\":60,\"queued\":_}",
@@ -260,10 +259,10 @@ const DAEMON_LINES: &[&str] = &[
     "{\"op\":\"cancel\",\"job\":3,\"tag\":\"q\\\"t\\\\x\\n\\u0001\",\"accepted\":true}",
     "{\"op\":\"submitted\",\"job\":4,\"tag\":\"q\\\"t\\\\x\\n\\u0001\",\"circuit\":\"random_n6_d5_p2\",\"qubits\":6,\"queued\":_}",
     "{\"op\":\"submitted\",\"job\":5,\"tag\":\"q\\\"t\\\\x\\n\\u0001\",\"circuit\":\"random_n6_d5_p2\",\"qubits\":6,\"queued\":_}",
-    "{\"op\":\"result\",\"job\":2,\"tag\":\"q\\\"t\\\\x\\n\\u0001\",\"circuit\":\"random_n60_d300_p20\",\"qubits\":60,\"status\":\"done\",\"report\":{\"algorithm\":\"limited\",\"cycles\":430,\"events\":6000,\"cut_modifications\":0,\"gpm\":21,\"capacity\":3,\"placement_restarts\":8,\"bandwidth_adjust\":\"disabled\",\"timings_ms\":_,\"router\":{\"paths_found\":6000,\"conflicts\":3079,\"cells_expanded\":218337,\"pruned_expansions\":56853,\"path_cells\":80716,\"peak_cycle_path_cells\":239,\"failed_searches\":3079,\"cache_hits\":2309,\"recolor_cells\":176330},\"cache\":{\"source\":\"disabled\",\"hits\":0,\"misses\":0,\"stage_hits\":0,\"evictions\":0,\"resident_bytes\":0,\"coalesced_waits\":0},\"resources\":{\"logical_qubits\":60,\"live_tiles\":64,\"physical_qubits\":5202,\"cycles\":430,\"space_time_volume\":25800,\"channel_cells\":225,\"channel_mean_utilization_ppm\":834273,\"channel_peak_utilization_ppm\":1062222,\"stage_cost\":{\"profile\":6000,\"map\":512,\"schedule\":475383}},\"diagnostics\":[],\"attempts\":1,\"last_fault\":null}}",
+    "{\"op\":\"result\",\"job\":2,\"tag\":\"q\\\"t\\\\x\\n\\u0001\",\"circuit\":\"random_n60_d300_p20\",\"qubits\":60,\"status\":\"done\",\"report\":{\"algorithm\":\"limited\",\"cycles\":430,\"events\":6000,\"cut_modifications\":0,\"gpm\":21,\"capacity\":3,\"placement_restarts\":8,\"bandwidth_adjust\":\"disabled\",\"timings_ms\":_,\"router\":{\"paths_found\":6000,\"conflicts\":3079,\"cells_expanded\":218337,\"pruned_expansions\":56853,\"path_cells\":80716,\"peak_cycle_path_cells\":239,\"failed_searches\":3079,\"cache_hits\":2309,\"recolor_cells\":176330},\"cache\":{\"source\":\"disabled\",\"hits\":0,\"misses\":0,\"evictions\":0,\"resident_bytes\":0,\"coalesced_waits\":0},\"resources\":{\"logical_qubits\":60,\"live_tiles\":64,\"physical_qubits\":5202,\"cycles\":430,\"space_time_volume\":25800,\"channel_cells\":225,\"channel_mean_utilization_ppm\":834273,\"channel_peak_utilization_ppm\":1062222,\"stage_cost\":{\"profile\":6000,\"map\":512,\"schedule\":475383}},\"diagnostics\":[],\"attempts\":1,\"last_fault\":null}}",
     "{\"op\":\"result\",\"job\":3,\"tag\":\"q\\\"t\\\\x\\n\\u0001\",\"circuit\":\"random_n6_d5_p2\",\"qubits\":6,\"status\":\"cancelled\"}",
     "{\"op\":\"result\",\"job\":4,\"tag\":\"q\\\"t\\\\x\\n\\u0001\",\"circuit\":\"random_n6_d5_p2\",\"qubits\":6,\"status\":\"deadline\",\"error\":\"deadline of 0ns exceeded\"}",
-    "{\"op\":\"result\",\"job\":5,\"tag\":\"q\\\"t\\\\x\\n\\u0001\",\"circuit\":\"random_n6_d5_p2\",\"qubits\":6,\"status\":\"done\",\"report\":{\"algorithm\":\"resu\",\"cycles\":5,\"events\":10,\"cut_modifications\":0,\"gpm\":2,\"capacity\":3,\"placement_restarts\":8,\"bandwidth_adjust\":\"disabled\",\"timings_ms\":_,\"router\":{\"paths_found\":10,\"conflicts\":0,\"cells_expanded\":36,\"pruned_expansions\":47,\"path_cells\":38,\"peak_cycle_path_cells\":10,\"failed_searches\":0,\"cache_hits\":0,\"recolor_cells\":0},\"cache\":{\"source\":\"disabled\",\"hits\":0,\"misses\":0,\"stage_hits\":0,\"evictions\":0,\"resident_bytes\":0,\"coalesced_waits\":0},\"resources\":{\"logical_qubits\":6,\"live_tiles\":9,\"physical_qubits\":882,\"cycles\":5,\"space_time_volume\":30,\"channel_cells\":40,\"channel_mean_utilization_ppm\":190000,\"channel_peak_utilization_ppm\":250000,\"stage_cost\":{\"profile\":10,\"map\":72,\"schedule\":74}},\"diagnostics\":[{\"code\":\"W002\",\"severity\":\"warning\",\"message\":\"1 adjacent identical CNOT pair(s) cancel to the identity (first: ops 4 and 6)\"},{\"code\":\"H001\",\"severity\":\"hint\",\"message\":\"4 idle bubbles totalling 5 qubit-cycles (qubit utilization 66.7%)\"},{\"code\":\"H002\",\"severity\":\"hint\",\"message\":\"critical-path lower bound 5 cycles, schedule Δ 5 (slack 0)\"}],\"attempts\":1,\"last_fault\":null}}",
+    "{\"op\":\"result\",\"job\":5,\"tag\":\"q\\\"t\\\\x\\n\\u0001\",\"circuit\":\"random_n6_d5_p2\",\"qubits\":6,\"status\":\"done\",\"report\":{\"algorithm\":\"resu\",\"cycles\":5,\"events\":10,\"cut_modifications\":0,\"gpm\":2,\"capacity\":3,\"placement_restarts\":8,\"bandwidth_adjust\":\"disabled\",\"timings_ms\":_,\"router\":{\"paths_found\":10,\"conflicts\":0,\"cells_expanded\":36,\"pruned_expansions\":47,\"path_cells\":38,\"peak_cycle_path_cells\":10,\"failed_searches\":0,\"cache_hits\":0,\"recolor_cells\":0},\"cache\":{\"source\":\"disabled\",\"hits\":0,\"misses\":0,\"evictions\":0,\"resident_bytes\":0,\"coalesced_waits\":0},\"resources\":{\"logical_qubits\":6,\"live_tiles\":9,\"physical_qubits\":882,\"cycles\":5,\"space_time_volume\":30,\"channel_cells\":40,\"channel_mean_utilization_ppm\":190000,\"channel_peak_utilization_ppm\":250000,\"stage_cost\":{\"profile\":10,\"map\":72,\"schedule\":74}},\"diagnostics\":[{\"code\":\"W002\",\"severity\":\"warning\",\"message\":\"1 adjacent identical CNOT pair(s) cancel to the identity (first: ops 4 and 6)\"},{\"code\":\"H001\",\"severity\":\"hint\",\"message\":\"4 idle bubbles totalling 5 qubit-cycles (qubit utilization 66.7%)\"},{\"code\":\"H002\",\"severity\":\"hint\",\"message\":\"critical-path lower bound 5 cycles, schedule Δ 5 (slack 0)\"}],\"attempts\":1,\"last_fault\":null}}",
     "{\"op\":\"drained\",\"jobs\":5,\"done\":3,\"cancelled\":1,\"deadline\":1,\"failed\":0}",
     "{\"op\":\"error\",\"error\":\"job 3 already reported (cancelled)\"}",
     "{\"op\":\"error\",\"error\":\"unknown op \\\"warp\\\"\"}",
@@ -292,8 +291,8 @@ const STRESS_STREAMS: &[&str] = &[
 ];
 
 const ECMASC_LINES: &[&str] = &[
-    "{\"file\":\"good \\\"q\\\".qasm\",\"qubits\":5,\"cnots\":3,\"depth\":2,\"model\":\"double defect\",\"chip\":{\"kind\":\"min\",\"tile_rows\":3,\"tile_cols\":3,\"bandwidth\":1,\"defects\":0,\"live_tiles\":9},\"report\":{\"algorithm\":\"resu\",\"cycles\":2,\"events\":3,\"cut_modifications\":0,\"gpm\":2,\"capacity\":3,\"placement_restarts\":8,\"bandwidth_adjust\":\"disabled\",\"timings_ms\":_,\"router\":{\"paths_found\":3,\"conflicts\":0,\"cells_expanded\":6,\"pruned_expansions\":13,\"path_cells\":9,\"peak_cycle_path_cells\":6,\"failed_searches\":0,\"cache_hits\":0,\"recolor_cells\":0},\"cache\":{\"source\":\"disabled\",\"hits\":0,\"misses\":0,\"stage_hits\":0,\"evictions\":0,\"resident_bytes\":0,\"coalesced_waits\":0},\"resources\":{\"logical_qubits\":5,\"live_tiles\":9,\"physical_qubits\":5625,\"cycles\":2,\"space_time_volume\":10,\"channel_cells\":40,\"channel_mean_utilization_ppm\":112500,\"channel_peak_utilization_ppm\":150000,\"stage_cost\":{\"profile\":3,\"map\":72,\"schedule\":15}},\"diagnostics\":[{\"code\":\"W001\",\"severity\":\"warning\",\"message\":\"1 of 5 declared qubits are touched by no gate: 4\"},{\"code\":\"H002\",\"severity\":\"hint\",\"message\":\"critical-path lower bound 2 cycles, schedule Δ 2 (slack 0)\"}],\"attempts\":1,\"last_fault\":null}}",
-    "{\"file\":\"good \\\"q\\\".qasm\",\"qubits\":5,\"cnots\":3,\"depth\":2,\"model\":\"lattice surgery\",\"chip\":{\"kind\":\"4x\",\"tile_rows\":3,\"tile_cols\":3,\"bandwidth\":2,\"defects\":1,\"live_tiles\":8},\"report\":{\"algorithm\":\"resu\",\"cycles\":2,\"events\":3,\"cut_modifications\":0,\"gpm\":2,\"capacity\":3,\"placement_restarts\":8,\"bandwidth_adjust\":\"disabled\",\"timings_ms\":_,\"router\":{\"paths_found\":3,\"conflicts\":0,\"cells_expanded\":9,\"pruned_expansions\":19,\"path_cells\":12,\"peak_cycle_path_cells\":8,\"failed_searches\":0,\"cache_hits\":0,\"recolor_cells\":0},\"cache\":{\"source\":\"disabled\",\"hits\":0,\"misses\":0,\"stage_hits\":0,\"evictions\":0,\"resident_bytes\":0,\"coalesced_waits\":0},\"resources\":{\"logical_qubits\":5,\"live_tiles\":8,\"physical_qubits\":2178,\"cycles\":2,\"space_time_volume\":10,\"channel_cells\":112,\"channel_mean_utilization_ppm\":53571,\"channel_peak_utilization_ppm\":71428,\"stage_cost\":{\"profile\":3,\"map\":64,\"schedule\":21}},\"diagnostics\":[],\"attempts\":1,\"last_fault\":null}}",
+    "{\"file\":\"good \\\"q\\\".qasm\",\"qubits\":5,\"cnots\":3,\"depth\":2,\"model\":\"double defect\",\"chip\":{\"kind\":\"min\",\"tile_rows\":3,\"tile_cols\":3,\"bandwidth\":1,\"defects\":0,\"live_tiles\":9},\"report\":{\"algorithm\":\"resu\",\"cycles\":2,\"events\":3,\"cut_modifications\":0,\"gpm\":2,\"capacity\":3,\"placement_restarts\":8,\"bandwidth_adjust\":\"disabled\",\"timings_ms\":_,\"router\":{\"paths_found\":3,\"conflicts\":0,\"cells_expanded\":6,\"pruned_expansions\":13,\"path_cells\":9,\"peak_cycle_path_cells\":6,\"failed_searches\":0,\"cache_hits\":0,\"recolor_cells\":0},\"cache\":{\"source\":\"disabled\",\"hits\":0,\"misses\":0,\"evictions\":0,\"resident_bytes\":0,\"coalesced_waits\":0},\"resources\":{\"logical_qubits\":5,\"live_tiles\":9,\"physical_qubits\":5625,\"cycles\":2,\"space_time_volume\":10,\"channel_cells\":40,\"channel_mean_utilization_ppm\":112500,\"channel_peak_utilization_ppm\":150000,\"stage_cost\":{\"profile\":3,\"map\":72,\"schedule\":15}},\"diagnostics\":[{\"code\":\"W001\",\"severity\":\"warning\",\"message\":\"1 of 5 declared qubits are touched by no gate: 4\"},{\"code\":\"H002\",\"severity\":\"hint\",\"message\":\"critical-path lower bound 2 cycles, schedule Δ 2 (slack 0)\"}],\"attempts\":1,\"last_fault\":null}}",
+    "{\"file\":\"good \\\"q\\\".qasm\",\"qubits\":5,\"cnots\":3,\"depth\":2,\"model\":\"lattice surgery\",\"chip\":{\"kind\":\"4x\",\"tile_rows\":3,\"tile_cols\":3,\"bandwidth\":2,\"defects\":1,\"live_tiles\":8},\"report\":{\"algorithm\":\"resu\",\"cycles\":2,\"events\":3,\"cut_modifications\":0,\"gpm\":2,\"capacity\":3,\"placement_restarts\":8,\"bandwidth_adjust\":\"disabled\",\"timings_ms\":_,\"router\":{\"paths_found\":3,\"conflicts\":0,\"cells_expanded\":9,\"pruned_expansions\":19,\"path_cells\":12,\"peak_cycle_path_cells\":8,\"failed_searches\":0,\"cache_hits\":0,\"recolor_cells\":0},\"cache\":{\"source\":\"disabled\",\"hits\":0,\"misses\":0,\"evictions\":0,\"resident_bytes\":0,\"coalesced_waits\":0},\"resources\":{\"logical_qubits\":5,\"live_tiles\":8,\"physical_qubits\":2178,\"cycles\":2,\"space_time_volume\":10,\"channel_cells\":112,\"channel_mean_utilization_ppm\":53571,\"channel_peak_utilization_ppm\":71428,\"stage_cost\":{\"profile\":3,\"map\":64,\"schedule\":21}},\"diagnostics\":[],\"attempts\":1,\"last_fault\":null}}",
     "{\"file\":\"good \\\"q\\\".qasm\",\"diagnostics\":[{\"code\":\"W001\",\"severity\":\"warning\",\"message\":\"1 of 5 declared qubits are touched by no gate: 4\"}]}",
     "{\"file\":\"bad.qasm\",\"diagnostics\":[{\"code\":\"E010\",\"severity\":\"error\",\"message\":\"index 7 out of range for qreg `q[2]`\",\"span\":{\"line\":3,\"col\":11}}]}",
 ];

@@ -20,7 +20,7 @@
 //! their outputs pass the same independent [`validate_encoded`] checker as
 //! Ecmas itself — and both implement the workspace-wide
 //! [`ecmas::Compiler`] trait, so harnesses (and
-//! [`ecmas::compile_batch`]) drive all three compilers through one
+//! [`ecmas::compile_jobs`]) drive all three compilers through one
 //! interface.
 //!
 //! [`validate_encoded`]: ecmas::encoded::validate_encoded

@@ -208,8 +208,8 @@ fn bench_schedule(c: &mut Criterion) {
 
 /// Service-layer throughput on a congested chip: a 100-job seeded
 /// stress mix (widths 8–25, depths 40–160, bursty arrival order) fanned
-/// out through `compile_jobs` — the dispatch machine `ecmasd` and the
-/// table harnesses share. One iteration is the whole drain.
+/// out through `compile_jobs`, the plain scoped-thread batch loop the
+/// experiment binaries use. One iteration is the whole batch.
 fn bench_service_stress(c: &mut Criterion) {
     let chip = Chip::congested(CodeModel::LatticeSurgery, 25, 3).unwrap();
     let spec = StressSpec {

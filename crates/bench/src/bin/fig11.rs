@@ -2,7 +2,7 @@
 //! Degree (1..=21) over groups of random 49-qubit, depth-50 circuits.
 //! Set `ECMAS_SAMPLES` to change the group size (default 50, as in the
 //! paper). Each group's independent compilations fan out across cores
-//! via `ecmas::compile_batch`; results are identical to a sequential run.
+//! via `ecmas::compile_jobs`; results are identical to a sequential run.
 
 use ecmas_bench::{fig11_point, sample_count};
 use ecmas_chip::CodeModel;

@@ -3,7 +3,7 @@
 //! bandwidth 1 to 5, for parallelism 11 and 21, in both models. The
 //! x-axis is physical qubits per d², matching the paper's values
 //! (3025..18225 double defect, 450..4418 lattice surgery). Sample groups
-//! compile in parallel via `ecmas::compile_batch`; per-circuit compile
+//! compile in parallel via `ecmas::compile_jobs`; per-circuit compile
 //! seconds come from each run's own `CompileReport` stage timings.
 
 use ecmas_bench::{fig12_point, sample_count};

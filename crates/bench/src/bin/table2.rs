@@ -2,8 +2,8 @@
 //! (Trivial / Metis / Ours), first on the minimum viable lattice-surgery
 //! chip (the paper's configuration — no spread: everything schedules at
 //! the depth bound), then on the congested chip where placement actually
-//! discriminates. All cells fan out across cores through the service
-//! layer (`ecmas::compile_jobs`).
+//! discriminates. All cells fan out across cores through one batch
+//! (`ecmas::compile_jobs`).
 
 use ecmas_bench::{print_rows, table2_plan, table2_plan_congested, table_rows};
 

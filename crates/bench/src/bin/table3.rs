@@ -1,6 +1,6 @@
 //! Regenerates the paper's Table III: cut-type-initialization comparison
 //! (Random / Max-cut / Ours) on the minimum viable double-defect chip.
-//! All cells fan out across cores through the service layer
+//! All cells fan out across cores through one batch
 //! (`ecmas::compile_jobs`).
 
 use ecmas_bench::{print_rows, table3_plan, table_rows};

@@ -2,8 +2,8 @@
 //! (Circuit-order / Ours), first on the minimum viable lattice-surgery
 //! chip (the paper's configuration — no spread: everything schedules at
 //! the depth bound), then on the congested chip where the gate order
-//! actually discriminates. All cells fan out across cores through the
-//! service layer (`ecmas::compile_jobs`).
+//! actually discriminates. All cells fan out across cores through one
+//! batch (`ecmas::compile_jobs`).
 
 use ecmas_bench::{print_rows, table4_plan, table4_plan_congested, table_rows};
 

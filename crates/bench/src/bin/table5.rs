@@ -1,7 +1,7 @@
 //! Regenerates the paper's Table V: cut-type-scheduling comparison
 //! (Channel-first / Time-first / Ours) on the minimum viable
-//! double-defect chip. All cells fan out across cores through the
-//! service layer (`ecmas::compile_jobs`).
+//! double-defect chip. All cells fan out across cores through one
+//! batch (`ecmas::compile_jobs`).
 
 use ecmas_bench::{print_rows, table5_plan, table_rows};
 

@@ -19,13 +19,14 @@
 //! | `fig12` | Fig. 12 — cycles & compile-time ratio vs chip size |
 //!
 //! Every compiler is driven through the workspace-wide [`Compiler`]
-//! trait, and every experiment fans out over the `ecmas-serve` service
-//! layer: the random-circuit experiments (`fig11`/`fig12`) batch their
-//! sample compilations with [`compile_batch`], and the `table1`–`table5`
-//! binaries flatten *all* their rows' cells — each with its own compiler
-//! and per-circuit chip — into one heterogeneous [`compile_jobs`] fan-out
-//! ([`table_rows`]). Results are bit-identical to a sequential loop
-//! (every compiler is deterministic), only the wall clock changes.
+//! trait, and every experiment fans out over `ecmas-serve`'s batch entry
+//! point, [`compile_jobs`]: the random-circuit experiments
+//! (`fig11`/`fig12`) batch each sample group on one chip
+//! ([`run_batch`]), and the `table1`–`table5` binaries flatten *all*
+//! their rows' cells — each with its own compiler and per-circuit chip —
+//! into one batch ([`table_rows`]). Results are bit-identical to a
+//! sequential loop (every compiler is deterministic), only the wall
+//! clock changes.
 //!
 //! The criterion benches (`cargo bench`) measure compile-time scaling —
 //! the paper's efficiency claim — on the same workloads.
@@ -34,8 +35,8 @@
 #![warn(missing_docs)]
 
 use ecmas::{
-    compile_batch, compile_jobs, validate_encoded, BatchJob, CompileError, CompileOutcome,
-    Compiler, CutInitStrategy, CutPolicy, Ecmas, EcmasConfig, GateOrder, LocationStrategy,
+    compile_jobs, validate_encoded, BatchJob, CompileError, CompileOutcome, Compiler,
+    CutInitStrategy, CutPolicy, Ecmas, EcmasConfig, GateOrder, LocationStrategy,
 };
 use ecmas_baselines::{AutoBraid, Edpci};
 use ecmas_chip::{Chip, CodeModel};
@@ -82,8 +83,8 @@ pub fn run_compiler(compiler: &dyn Compiler, circuit: &Circuit, chip: &Chip) -> 
     outcome
 }
 
-/// Fans a circuit group through [`compile_batch`] (scoped threads, one
-/// worker per core), validates every schedule, and returns the summed
+/// Fans a circuit group through [`compile_jobs`] (scoped threads, one
+/// per core), validates every schedule, and returns the summed
 /// cycles and summed per-circuit compile seconds (measured inside each
 /// compilation by its report, so the numbers are comparable whether the
 /// batch ran on one core or many).
@@ -92,14 +93,12 @@ pub fn run_compiler(compiler: &dyn Compiler, circuit: &Circuit, chip: &Chip) -> 
 ///
 /// As [`run_compiler`].
 #[must_use]
-pub fn run_batch<C: Compiler + Sync + ?Sized>(
-    compiler: &C,
-    group: &[Circuit],
-    chip: &Chip,
-) -> (u64, f64) {
+pub fn run_batch(compiler: &(dyn Compiler + Sync), group: &[Circuit], chip: &Chip) -> (u64, f64) {
+    let jobs: Vec<BatchJob<'_>> =
+        group.iter().map(|circuit| BatchJob { compiler, circuit, chip }).collect();
     let mut cycles = 0u64;
     let mut secs = 0.0f64;
-    for (circuit, outcome) in group.iter().zip(compile_batch(compiler, group, chip)) {
+    for (circuit, outcome) in group.iter().zip(compile_jobs(&jobs)) {
         let outcome =
             outcome.unwrap_or_else(|e| panic!("{}: batch compile failed: {e}", circuit.name()));
         validate_encoded(circuit, &outcome.encoded)
@@ -122,9 +121,7 @@ pub fn run_ecmas(circuit: &Circuit, chip: &Chip, config: EcmasConfig) -> u64 {
 }
 
 /// One planned table cell: which compiler to run on which chip. The
-/// chips are sized per circuit (that is why the tables cannot ride the
-/// single-chip [`compile_batch`] shape and fan out over
-/// [`compile_jobs`] instead).
+/// chips are sized per circuit, so every cell is its own [`BatchJob`].
 pub struct Cell {
     /// Column label.
     pub label: &'static str,
@@ -405,7 +402,7 @@ pub fn baseline_for(model: CodeModel) -> Box<dyn Compiler + Sync> {
 /// Fig. 11 point: mean cycles over a test group of random circuits at one
 /// parallelism degree, for baseline and Ecmas, on the given model's minimum
 /// viable chip. The group's independent compilations fan out across cores
-/// via [`compile_batch`].
+/// via [`run_batch`].
 #[must_use]
 pub fn fig11_point(model: CodeModel, parallelism: usize, samples: usize) -> (f64, f64) {
     let group = ecmas_circuit::random::test_group(49, 50, parallelism, samples, 0x000F_1611);

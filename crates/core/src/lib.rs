@@ -32,7 +32,7 @@
 //! every ablation knob of the paper's Tables II–V is a field of
 //! [`EcmasConfig`]. The [`session::Compiler`] trait is the workspace-wide
 //! interface baselines implement too; batch and service-style fan-out
-//! (`compile_batch`, `CompileService`, the `ecmasd` daemon) live a layer
+//! (`compile_jobs`, `CompileService`, the `ecmasd` daemon) live a layer
 //! up in `ecmas-serve`.
 //!
 //! # Example

@@ -5,7 +5,7 @@
 //! next stage runs:
 //!
 //! * [`Profiled`] — the circuit's DAG, communication graph, and
-//!   Para-Finding execution scheme (`ĝPM`). Override: [`Profiled::with_chip`].
+//!   Para-Finding execution scheme (`ĝPM`).
 //! * [`Mapped`] — the qubit → tile mapping and (double defect) the initial
 //!   cut types. Overrides: [`Mapped::with_mapping`], [`Mapped::with_cuts`].
 //! * [`Scheduled`] — the encoded circuit plus a structured
@@ -20,8 +20,7 @@
 //! every compiler through one interface. Fan-out lives a layer up, in
 //! `ecmas-serve`: its `CompileService` worker pool runs these stages with
 //! a cancellation/deadline checkpoint at every boundary, and its
-//! `compile_batch` facade fans independent compilations across scoped
-//! threads.
+//! `compile_jobs` fans independent compilations across scoped threads.
 //!
 //! # Example
 //!
@@ -137,7 +136,7 @@ impl StageTimings {
 /// Where a compilation's result came from, compile-cache-wise.
 ///
 /// `Disabled` is the default for every compile that never passed through
-/// a cache (direct `Ecmas` calls, `compile_batch`, services configured
+/// a cache (direct `Ecmas` calls, `compile_jobs`, services configured
 /// with `cache_bytes: 0`); the other variants are stamped by the
 /// `ecmas-cache` integration in `ecmas-serve`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -318,7 +317,7 @@ pub struct CompileOutcome {
 ///
 /// Object-safe, so harnesses can hold `&dyn Compiler` and benchmark all
 /// compilers through one code path; `Sync` implementors work with the
-/// `ecmas-serve` service layer (`compile_batch`, `CompileService`).
+/// `ecmas-serve` service layer (`compile_jobs`, `CompileService`).
 pub trait Compiler {
     /// Short display name for reports ("ecmas", "autobraid", "edpci").
     fn name(&self) -> &'static str;
@@ -420,18 +419,6 @@ impl<'c> Profiled<'c> {
     #[must_use]
     pub fn resources_sufficient(&self) -> bool {
         self.chip.communication_capacity() >= self.scheme.gpm()
-    }
-
-    /// Replaces the target chip (e.g. to re-plan the same profile on a
-    /// wider lattice) and re-checks that the circuit fits.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CompileError::TooManyQubits`] if it does not.
-    pub fn with_chip(mut self, chip: Chip) -> Result<Self, CompileError> {
-        check_fit(self.circuit.qubits(), &chip)?;
-        self.chip = Arc::new(chip);
-        Ok(self)
     }
 
     /// Advances to the mapping stage: shape determining + placement (with
@@ -781,32 +768,6 @@ mod tests {
             assert!(json.contains(key), "missing {key} in {json}");
         }
         assert!(json.starts_with('{') && json.ends_with('}'));
-    }
-
-    #[test]
-    fn with_chip_replans_on_the_new_lattice() {
-        let c = benchmarks::ghz(9);
-        let small = Chip::min_viable(CodeModel::LatticeSurgery, 9, 3).unwrap();
-        let wide = Chip::four_x(CodeModel::LatticeSurgery, 9, 3).unwrap();
-        let outcome = Ecmas::default()
-            .session(&c, &small)
-            .unwrap()
-            .with_chip(wide.clone())
-            .unwrap()
-            .map()
-            .unwrap()
-            .schedule()
-            .unwrap();
-        assert_eq!(outcome.encoded().chip(), &wide);
-    }
-
-    #[test]
-    fn with_chip_rejects_a_too_small_lattice() {
-        let c = benchmarks::qft_n10();
-        let chip = Chip::min_viable(CodeModel::DoubleDefect, 10, 3).unwrap();
-        let tiny = Chip::uniform(CodeModel::DoubleDefect, 2, 2, 1, 3).unwrap();
-        let err = Ecmas::default().session(&c, &chip).unwrap().with_chip(tiny).unwrap_err();
-        assert_eq!(err, CompileError::TooManyQubits { qubits: 10, slots: 4 });
     }
 
     #[test]

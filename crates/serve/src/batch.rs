@@ -1,45 +1,26 @@
-//! Batch compilation as a thin convenience over the service.
+//! Batch compilation: independent jobs fanned out over scoped threads.
 //!
-//! [`compile_batch`] used to be a hand-rolled `thread::scope` fan-out in
-//! `ecmas-core`; it is now a facade over the same dispatch machine that
-//! powers [`CompileService`](crate::CompileService) — the bounded queue,
-//! the worker loop, the job slots — instantiated with *borrowed* payloads
-//! on scoped threads instead of owned payloads on a persistent pool. The
-//! observable contract is unchanged: results come back in input order and
+//! [`compile_jobs`] is the workspace's one batch entry point. Every job
+//! names its own compiler, circuit and chip, which covers both the
+//! single-chip sample groups of `fig11`/`fig12` and the per-circuit chips
+//! of the `table1`–`table5` rows. Results come back in input order and
 //! are bit-identical to a sequential loop, because every compiler in the
 //! workspace is deterministic and jobs share nothing.
 //!
-//! [`compile_jobs`] is the heterogeneous variant the experiment harness
-//! uses: every job names its own compiler *and* chip, which is what the
-//! `table1`–`table5` rows need (their chips are sized per circuit, so the
-//! single-chip [`compile_batch`] shape cannot express them).
+//! The loop shares no machinery with [`CompileService`](crate::CompileService):
+//! a batch job has no deadline, cannot be cancelled, is never shed and
+//! runs no fault hooks, so it needs none of the service's queue, slots or
+//! retry loop. A compiler panic propagates to the caller.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use ecmas_chip::Chip;
 use ecmas_circuit::Circuit;
 use ecmas_core::error::CompileError;
 use ecmas_core::session::{CompileOutcome, Compiler};
 
-use crate::job::JobError;
-use crate::queue::Backpressure;
-use crate::service::{worker_loop, JobCtl, RunJob, ServiceCore};
-
-/// A borrowed unit of batch work: compiler + circuit + chip, all by
-/// reference into the caller's scope.
-struct BorrowedJob<'a, C: Compiler + Sync + ?Sized> {
-    compiler: &'a C,
-    circuit: &'a Circuit,
-    chip: &'a Chip,
-}
-
-impl<C: Compiler + Sync + ?Sized> RunJob for BorrowedJob<'_, C> {
-    fn run(&self, ctl: &JobCtl<'_>) -> Result<CompileOutcome, JobError> {
-        ctl.checkpoint()?;
-        Ok(self.compiler.compile_outcome(self.circuit, self.chip)?)
-    }
-}
-
-/// One heterogeneous batch job for [`compile_jobs`]: its own compiler,
-/// circuit, and chip.
+/// One batch job for [`compile_jobs`]: its own compiler, circuit, and
+/// chip.
 #[derive(Clone, Copy)]
 pub struct BatchJob<'a> {
     /// The compiler to run.
@@ -50,81 +31,121 @@ pub struct BatchJob<'a> {
     pub chip: &'a Chip,
 }
 
-/// Compiles every circuit with the same compiler and chip through the
-/// service dispatch machine (one scoped worker per available core, capped
-/// by the batch size). Results come back in input order and are
-/// bit-identical to a sequential loop.
-pub fn compile_batch<C: Compiler + Sync + ?Sized>(
-    compiler: &C,
-    circuits: &[Circuit],
-    chip: &Chip,
-) -> Vec<Result<CompileOutcome, CompileError>> {
-    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    compile_batch_with_threads(compiler, circuits, chip, threads)
-}
-
-/// [`compile_batch`] with an explicit worker count (`1` runs inline).
-pub fn compile_batch_with_threads<C: Compiler + Sync + ?Sized>(
-    compiler: &C,
-    circuits: &[Circuit],
-    chip: &Chip,
-    threads: usize,
-) -> Vec<Result<CompileOutcome, CompileError>> {
-    run_scoped(circuits.len(), threads, |i| BorrowedJob { compiler, circuit: &circuits[i], chip })
-}
-
-/// Compiles a heterogeneous job list — each with its own compiler and
-/// chip — through the service dispatch machine. Results in input order.
-pub fn compile_jobs(jobs: &[BatchJob<'_>]) -> Vec<Result<CompileOutcome, CompileError>> {
-    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    run_scoped(jobs.len(), threads, |i| BorrowedJob {
-        compiler: jobs[i].compiler,
-        circuit: jobs[i].circuit,
-        chip: jobs[i].chip,
-    })
-}
-
-/// The scoped service: the persistent pool's queue + worker loop + job
-/// slots, with borrowed payloads and `thread::scope` workers. The queue
-/// is kept deliberately smaller than the batch (2 jobs per worker) so the
-/// bounded-queue backpressure path is exercised on every large batch.
-fn run_scoped<P, F>(
-    count: usize,
-    threads: usize,
-    make: F,
-) -> Vec<Result<CompileOutcome, CompileError>>
-where
-    P: RunJob,
-    F: Fn(usize) -> P,
-{
-    let threads = threads.clamp(1, count.max(1));
-    let unwrap_job_error = |e: JobError| match e {
-        JobError::Compile(e) => e,
-        // The worker loop catches compiler panics; surface them as a
-        // panic here too, so batch callers see the same failure mode as
-        // the single-threaded inline path (where the panic propagates
-        // uncaught).
-        JobError::Panicked { message } => panic!("batch compile panicked: {message}"),
-        other => unreachable!("batch jobs neither cancel nor expire: {other}"),
-    };
-    if threads == 1 {
-        let slot = crate::job::Slot::new(None, 0);
-        let ctl = JobCtl::for_slot(&slot);
-        return (0..count).map(|i| make(i).run(&ctl).map_err(unwrap_job_error)).collect();
+impl BatchJob<'_> {
+    fn compile(&self) -> Result<CompileOutcome, CompileError> {
+        self.compiler.compile_outcome(self.circuit, self.chip)
     }
-    let core = ServiceCore::new(2 * threads, Backpressure::Block);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| worker_loop(&core));
-        }
-        let handles: Vec<_> = (0..count)
-            .map(|i| {
-                core.submit(None, 0, make(i)).unwrap_or_else(|_| {
-                    unreachable!("blocking backpressure on an open queue cannot refuse")
+}
+
+/// Compiles every job on scoped threads, one per available core and at
+/// most one per job. Results come back in input order and are
+/// bit-identical to a sequential loop.
+///
+/// # Panics
+///
+/// Re-raises the panic of any compiler that panics.
+pub fn compile_jobs(jobs: &[BatchJob<'_>]) -> Vec<Result<CompileOutcome, CompileError>> {
+    run(jobs, std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
+}
+
+/// [`compile_jobs`] on `threads` threads (capped by the job count); one
+/// thread runs inline.
+fn run(jobs: &[BatchJob<'_>], threads: usize) -> Vec<Result<CompileOutcome, CompileError>> {
+    let threads = threads.clamp(1, jobs.len().max(1));
+    if threads == 1 {
+        return jobs.iter().map(BatchJob::compile).collect();
+    }
+    // Each thread claims the next unclaimed index and keeps its results
+    // tagged with it; sorting the tags restores input order. `Relaxed`
+    // suffices: the counter publishes no data, and results come back
+    // through `join`.
+    let next = AtomicUsize::new(0);
+    let mut done: Vec<_> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(job) = jobs.get(i) else { break done };
+                        done.push((i, job.compile()));
+                    }
                 })
             })
             .collect();
-        core.close();
-        handles.into_iter().map(|h| h.wait().map_err(unwrap_job_error)).collect()
-    })
+        workers
+            .into_iter()
+            .flat_map(|worker| {
+                worker.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, result)| result).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ecmas_chip::CodeModel;
+    use ecmas_circuit::{benchmarks, random};
+    use ecmas_core::Ecmas;
+
+    /// Every worker count, the inline one included, returns the
+    /// sequential loop's schedules in input order; so does the empty
+    /// batch.
+    #[test]
+    fn every_thread_count_matches_the_sequential_loop() {
+        let circuits: Vec<Circuit> =
+            (0..5).map(|k| random::layered(12, 8, 1 + k % 4, 0x5EED + k as u64)).collect();
+        let chip = Chip::min_viable(CodeModel::LatticeSurgery, 12, 3).unwrap();
+        let compiler = Ecmas::default();
+        let jobs: Vec<BatchJob<'_>> = circuits
+            .iter()
+            .map(|circuit| BatchJob { compiler: &compiler, circuit, chip: &chip })
+            .collect();
+        let sequential: Vec<_> =
+            circuits.iter().map(|c| compiler.compile(c, &chip).unwrap()).collect();
+        for threads in 1..=4 {
+            let batched = run(&jobs, threads);
+            assert_eq!(batched.len(), jobs.len());
+            for (outcome, seq) in batched.into_iter().zip(&sequential) {
+                let outcome = outcome.unwrap();
+                assert_eq!(outcome.encoded.events(), seq.events(), "{threads} threads");
+                assert_eq!(outcome.encoded.mapping(), seq.mapping(), "{threads} threads");
+                assert_eq!(outcome.encoded.cycles(), seq.cycles(), "{threads} threads");
+            }
+            assert!(run(&[], threads).is_empty());
+        }
+    }
+
+    /// Panics on the one 10-qubit circuit, compiles the rest.
+    struct PanicsOnTenQubits;
+
+    impl Compiler for PanicsOnTenQubits {
+        fn name(&self) -> &'static str {
+            "panics-on-ten-qubits"
+        }
+
+        fn compile_outcome(
+            &self,
+            circuit: &Circuit,
+            chip: &Chip,
+        ) -> Result<CompileOutcome, CompileError> {
+            assert_ne!(circuit.qubits(), 10, "test compiler refuses ten qubits");
+            Ecmas::default().compile_outcome(circuit, chip)
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "test compiler refuses ten qubits")]
+    fn a_compiler_panic_reaches_the_caller() {
+        let circuits = [benchmarks::ghz(4), benchmarks::qft_n10(), benchmarks::ghz(6)];
+        let chip = Chip::min_viable(CodeModel::LatticeSurgery, 10, 3).unwrap();
+        let jobs: Vec<BatchJob<'_>> = circuits
+            .iter()
+            .map(|circuit| BatchJob { compiler: &PanicsOnTenQubits, circuit, chip: &chip })
+            .collect();
+        let _ = run(&jobs, 2);
+    }
 }

@@ -10,13 +10,11 @@
 //! cancellation. Built-in requests run the staged session pipeline with
 //! a cancel/deadline checkpoint at every stage boundary.
 //!
-//! [`compile_batch`] — the workspace's original batch API — is a thin
-//! facade over the same dispatch machine, instantiated with borrowed
-//! jobs on scoped threads, so batch callers (the fig11/fig12 harness,
-//! the examples) keep their exact semantics: results in input order,
-//! bit-identical to a sequential loop. [`compile_jobs`] is the
-//! heterogeneous variant (per-job compiler *and* chip) the `table*`
-//! binaries fan out over.
+//! [`compile_jobs`] is the batch entry point the experiment binaries and
+//! the examples fan out over: each [`BatchJob`] names its own compiler
+//! and chip, and the jobs run on scoped threads with results in input
+//! order, bit-identical to a sequential loop. It is a plain loop that
+//! shares none of the service's dispatch machine.
 //!
 //! A [`CompileService`] can front its built-in pipeline with the
 //! `ecmas-cache` content-addressed compile cache
@@ -64,7 +62,7 @@ pub mod json;
 mod queue;
 pub mod service;
 
-pub use batch::{compile_batch, compile_batch_with_threads, compile_jobs, BatchJob};
+pub use batch::{compile_jobs, BatchJob};
 pub use job::{JobError, JobHandle, JobId, JobStatus};
 pub use queue::Backpressure;
 pub use service::{

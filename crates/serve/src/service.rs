@@ -5,7 +5,8 @@
 //! every submission back as a [`JobHandle`]. Requests carry their own
 //! circuit, chip, config overrides, and optional deadline, so one service
 //! instance serves heterogeneous traffic — exactly what the `ecmasd`
-//! daemon and the experiment harness need.
+//! daemon needs. (Batch experiments use the plain scoped loop of
+//! [`compile_jobs`](crate::compile_jobs) instead.)
 //!
 //! Built-in [`CompileRequest`]s run the staged session pipeline
 //! (profile → map → schedule) with a cancellation/deadline checkpoint at
@@ -157,18 +158,10 @@ impl ScheduleMode {
     }
 }
 
+#[derive(Clone)]
 enum Pipeline {
     Ecmas { config: EcmasConfig, mode: ScheduleMode },
     Custom(Arc<dyn Compiler + Send + Sync>),
-}
-
-impl Clone for Pipeline {
-    fn clone(&self) -> Self {
-        match self {
-            Pipeline::Ecmas { config, mode } => Pipeline::Ecmas { config: *config, mode: *mode },
-            Pipeline::Custom(c) => Pipeline::Custom(Arc::clone(c)),
-        }
-    }
 }
 
 impl std::fmt::Debug for Pipeline {
@@ -274,12 +267,6 @@ impl CompileRequest {
         self
     }
 
-    /// Whether this request asked for an analyze pass.
-    #[must_use]
-    pub fn analyze(&self) -> bool {
-        self.analyze
-    }
-
     /// The circuit to compile.
     #[must_use]
     pub fn circuit(&self) -> &Circuit {
@@ -290,12 +277,6 @@ impl CompileRequest {
     #[must_use]
     pub fn chip(&self) -> &Chip {
         &self.chip
-    }
-
-    /// The deadline, if any.
-    #[must_use]
-    pub fn deadline(&self) -> Option<Duration> {
-        self.deadline
     }
 
     /// A cheap, deterministic proxy for how much work this request
@@ -345,29 +326,16 @@ impl std::fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-/// Internal: anything a worker can execute. `run` borrows the payload so
-/// a transiently-failed attempt can be retried; `ctl` exposes the
-/// cancellation/deadline checkpoint and the fault-injection hooks.
-pub(crate) trait RunJob: Send {
-    fn run(&self, ctl: &JobCtl<'_>) -> Result<CompileOutcome, JobError>;
-}
-
 /// Checkpoint and fault-hook access handed to running jobs.
-pub(crate) struct JobCtl<'a> {
+struct JobCtl<'a> {
     slot: &'a Slot,
     faults: Option<&'a FaultPlan>,
     job: JobId,
     attempt: u32,
 }
 
-impl<'a> JobCtl<'a> {
-    /// A checkpoint view over a bare slot (the inline single-thread batch
-    /// path has no worker loop to build one). No faults, attempt 1.
-    pub(crate) fn for_slot(slot: &'a Slot) -> Self {
-        JobCtl { slot, faults: None, job: 0, attempt: 1 }
-    }
-
-    pub(crate) fn checkpoint(&self) -> Result<(), JobError> {
+impl JobCtl<'_> {
+    fn checkpoint(&self) -> Result<(), JobError> {
         self.slot.checkpoint()
     }
 
@@ -375,7 +343,7 @@ impl<'a> JobCtl<'a> {
     /// plus the `Stage` fault-injection site. With no fault plan this is
     /// exactly `checkpoint` — the zero-cost-when-off guarantee the
     /// `service/stress_100_jobs_faults_off` bench row pins.
-    pub(crate) fn stage_boundary(&self, stage: u8) -> Result<(), JobError> {
+    fn stage_boundary(&self, stage: u8) -> Result<(), JobError> {
         self.checkpoint()?;
         if let Some(plan) = self.faults {
             let site = FaultSite::Stage { job: self.job, attempt: self.attempt, stage };
@@ -416,7 +384,7 @@ impl<'a> JobCtl<'a> {
 /// Worker-pool supervision state: the live thread handles plus lifetime
 /// counters. Respawns happen from a dying worker's drop guard; the
 /// shutdown path joins `handles` repeatedly until no replacement appears.
-pub(crate) struct Supervisor {
+struct Supervisor {
     handles: Mutex<Vec<JoinHandle<()>>>,
     spawned: AtomicU64,
     panics: AtomicU64,
@@ -460,11 +428,9 @@ pub struct RetryStats {
 }
 
 /// Shared state between submitters and workers: the queue plus id counter
-/// plus the fault-tolerance policy objects. Generic over the payload so
-/// the persistent service (owned jobs) and the scoped batch front end
-/// (borrowed jobs) reuse one dispatch machine.
-pub(crate) struct ServiceCore<P> {
-    queue: JobQueue<(JobId, Arc<Slot>, P)>,
+/// plus the fault-tolerance policy objects.
+struct ServiceCore {
+    queue: JobQueue<(JobId, Arc<Slot>, OwnedJob)>,
     backpressure: Backpressure,
     next_id: AtomicU64,
     faults: Option<FaultPlan>,
@@ -484,19 +450,8 @@ pub(crate) struct ServiceCore<P> {
     draining: AtomicBool,
 }
 
-pub(crate) enum CoreSubmitError<P> {
-    Full(P),
-    Closed(P),
-    Draining(P),
-    Overloaded { payload: P, retry_after_ms: u64 },
-}
-
-impl<P: RunJob> ServiceCore<P> {
-    pub(crate) fn new(capacity: usize, backpressure: Backpressure) -> Self {
-        Self::with_policy(capacity, backpressure, None, RetryConfig::default(), 0)
-    }
-
-    pub(crate) fn with_policy(
+impl ServiceCore {
+    fn new(
         capacity: usize,
         backpressure: Backpressure,
         faults: Option<FaultConfig>,
@@ -518,16 +473,13 @@ impl<P: RunJob> ServiceCore<P> {
         }
     }
 
-    pub(crate) fn submit(
-        &self,
-        deadline: Option<Duration>,
-        cost: u64,
-        payload: P,
-    ) -> Result<JobHandle, CoreSubmitError<P>> {
+    fn submit(&self, job: OwnedJob) -> Result<JobHandle, SubmitError> {
         if self.draining.load(Ordering::Acquire) {
-            return Err(CoreSubmitError::Draining(payload));
+            return Err(SubmitError::Draining(Box::new(job.request)));
         }
+        let mut cost = 0;
         if self.shed_cost_budget > 0 {
+            cost = job.request.estimated_cost();
             // Optimistically claim the cost; back out when over budget.
             // The claim-then-check keeps concurrent submitters from all
             // sneaking under the bar together.
@@ -538,7 +490,10 @@ impl<P: RunJob> ServiceCore<P> {
                 // Coarse hint: scale with the backlog the request would
                 // have waited behind.
                 let retry_after_ms = ((self.queue.len() as u64 + 1) * 25).min(2_000);
-                return Err(CoreSubmitError::Overloaded { payload, retry_after_ms });
+                return Err(SubmitError::Overloaded {
+                    request: Box::new(job.request),
+                    retry_after_ms,
+                });
             }
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
@@ -551,18 +506,14 @@ impl<P: RunJob> ServiceCore<P> {
                 std::thread::sleep(d);
             }
         }
-        let slot = Arc::new(Slot::new(deadline, cost));
-        match self.queue.push((id, Arc::clone(&slot), payload), self.backpressure) {
+        let slot = Arc::new(Slot::new(job.request.deadline, cost));
+        match self.queue.push((id, Arc::clone(&slot), job), self.backpressure) {
             Ok(()) => Ok(JobHandle::new(id, slot)),
-            Err(e) => {
-                if self.shed_cost_budget > 0 {
-                    self.pending_cost.fetch_sub(cost, Ordering::AcqRel);
-                }
-                match e {
-                    PushError::Full((_, _, p)) => Err(CoreSubmitError::Full(p)),
-                    PushError::Closed((_, _, p)) => Err(CoreSubmitError::Closed(p)),
-                }
+            Err(PushError::Full((_, _, job))) => {
+                self.pending_cost.fetch_sub(cost, Ordering::AcqRel);
+                Err(SubmitError::Saturated(Box::new(job.request)))
             }
+            Err(PushError::Closed(_)) => unreachable!("queue closes only on shutdown/drop"),
         }
     }
 
@@ -588,27 +539,27 @@ impl<P: RunJob> ServiceCore<P> {
         }
     }
 
-    pub(crate) fn begin_drain(&self) {
+    fn begin_drain(&self) {
         self.draining.store(true, Ordering::Release);
     }
 
-    pub(crate) fn is_draining(&self) -> bool {
+    fn is_draining(&self) -> bool {
         self.draining.load(Ordering::Acquire)
     }
 
-    pub(crate) fn close(&self) {
+    fn close(&self) {
         self.queue.close();
     }
 
-    pub(crate) fn queued(&self) -> usize {
+    fn queued(&self) -> usize {
         self.queue.len()
     }
 
-    pub(crate) fn inflight(&self) -> usize {
+    fn inflight(&self) -> usize {
         self.inflight.load(Ordering::Acquire)
     }
 
-    pub(crate) fn pending_cost(&self) -> u64 {
+    fn pending_cost(&self) -> u64 {
         self.pending_cost.load(Ordering::Acquire)
     }
 }
@@ -619,8 +570,8 @@ impl<P: RunJob> ServiceCore<P> {
 /// retry in place, per the core's [`RetryPolicy`]. The one deliberate
 /// exception: an injected `WorkerPickup` fault requeues the job and kills
 /// the worker thread itself — that is the supervision path under test.
-pub(crate) fn worker_loop<P: RunJob>(core: &ServiceCore<P>) {
-    while let Some((id, slot, payload)) = core.queue.pop() {
+fn worker_loop(core: &ServiceCore) {
+    while let Some((id, slot, job)) = core.queue.pop() {
         let delivery = slot.next_delivery();
         // Cap pickup kills per job: the decision is keyed on the delivery
         // counter so a requeued job normally escapes, but at
@@ -634,7 +585,7 @@ pub(crate) fn worker_loop<P: RunJob>(core: &ServiceCore<P>) {
                 // Hand the job back before dying so it is never lost; a
                 // closed queue means shutdown, so settle it as faulted
                 // instead of requeueing into the void.
-                match core.queue.requeue((id, slot, payload)) {
+                match core.queue.requeue((id, slot, job)) {
                     Ok(()) => {
                         core.requeued.fetch_add(1, Ordering::AcqRel);
                     }
@@ -649,29 +600,29 @@ pub(crate) fn worker_loop<P: RunJob>(core: &ServiceCore<P>) {
             }
         }
         core.inflight.fetch_add(1, Ordering::AcqRel);
-        let result = run_attempts(core, id, &slot, &payload);
+        let result = run_attempts(core, id, &slot, &job);
         slot.finish(result);
         core.settle(&slot);
         core.inflight.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
-/// The per-job attempt loop: run the payload, and while failures are
+/// The per-job attempt loop: run the job, and while failures are
 /// transient, the job is still wanted, and the retry policy grants a
 /// token, back off deterministically and run it again. Retried successes
 /// are stamped with their attempt count and last-fault provenance.
-fn run_attempts<P: RunJob>(
-    core: &ServiceCore<P>,
+fn run_attempts(
+    core: &ServiceCore,
     id: JobId,
     slot: &Arc<Slot>,
-    payload: &P,
+    job: &OwnedJob,
 ) -> Result<CompileOutcome, JobError> {
     slot.begin()?;
     let mut attempt: u32 = 1;
     let mut last_fault: Option<String> = None;
     loop {
         let ctl = JobCtl { slot, faults: core.faults.as_ref(), job: id, attempt };
-        let result = match catch_unwind(AssertUnwindSafe(|| payload.run(&ctl))) {
+        let result = match catch_unwind(AssertUnwindSafe(|| job.run(&ctl))) {
             Ok(result) => result,
             // `&*panic`, not `&panic`: a `&Box<dyn Any>` would itself
             // unsize into the `dyn Any` and hide the payload behind a
@@ -716,7 +667,9 @@ struct OwnedJob {
     cache: Option<Arc<CompileCache>>,
 }
 
-impl RunJob for OwnedJob {
+impl OwnedJob {
+    /// One attempt at the job. It borrows the job so that a
+    /// transiently-failed attempt can be retried in place.
     fn run(&self, ctl: &JobCtl<'_>) -> Result<CompileOutcome, JobError> {
         let CompileRequest { circuit, chip, pipeline, .. } = &self.request;
         let mut outcome = match pipeline {
@@ -846,9 +799,8 @@ fn run_cached(
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub struct CompileService {
-    core: Arc<ServiceCore<OwnedJob>>,
+    core: Arc<ServiceCore>,
     cache: Option<Arc<CompileCache>>,
-    shed_enabled: bool,
     worker_count: usize,
     supervisor: Arc<Supervisor>,
 }
@@ -857,7 +809,7 @@ pub struct CompileService {
 /// The thread carries a [`RespawnGuard`]: if it dies to a panic while the
 /// queue is still open, the guard spawns a replacement, so pool capacity
 /// never degrades.
-fn spawn_worker(core: &Arc<ServiceCore<OwnedJob>>, supervisor: &Arc<Supervisor>) {
+fn spawn_worker(core: &Arc<ServiceCore>, supervisor: &Arc<Supervisor>) {
     let generation = supervisor.spawned.fetch_add(1, Ordering::AcqRel);
     let thread_core = Arc::clone(core);
     let thread_sup = Arc::clone(supervisor);
@@ -872,7 +824,7 @@ fn spawn_worker(core: &Arc<ServiceCore<OwnedJob>>, supervisor: &Arc<Supervisor>)
 }
 
 struct RespawnGuard {
-    core: Arc<ServiceCore<OwnedJob>>,
+    core: Arc<ServiceCore>,
     supervisor: Arc<Supervisor>,
 }
 
@@ -901,7 +853,7 @@ impl CompileService {
     #[must_use]
     pub fn new(config: ServiceConfig) -> Self {
         let (workers, capacity) = config.resolved();
-        let core = Arc::new(ServiceCore::with_policy(
+        let core = Arc::new(ServiceCore::new(
             capacity,
             config.backpressure,
             config.faults,
@@ -915,13 +867,7 @@ impl CompileService {
         for _ in 0..workers {
             spawn_worker(&core, &supervisor);
         }
-        CompileService {
-            core,
-            cache,
-            shed_enabled: config.shed_cost_budget > 0,
-            worker_count: workers,
-            supervisor,
-        }
+        CompileService { core, cache, worker_count: workers, supervisor }
     }
 
     /// Submits a request; returns immediately with the job's handle
@@ -935,23 +881,7 @@ impl CompileService {
     /// admission control sheds the request; [`SubmitError::Draining`]
     /// after [`drain`](Self::drain) begins.
     pub fn submit(&self, request: CompileRequest) -> Result<JobHandle, SubmitError> {
-        let deadline = request.deadline;
-        let cost = if self.shed_enabled { request.estimated_cost() } else { 0 };
-        let job = OwnedJob { request, cache: self.cache.clone() };
-        match self.core.submit(deadline, cost, job) {
-            Ok(handle) => Ok(handle),
-            Err(CoreSubmitError::Full(OwnedJob { request, .. })) => {
-                Err(SubmitError::Saturated(Box::new(request)))
-            }
-            Err(CoreSubmitError::Overloaded {
-                payload: OwnedJob { request, .. },
-                retry_after_ms,
-            }) => Err(SubmitError::Overloaded { request: Box::new(request), retry_after_ms }),
-            Err(CoreSubmitError::Draining(OwnedJob { request, .. })) => {
-                Err(SubmitError::Draining(Box::new(request)))
-            }
-            Err(CoreSubmitError::Closed(_)) => unreachable!("queue closes only on shutdown/drop"),
-        }
+        self.core.submit(OwnedJob { request, cache: self.cache.clone() })
     }
 
     /// A point-in-time snapshot of the compile-cache counters, or `None`

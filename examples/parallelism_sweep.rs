@@ -1,14 +1,14 @@
 //! Miniature of the paper's Fig. 11: how cycle counts scale with the
 //! Circuit Parallelism Degree on a fixed chip, for Ecmas and both
 //! baselines. Each point's sample group compiles in parallel with
-//! [`compile_batch`] — the compilers are deterministic, so the results
+//! [`compile_jobs`] — the compilers are deterministic, so the results
 //! are identical to a sequential loop, only faster on multi-core hosts.
 //!
 //! ```sh
 //! cargo run --release --example parallelism_sweep
 //! ```
 
-use ecmas::{compile_batch, para_finding, Compiler, Ecmas};
+use ecmas::{compile_jobs, para_finding, BatchJob, Compiler, Ecmas};
 use ecmas_baselines::{AutoBraid, Edpci};
 use ecmas_chip::{Chip, CodeModel};
 use ecmas_circuit::{random, Circuit};
@@ -18,8 +18,10 @@ fn mean_cycles(
     group: &[Circuit],
     chip: &Chip,
 ) -> Result<f64, Box<dyn std::error::Error>> {
+    let jobs: Vec<BatchJob<'_>> =
+        group.iter().map(|circuit| BatchJob { compiler, circuit, chip }).collect();
     let mut sum = 0u64;
-    for outcome in compile_batch(compiler, group, chip) {
+    for outcome in compile_jobs(&jobs) {
         sum += outcome?.report.cycles;
     }
     Ok(sum as f64 / group.len() as f64)

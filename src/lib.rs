@@ -18,9 +18,9 @@
 //! Workload-facing traffic goes through the service layer
 //! ([`serve`](mod@serve)): [`CompileService`] owns a persistent worker
 //! pool over a bounded job queue and hands back [`JobHandle`]s with
-//! poll/wait/cancel and deadline support; [`compile_batch`] is the batch
-//! convenience over the same machinery; the `ecmasd` binary speaks the
-//! service's newline-delimited JSON protocol. The pipeline itself —
+//! poll/wait/cancel and deadline support; [`compile_jobs`] fans a batch of
+//! independent compiles over scoped threads; the `ecmasd` binary speaks
+//! the service's newline-delimited JSON protocol. The pipeline itself —
 //! profiling, mapping, cut-type initialization, scheduling, validation —
 //! is documented in depth on [`ecmas_core`].
 //!
@@ -75,11 +75,11 @@ pub use ecmas_cache as cache;
 pub use ecmas_cache::{CacheConfig, CacheStats, CompileCache, CompileKey};
 
 /// The service layer (`ecmas-serve`), re-exported whole: job queue,
-/// handles, deadlines, batch facades, and the `ecmasd` protocol engine.
+/// handles, deadlines, batch compiles, and the `ecmasd` protocol engine.
 pub use ecmas_serve as serve;
 
 pub use ecmas_serve::{
-    compile_batch, compile_batch_with_threads, compile_jobs, Backpressure, BatchJob,
-    CompileRequest, CompileService, FaultConfig, FaultSnapshot, JobError, JobHandle, JobId,
-    JobStatus, RetryConfig, RetryStats, ScheduleMode, ServiceConfig, SubmitError, SupervisorStats,
+    compile_jobs, Backpressure, BatchJob, CompileRequest, CompileService, FaultConfig,
+    FaultSnapshot, JobError, JobHandle, JobId, JobStatus, RetryConfig, RetryStats, ScheduleMode,
+    ServiceConfig, SubmitError, SupervisorStats,
 };

@@ -8,7 +8,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use ecmas::{
-    compile_batch_with_threads, validate_encoded, Backpressure, CompileError, CompileOutcome,
+    compile_jobs, validate_encoded, Backpressure, BatchJob, CompileError, CompileOutcome,
     CompileRequest, CompileService, Compiler, Ecmas, JobError, JobStatus, ScheduleMode,
     ServiceConfig,
 };
@@ -374,19 +374,22 @@ fn job_status_progresses_to_finished() {
     second.wait().unwrap();
 }
 
-/// The batch facade surfaces per-circuit errors in order (moved from the
-/// core session tests when `compile_batch` became a service facade).
+/// A batch surfaces per-circuit errors in order.
 #[test]
 fn batch_surfaces_per_circuit_errors_in_order() {
-    let mut circuits = vec![benchmarks::ghz(4), benchmarks::qft_n10(), benchmarks::ghz(4)];
+    let circuits = [benchmarks::ghz(4), benchmarks::qft_n10(), benchmarks::ghz(4)];
     let chip = Chip::uniform(CodeModel::LatticeSurgery, 2, 2, 1, 3).unwrap();
-    let results = compile_batch_with_threads(&Ecmas::default(), &circuits, &chip, 2);
+    let compiler = Ecmas::default();
+    let jobs: Vec<BatchJob<'_>> = circuits
+        .iter()
+        .map(|circuit| BatchJob { compiler: &compiler, circuit, chip: &chip })
+        .collect();
+    let results = compile_jobs(&jobs);
     assert!(results[0].is_ok());
     assert!(matches!(results[1], Err(CompileError::TooManyQubits { qubits: 10, slots: 4 })));
     assert!(results[2].is_ok());
     // And the trivial empty batch.
-    circuits.clear();
-    assert!(ecmas::compile_batch(&Ecmas::default(), &circuits, &chip).is_empty());
+    assert!(compile_jobs(&[]).is_empty());
 }
 
 proptest! {

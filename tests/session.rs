@@ -4,8 +4,8 @@
 
 use ecmas::session::Algorithm;
 use ecmas::{
-    compile_batch, compile_batch_with_threads, validate_encoded, Compiler, Ecmas, EcmasConfig,
-    GateOrder, LocationStrategy,
+    compile_jobs, validate_encoded, BatchJob, Compiler, Ecmas, EcmasConfig, GateOrder,
+    LocationStrategy,
 };
 use ecmas_baselines::{AutoBraid, Edpci};
 use ecmas_chip::{Chip, CodeModel};
@@ -143,6 +143,15 @@ fn congested_chip_gives_the_ablations_nonzero_spread() {
     );
 }
 
+/// One batch job per circuit, all with the same compiler and chip.
+fn batch<'a>(
+    compiler: &'a (dyn Compiler + Sync),
+    circuits: &'a [Circuit],
+    chip: &'a Chip,
+) -> Vec<BatchJob<'a>> {
+    circuits.iter().map(|circuit| BatchJob { compiler, circuit, chip }).collect()
+}
+
 /// Batch compilation across every workspace compiler returns results in
 /// input order with per-circuit reports attached.
 #[test]
@@ -155,7 +164,7 @@ fn batch_works_for_all_three_compilers() {
     ];
     for (compiler, model) in compilers {
         let chip = Chip::min_viable(model, 10, 3).unwrap();
-        let outcomes = compile_batch(compiler, &circuits, &chip);
+        let outcomes = compile_jobs(&batch(compiler, &circuits, &chip));
         assert_eq!(outcomes.len(), circuits.len());
         for (circuit, outcome) in circuits.iter().zip(outcomes) {
             let outcome = outcome.unwrap();
@@ -183,7 +192,7 @@ fn fifty_circuit_batch_is_bit_identical_to_sequential() {
     let sequential_time = t.elapsed();
 
     let t = std::time::Instant::now();
-    let batched = compile_batch(&compiler, &circuits, &chip);
+    let batched = compile_jobs(&batch(&compiler, &circuits, &chip));
     let batch_time = t.elapsed();
 
     for (seq, par) in sequential.iter().zip(batched) {
@@ -213,20 +222,20 @@ fn fifty_circuit_batch_is_bit_identical_to_sequential() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Property: for random circuit batches, `compile_batch` is
+    /// Property: for random circuit batches, `compile_jobs` is
     /// event-for-event identical to sequential `compile` on the same
-    /// inputs, across worker counts.
+    /// inputs. (The worker-count axis is a unit test over every count in
+    /// `ecmas-serve`'s `batch` module.)
     #[test]
     fn batch_equals_sequential_event_for_event(
         seed in 0u64..1000,
         pm in 1usize..5,
-        threads in 2usize..5,
     ) {
         let circuits: Vec<Circuit> =
             (0..5).map(|k| random::layered(12, 8, pm, seed * 31 + k)).collect();
         let chip = Chip::min_viable(CodeModel::LatticeSurgery, 12, 3).unwrap();
         let compiler = Ecmas::default();
-        let batched = compile_batch_with_threads(&compiler, &circuits, &chip, threads);
+        let batched = compile_jobs(&batch(&compiler, &circuits, &chip));
         for (circuit, outcome) in circuits.iter().zip(batched) {
             let outcome = outcome.unwrap();
             let sequential = compiler.compile(circuit, &chip).unwrap();

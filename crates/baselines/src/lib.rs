@@ -44,68 +44,32 @@
 #![warn(missing_docs)]
 
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use ecmas::cut::CutType;
 use ecmas::encoded::EncodedCircuit;
 use ecmas::engine::{schedule_limited, CutPolicy, GateOrder, ScheduleConfig};
 use ecmas::error::CompileError;
 use ecmas::mapping::snake_mapping;
-use ecmas::session::{
-    Algorithm, BandwidthDecision, CacheInfo, CompileReport, RouterStats, StageTimings,
-};
-use ecmas::ResourceEstimate;
+use ecmas::session::{Algorithm, RouterStats, StageTimings};
 use ecmas::{CompileOutcome, Compiler};
 use ecmas_chip::{Chip, CodeModel};
 use ecmas_circuit::Circuit;
 
-/// Assembles the baseline [`CompileReport`]: baselines run no profiling,
-/// so `gpm`/`placement_restarts` are 0, and like every report the
-/// adjust decision is [`BandwidthDecision::Disabled`]; the router counters
-/// and stage timings are real. `capacity` is the *target* chip's
-/// communication capacity (not the internal clamped/dense view's), so
-/// reports stay comparable across compilers on the same hardware — and
-/// the [`ResourceEstimate`] is likewise computed against the target
-/// chip, so per-job footprints are comparable too.
+/// A baseline's outcome. Baselines run no profiling, so `gpm` and
+/// `placement_restarts` are 0. The report is computed against the
+/// *target* chip, not the internal clamped/dense view, so reports and
+/// per-job footprints stay comparable across compilers on the same
+/// hardware.
 fn baseline_outcome(
     circuit: &Circuit,
     chip: &Chip,
-    encoded: EncodedCircuit,
-    stats: RouterStats,
-    capacity: usize,
-    map_time: std::time::Duration,
-    schedule_time: std::time::Duration,
+    scheduled: (EncodedCircuit, RouterStats),
+    map_time: Duration,
+    schedule_time: Duration,
 ) -> CompileOutcome {
-    let resources = ResourceEstimate::compute(
-        chip,
-        circuit.qubits(),
-        circuit.cnot_count(),
-        0,
-        encoded.cycles(),
-        &stats,
-    );
-    let report = CompileReport {
-        algorithm: Algorithm::Limited,
-        timings: StageTimings {
-            profile: std::time::Duration::ZERO,
-            map: map_time,
-            schedule: schedule_time,
-        },
-        gpm: 0,
-        capacity,
-        placement_restarts: 0,
-        bandwidth_adjust: BandwidthDecision::Disabled,
-        router: stats,
-        cycles: encoded.cycles(),
-        events: encoded.events().len(),
-        cut_modifications: encoded.modification_count(),
-        cache: CacheInfo::disabled(),
-        resources,
-        diagnostics: Vec::new(),
-        attempts: 1,
-        last_fault: None,
-    };
-    CompileOutcome { encoded, report }
+    let timings = StageTimings { profile: Duration::ZERO, map: map_time, schedule: schedule_time };
+    CompileOutcome::direct(Algorithm::Limited, circuit, chip, scheduled, 0, 0, timings)
 }
 
 /// The AutoBraid baseline compiler (double defect).
@@ -162,23 +126,14 @@ impl Compiler for AutoBraid {
         let cuts = vec![CutType::X; n];
         let map_time = t_map.elapsed();
         let t_schedule = Instant::now();
-        let (encoded, stats) = schedule_limited(
+        let scheduled = schedule_limited(
             &circuit.dag(),
             &Arc::new(clamped),
             &mapping,
             Some(&cuts),
             ScheduleConfig { order: GateOrder::Priority, cut_policy: CutPolicy::NeverModify },
         )?;
-        let capacity = chip.communication_capacity();
-        Ok(baseline_outcome(
-            circuit,
-            chip,
-            encoded,
-            stats,
-            capacity,
-            map_time,
-            t_schedule.elapsed(),
-        ))
+        Ok(baseline_outcome(circuit, chip, scheduled, map_time, t_schedule.elapsed()))
     }
 }
 
@@ -254,23 +209,14 @@ impl Compiler for Edpci {
         let mapping = snake_mapping(n, &dense);
         let map_time = t_map.elapsed();
         let t_schedule = Instant::now();
-        let (encoded, stats) = schedule_limited(
+        let scheduled = schedule_limited(
             &circuit.dag(),
             &Arc::new(dense),
             &mapping,
             None,
             ScheduleConfig { order: GateOrder::Priority, cut_policy: CutPolicy::NeverModify },
         )?;
-        let capacity = chip.communication_capacity();
-        Ok(baseline_outcome(
-            circuit,
-            chip,
-            encoded,
-            stats,
-            capacity,
-            map_time,
-            t_schedule.elapsed(),
-        ))
+        Ok(baseline_outcome(circuit, chip, scheduled, map_time, t_schedule.elapsed()))
     }
 }
 

@@ -41,9 +41,10 @@ pub(crate) fn test_key(a: u64, b: u64) -> CompileKey {
 
 const KIND_FULL: u8 = 0;
 
-/// The key of a finished compile result. `mode` is the schedule-mode
-/// label (`"auto"` / `"limited"` / `"resu"`) — it lives in the serve
-/// layer, so it crosses this boundary as its stable string.
+/// The key of a finished compile result. `mode` is the scheduler label
+/// as a stable string. The service's one built-in pipeline passes the
+/// default config and `"auto"`; the pinned values in the tests also
+/// cover other labels and configs.
 #[must_use]
 pub fn full_key(circuit: &Circuit, chip: &Chip, config: &EcmasConfig, mode: &str) -> CompileKey {
     let write = |h: &mut StableHasher| {

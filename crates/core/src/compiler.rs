@@ -132,14 +132,14 @@ pub struct FleetSelection {
 /// The resource-adaptive mapping-and-scheduling compiler (§IV).
 ///
 /// [`session`](Self::session) starts the staged pipeline (profile → map →
-/// schedule, with per-stage artifacts and overrides — see
-/// [`crate::session`]). The one-shot entry points are thin wrappers over
-/// it: [`compile`](Self::compile) runs the limited-resources pipeline
-/// (Algorithm 1), [`compile_resu`](Self::compile_resu) runs Ecmas-ReSu
-/// (Algorithm 2) and expects a sufficient-resources chip (see
-/// [`Chip::sufficient`]), and [`compile_auto`](Self::compile_auto) makes
-/// the paper's limited-vs-ReSu choice from the chip's communication
-/// capacity and returns the outcome with its structured report.
+/// schedule, with per-stage artifacts — see [`crate::session`]); its
+/// `schedule_resu` runs Ecmas-ReSu (Algorithm 2) on a
+/// sufficient-resources chip (see [`Chip::sufficient`]). The one-shot
+/// entry points are thin wrappers over it: [`compile`](Self::compile)
+/// runs the limited-resources pipeline (Algorithm 1), and
+/// [`compile_auto`](Self::compile_auto) makes the paper's limited-vs-ReSu
+/// choice from the chip's communication capacity and returns the outcome
+/// with its structured report.
 #[derive(Clone, Debug, Default)]
 pub struct Ecmas {
     config: EcmasConfig,
@@ -159,9 +159,8 @@ impl Ecmas {
     }
 
     /// Starts a staged compilation session: profiling runs immediately and
-    /// the returned [`Profiled`] stage exposes the execution scheme and
-    /// accepts overrides before mapping and scheduling (see
-    /// [`crate::session`]).
+    /// the returned [`Profiled`] stage exposes `ĝPM` before mapping and
+    /// scheduling (see [`crate::session`]).
     ///
     /// # Errors
     ///
@@ -185,22 +184,6 @@ impl Ecmas {
     /// the chip, or a scheduling error on internal model violations.
     pub fn compile(&self, circuit: &Circuit, chip: &Chip) -> Result<EncodedCircuit, CompileError> {
         Ok(self.session(circuit, chip)?.map()?.schedule()?.into_outcome().encoded)
-    }
-
-    /// Ecmas-ReSu: Para-Finding layering plus Algorithm 2 batching.
-    /// Intended for chips built with [`Chip::sufficient`]; on smaller chips
-    /// congested layers spill into extra cycles but the result stays valid.
-    /// A thin wrapper over [`session`](Self::session).
-    ///
-    /// # Errors
-    ///
-    /// As [`compile`](Self::compile).
-    pub fn compile_resu(
-        &self,
-        circuit: &Circuit,
-        chip: &Chip,
-    ) -> Result<EncodedCircuit, CompileError> {
-        Ok(self.session(circuit, chip)?.map()?.schedule_resu()?.into_outcome().encoded)
     }
 
     /// The paper's resource-adaptive entry point (Fig. 9): compares the
@@ -283,7 +266,8 @@ mod tests {
         let c = benchmarks::dnn_n8();
         let scheme = crate::para_finding(&c.dag());
         let chip = Chip::sufficient(CodeModel::LatticeSurgery, 8, scheme.gpm(), 3).unwrap();
-        let enc = Ecmas::default().compile_resu(&c, &chip).unwrap();
+        let mapped = Ecmas::default().session(&c, &chip).unwrap().map().unwrap();
+        let enc = mapped.schedule_resu().unwrap().into_outcome().encoded;
         validate_encoded(&c, &enc).unwrap();
         assert_eq!(enc.cycles() as usize, c.depth());
     }

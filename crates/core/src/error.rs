@@ -37,12 +37,6 @@ pub enum CompileError {
     /// The double-defect scheduler was invoked without initial cut types,
     /// or the lattice-surgery scheduler with them.
     CutTypesMismatch,
-    /// A mapping injected into the session pipeline is unusable: wrong
-    /// length, out-of-range tile slot, or a slot used twice.
-    InvalidMapping {
-        /// What is wrong with the injected mapping.
-        reason: String,
-    },
     /// An underlying chip construction failed.
     Chip(ChipError),
     /// Every candidate chip in a fleet was rejected: none had the live
@@ -69,9 +63,6 @@ impl fmt::Display for CompileError {
             }
             CompileError::CutTypesMismatch => {
                 write!(f, "initial cut types must be supplied exactly for the double-defect model")
-            }
-            CompileError::InvalidMapping { reason } => {
-                write!(f, "injected mapping is unusable: {reason}")
             }
             CompileError::Chip(e) => write!(f, "chip error: {e}"),
             CompileError::FleetExhausted { candidates, qubits } => {

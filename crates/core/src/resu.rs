@@ -35,33 +35,19 @@ use crate::profile::ExecutionScheme;
 /// affected gates into extra cycles rather than failing, so the result is
 /// always a valid encoded circuit.
 ///
-/// `initial_cuts` (double defect only) seeds the tiles' starting cut
-/// types: the first batch then pays the usual 3-cycle remap when its
-/// bipartition disagrees, instead of choosing the initial coloring
-/// freely. `None` keeps Algorithm 2's free choice.
-///
 /// # Errors
 ///
-/// * [`CompileError::ScheduleStuck`] only if a single gate cannot be
-///   routed even on an otherwise idle chip (a malformed chip/mapping).
-/// * [`CompileError::CutTypesMismatch`] when `initial_cuts` is supplied
-///   for a lattice-surgery chip or has the wrong length.
+/// [`CompileError::ScheduleStuck`] only if a single gate cannot be routed
+/// even on an otherwise idle chip (a malformed chip/mapping).
 pub fn schedule_sufficient(
     dag: &GateDag,
     scheme: &ExecutionScheme,
     chip: &Arc<Chip>,
     mapping: &[usize],
-    initial_cuts: Option<&[CutType]>,
 ) -> Result<(EncodedCircuit, RouterStats), CompileError> {
-    match (chip.model(), initial_cuts) {
-        (CodeModel::LatticeSurgery, Some(_)) => Err(CompileError::CutTypesMismatch),
-        (CodeModel::DoubleDefect, Some(cuts)) if cuts.len() != dag.qubits() => {
-            Err(CompileError::CutTypesMismatch)
-        }
-        (CodeModel::LatticeSurgery, None) => schedule_sufficient_ls(dag, scheme, chip, mapping),
-        (CodeModel::DoubleDefect, _) => {
-            schedule_sufficient_dd(dag, scheme, chip, mapping, initial_cuts)
-        }
+    match chip.model() {
+        CodeModel::LatticeSurgery => schedule_sufficient_ls(dag, scheme, chip, mapping),
+        CodeModel::DoubleDefect => schedule_sufficient_dd(dag, scheme, chip, mapping),
     }
 }
 
@@ -162,7 +148,6 @@ fn schedule_sufficient_dd(
     scheme: &ExecutionScheme,
     chip: &Arc<Chip>,
     mapping: &[usize],
-    initial_cuts: Option<&[CutType]>,
 ) -> Result<(EncodedCircuit, RouterStats), CompileError> {
     let n = dag.qubits();
     let mut router = Router::new(chip.grid(), Disjointness::Node);
@@ -172,10 +157,10 @@ fn schedule_sufficient_dd(
     let mut events = Vec::with_capacity(dag.len());
     let mut cycle: u64 = 0;
     let mut scratch = LayerScratch::default();
-    // Seeded cuts make the first batch pay for any remap it needs; `None`
-    // lets the first batch's coloring come for free.
-    let mut cuts: Option<Vec<CutType>> = initial_cuts.map(<[CutType]>::to_vec);
-    let mut initial: Option<Vec<CutType>> = initial_cuts.map(<[CutType]>::to_vec);
+    // The first batch's coloring comes for free: it becomes the initial
+    // cuts, and later batches pay a remap where they disagree.
+    let mut cuts: Option<Vec<CutType>> = None;
+    let mut initial: Option<Vec<CutType>> = None;
 
     let mut i = 0;
     while i < scheme.depth() {
@@ -292,8 +277,7 @@ mod tests {
             let dag = c.dag();
             let scheme = para_finding(&dag);
             let chip = sufficient_chip(CodeModel::LatticeSurgery, &c, scheme.gpm());
-            let enc =
-                schedule_sufficient(&dag, &scheme, &chip, &identity(c.qubits()), None).unwrap().0;
+            let enc = schedule_sufficient(&dag, &scheme, &chip, &identity(c.qubits())).unwrap().0;
             assert_eq!(enc.cycles() as usize, dag.depth(), "{}: LS ReSu must hit α", c.name());
             validate_encoded(&c, &enc).unwrap();
         }
@@ -305,8 +289,7 @@ mod tests {
             let dag = c.dag();
             let scheme = para_finding(&dag);
             let chip = sufficient_chip(CodeModel::DoubleDefect, &c, scheme.gpm());
-            let enc =
-                schedule_sufficient(&dag, &scheme, &chip, &identity(c.qubits()), None).unwrap().0;
+            let enc = schedule_sufficient(&dag, &scheme, &chip, &identity(c.qubits())).unwrap().0;
             validate_encoded(&c, &enc).unwrap();
             let bound = (5 * dag.depth()).div_ceil(2) + 3;
             assert!(
@@ -325,7 +308,7 @@ mod tests {
         let dag = c.dag();
         let scheme = para_finding(&dag);
         let chip = sufficient_chip(CodeModel::DoubleDefect, &c, scheme.gpm());
-        let enc = schedule_sufficient(&dag, &scheme, &chip, &identity(c.qubits()), None).unwrap().0;
+        let enc = schedule_sufficient(&dag, &scheme, &chip, &identity(c.qubits())).unwrap().0;
         assert_eq!(enc.modification_count(), 0, "bipartite comm graph: single batch");
         assert_eq!(enc.cycles() as usize, dag.depth());
     }
@@ -342,7 +325,7 @@ mod tests {
         let dag = c.dag();
         let scheme = para_finding(&dag);
         let chip = sufficient_chip(CodeModel::DoubleDefect, &c, scheme.gpm().max(2));
-        let enc = schedule_sufficient(&dag, &scheme, &chip, &identity(3), None).unwrap().0;
+        let enc = schedule_sufficient(&dag, &scheme, &chip, &identity(3)).unwrap().0;
         validate_encoded(&c, &enc).unwrap();
         assert!(enc.modification_count() > 0, "odd cycles force remapping");
         assert!(enc.cycles() as usize > dag.depth());
@@ -355,7 +338,7 @@ mod tests {
         let scheme = para_finding(&dag);
         let chip = sufficient_chip(CodeModel::LatticeSurgery, &c, scheme.gpm());
         assert!(chip.communication_capacity() >= scheme.gpm());
-        let enc = schedule_sufficient(&dag, &scheme, &chip, &identity(16), None).unwrap().0;
+        let enc = schedule_sufficient(&dag, &scheme, &chip, &identity(16)).unwrap().0;
         assert_eq!(enc.cycles() as usize, 10, "sufficient bandwidth ⇒ no spill");
         validate_encoded(&c, &enc).unwrap();
     }
@@ -366,7 +349,7 @@ mod tests {
         let dag = c.dag();
         let scheme = para_finding(&dag);
         let chip = sufficient_chip(CodeModel::LatticeSurgery, &c, 1);
-        let enc = schedule_sufficient(&dag, &scheme, &chip, &identity(4), None).unwrap().0;
+        let enc = schedule_sufficient(&dag, &scheme, &chip, &identity(4)).unwrap().0;
         assert_eq!(enc.cycles(), 0);
     }
 }
@@ -399,7 +382,7 @@ mod orientation_tests {
         let chip =
             Arc::new(Chip::sufficient(CodeModel::DoubleDefect, 6, scheme.gpm().max(2), 3).unwrap());
         let mapping: Vec<usize> = (0..6).collect();
-        let enc = schedule_sufficient(&dag, &scheme, &chip, &mapping, None).unwrap().0;
+        let enc = schedule_sufficient(&dag, &scheme, &chip, &mapping).unwrap().0;
         validate_encoded(&c, &enc).unwrap();
         // The odd-cycle edge forces at least one remap, but never a
         // wholesale flip of all six tiles.
@@ -422,7 +405,7 @@ mod orientation_tests {
         let chip =
             Arc::new(Chip::sufficient(CodeModel::DoubleDefect, 4, scheme.gpm().max(2), 3).unwrap());
         let mapping: Vec<usize> = (0..4).collect();
-        let enc = schedule_sufficient(&dag, &scheme, &chip, &mapping, None).unwrap().0;
+        let enc = schedule_sufficient(&dag, &scheme, &chip, &mapping).unwrap().0;
         validate_encoded(&c, &enc).unwrap();
         // Remap batches cost 3 cycles each; with L layers and batches of
         // ≥2 layers, total ≤ L + 3·⌈L/2⌉ (Theorem 3's counting).

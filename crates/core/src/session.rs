@@ -1,13 +1,13 @@
 //! The staged compilation-session API (paper Fig. 9 as typed stages).
 //!
 //! [`Ecmas::session`] starts a pipeline that advances through three typed
-//! stages, each exposing its artifact and accepting overrides before the
-//! next stage runs:
+//! stages, each exposing its artifact before the next stage runs:
 //!
 //! * [`Profiled`] — the circuit's DAG, communication graph, and
 //!   Para-Finding execution scheme (`ĝPM`).
 //! * [`Mapped`] — the qubit → tile mapping and (double defect) the initial
-//!   cut types. Overrides: [`Mapped::with_mapping`], [`Mapped::with_cuts`].
+//!   cut types, both chosen by the [`EcmasConfig`](crate::EcmasConfig)
+//!   strategies (the Table II/III ablations).
 //! * [`Scheduled`] — the encoded circuit plus a structured
 //!   [`CompileReport`].
 //!
@@ -208,9 +208,9 @@ pub struct CompileReport {
     pub gpm: usize,
     /// The chip's communication capacity `⌊(b−1)/2⌋ + 3` (Theorem 2).
     pub capacity: usize,
-    /// Randomized placement restarts actually performed (0 when a mapping
-    /// was injected or the strategy is deterministic, e.g. the trivial
-    /// snake).
+    /// Randomized placement restarts actually performed (0 when the
+    /// strategy is deterministic, e.g. the trivial snake, and for the
+    /// baselines).
     pub placement_restarts: usize,
     /// Always [`BandwidthDecision::Disabled`]: bandwidth adjusting is not
     /// implemented. Kept so the JSON schema keeps its `bandwidth_adjust`
@@ -312,6 +312,51 @@ pub struct CompileOutcome {
     pub report: CompileReport,
 }
 
+impl CompileOutcome {
+    /// The outcome of a direct compilation of `circuit` for the target
+    /// `chip`: `scheduled` is the scheduler's result, and the report's
+    /// capacity and [`ResourceEstimate`] are computed against `chip`. No
+    /// cache, analyzer or retry was involved, so the report carries
+    /// [`CacheInfo::disabled`], no diagnostics and one attempt.
+    #[must_use]
+    pub fn direct(
+        algorithm: Algorithm,
+        circuit: &Circuit,
+        chip: &Chip,
+        (encoded, router): (EncodedCircuit, RouterStats),
+        gpm: usize,
+        placement_restarts: usize,
+        timings: StageTimings,
+    ) -> Self {
+        let resources = ResourceEstimate::compute(
+            chip,
+            circuit.qubits(),
+            circuit.cnot_count(),
+            placement_restarts,
+            encoded.cycles(),
+            &router,
+        );
+        let report = CompileReport {
+            algorithm,
+            timings,
+            gpm,
+            capacity: chip.communication_capacity(),
+            placement_restarts,
+            bandwidth_adjust: BandwidthDecision::Disabled,
+            router,
+            cycles: encoded.cycles(),
+            events: encoded.events().len(),
+            cut_modifications: encoded.modification_count(),
+            cache: CacheInfo::disabled(),
+            resources,
+            diagnostics: Vec::new(),
+            attempts: 1,
+            last_fault: None,
+        };
+        CompileOutcome { encoded, report }
+    }
+}
+
 /// The workspace-wide compiler interface: every compiler — `Ecmas` and
 /// the baselines — turns a circuit + chip into a [`CompileOutcome`].
 ///
@@ -390,24 +435,6 @@ impl<'c> Profiled<'c> {
         })
     }
 
-    /// The circuit being compiled.
-    #[must_use]
-    pub fn circuit(&self) -> &'c Circuit {
-        self.circuit
-    }
-
-    /// The target chip.
-    #[must_use]
-    pub fn chip(&self) -> &Chip {
-        &self.chip
-    }
-
-    /// The Para-Finding execution scheme (layered, depth `α`).
-    #[must_use]
-    pub fn scheme(&self) -> &ExecutionScheme {
-        &self.scheme
-    }
-
     /// The estimated Circuit Parallelism Degree `ĝPM`.
     #[must_use]
     pub fn gpm(&self) -> usize {
@@ -446,25 +473,17 @@ impl<'c> Profiled<'c> {
             LocationStrategy::Partitioner { .. } => 1,
             _ => 0,
         };
-        Ok(Mapped {
-            profiled: self,
-            mapping,
-            cuts,
-            cuts_injected: false,
-            placement_restarts,
-            map_time: t.elapsed(),
-        })
+        Ok(Mapped { profiled: self, mapping, cuts, placement_restarts, map_time: t.elapsed() })
     }
 }
 
 /// Stage 2 — the mapped circuit: qubit → tile assignment plus (double
-/// defect) initial cut types, both overridable before scheduling.
+/// defect) initial cut types.
 #[derive(Clone, Debug)]
 pub struct Mapped<'c> {
     profiled: Profiled<'c>,
     mapping: Vec<usize>,
     cuts: Option<Vec<CutType>>,
-    cuts_injected: bool,
     placement_restarts: usize,
     map_time: Duration,
 }
@@ -480,87 +499,12 @@ impl<'c> Mapped<'c> {
     ///
     /// These are what [`schedule`](Self::schedule) (Algorithm 1) uses.
     /// [`schedule_resu`](Self::schedule_resu) chooses its own first-batch
-    /// coloring — the paper's Algorithm 2 treats it as free — and only
-    /// honors cuts explicitly injected via [`with_cuts`](Self::with_cuts),
-    /// so on the ReSu path the scheduled `initial_cuts()` may differ from
-    /// this accessor.
+    /// coloring — the paper's Algorithm 2 treats it as free — so on the
+    /// ReSu path the scheduled `initial_cuts()` may differ from this
+    /// accessor.
     #[must_use]
     pub fn cuts(&self) -> Option<&[CutType]> {
         self.cuts.as_deref()
-    }
-
-    /// The target chip.
-    #[must_use]
-    pub fn chip(&self) -> &Chip {
-        &self.profiled.chip
-    }
-
-    /// The Para-Finding execution scheme.
-    #[must_use]
-    pub fn scheme(&self) -> &ExecutionScheme {
-        &self.profiled.scheme
-    }
-
-    /// The estimated Circuit Parallelism Degree `ĝPM`.
-    #[must_use]
-    pub fn gpm(&self) -> usize {
-        self.profiled.gpm()
-    }
-
-    /// Injects a mapping (ablation studies, externally computed
-    /// placements). The report's `placement_restarts` becomes 0.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CompileError::InvalidMapping`] unless `mapping` assigns
-    /// every qubit a distinct in-range *live* tile slot (defective slots
-    /// cannot hold a qubit).
-    pub fn with_mapping(mut self, mapping: Vec<usize>) -> Result<Self, CompileError> {
-        let n = self.profiled.circuit.qubits();
-        let slots = self.profiled.chip.tile_slots();
-        if mapping.len() != n {
-            return Err(CompileError::InvalidMapping {
-                reason: format!("{} entries for {n} qubits", mapping.len()),
-            });
-        }
-        let mut seen = vec![false; slots];
-        for &slot in &mapping {
-            if slot >= slots {
-                return Err(CompileError::InvalidMapping {
-                    reason: format!("tile slot {slot} out of range (chip has {slots})"),
-                });
-            }
-            if self.profiled.chip.is_dead(slot) {
-                return Err(CompileError::InvalidMapping {
-                    reason: format!("tile slot {slot} is defective"),
-                });
-            }
-            if std::mem::replace(&mut seen[slot], true) {
-                return Err(CompileError::InvalidMapping {
-                    reason: format!("tile slot {slot} assigned twice"),
-                });
-            }
-        }
-        self.mapping = mapping;
-        self.placement_restarts = 0;
-        Ok(self)
-    }
-
-    /// Injects initial cut types (Table III-style ablations).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CompileError::CutTypesMismatch`] unless the chip is
-    /// double defect and `cuts` has one entry per qubit.
-    pub fn with_cuts(mut self, cuts: Vec<CutType>) -> Result<Self, CompileError> {
-        if self.profiled.chip.model() != CodeModel::DoubleDefect
-            || cuts.len() != self.profiled.circuit.qubits()
-        {
-            return Err(CompileError::CutTypesMismatch);
-        }
-        self.cuts = Some(cuts);
-        self.cuts_injected = true;
-        Ok(self)
     }
 
     /// Schedules with Algorithm 1 (limited resources).
@@ -574,40 +518,34 @@ impl<'c> Mapped<'c> {
             order: self.profiled.config.order,
             cut_policy: self.profiled.config.cut_policy,
         };
-        let (encoded, stats) = schedule_limited(
+        let scheduled = schedule_limited(
             &self.profiled.dag,
             &self.profiled.chip,
             &self.mapping,
             self.cuts.as_deref(),
             config,
         )?;
-        Ok(self.finish(Algorithm::Limited, encoded, stats, t.elapsed()))
+        Ok(self.finish(Algorithm::Limited, scheduled, t.elapsed()))
     }
 
     /// Schedules with Algorithm 2 (Ecmas-ReSu). Intended for chips built
     /// with `Chip::sufficient`; on smaller chips congested layers spill
-    /// into extra cycles but the result stays valid.
-    ///
-    /// Cut types injected with [`with_cuts`](Self::with_cuts) seed the
-    /// tiles' starting assignment: the first batch then pays the usual
-    /// 3-cycle remap where its bipartition disagrees. Without an
-    /// injection Algorithm 2 chooses the initial coloring freely (its
-    /// first batch is free), as the paper describes.
+    /// into extra cycles but the result stays valid. Algorithm 2 chooses
+    /// the initial coloring freely (its first batch is free), as the
+    /// paper describes.
     ///
     /// # Errors
     ///
     /// As [`schedule`](Self::schedule).
     pub fn schedule_resu(self) -> Result<Scheduled, CompileError> {
         let t = Instant::now();
-        let injected = if self.cuts_injected { self.cuts.as_deref() } else { None };
-        let (encoded, stats) = schedule_sufficient(
+        let scheduled = schedule_sufficient(
             &self.profiled.dag,
             &self.profiled.scheme,
             &self.profiled.chip,
             &self.mapping,
-            injected,
         )?;
-        Ok(self.finish(Algorithm::ReSu, encoded, stats, t.elapsed()))
+        Ok(self.finish(Algorithm::ReSu, scheduled, t.elapsed()))
     }
 
     /// The paper's resource-adaptive choice (Fig. 9): Ecmas-ReSu when the
@@ -627,40 +565,22 @@ impl<'c> Mapped<'c> {
     fn finish(
         self,
         algorithm: Algorithm,
-        encoded: EncodedCircuit,
-        router: RouterStats,
+        scheduled: (EncodedCircuit, RouterStats),
         schedule_time: Duration,
     ) -> Scheduled {
-        let resources = ResourceEstimate::compute(
-            &self.profiled.chip,
-            self.mapping.len(),
-            self.profiled.circuit.cnot_count(),
-            self.placement_restarts,
-            encoded.cycles(),
-            &router,
-        );
-        let report = CompileReport {
+        let Profiled { circuit, chip, scheme, profile_time, .. } = self.profiled;
+        let timings =
+            StageTimings { profile: profile_time, map: self.map_time, schedule: schedule_time };
+        let outcome = CompileOutcome::direct(
             algorithm,
-            timings: StageTimings {
-                profile: self.profiled.profile_time,
-                map: self.map_time,
-                schedule: schedule_time,
-            },
-            gpm: self.profiled.scheme.gpm(),
-            capacity: self.profiled.chip.communication_capacity(),
-            placement_restarts: self.placement_restarts,
-            bandwidth_adjust: BandwidthDecision::Disabled,
-            router,
-            cycles: encoded.cycles(),
-            events: encoded.events().len(),
-            cut_modifications: encoded.modification_count(),
-            cache: CacheInfo::disabled(),
-            resources,
-            diagnostics: Vec::new(),
-            attempts: 1,
-            last_fault: None,
-        };
-        Scheduled { outcome: CompileOutcome { encoded, report } }
+            circuit,
+            &chip,
+            scheduled,
+            scheme.gpm(),
+            self.placement_restarts,
+            timings,
+        );
+        Scheduled { outcome }
     }
 }
 
@@ -671,18 +591,6 @@ pub struct Scheduled {
 }
 
 impl Scheduled {
-    /// The encoded circuit.
-    #[must_use]
-    pub fn encoded(&self) -> &EncodedCircuit {
-        &self.outcome.encoded
-    }
-
-    /// The structured report.
-    #[must_use]
-    pub fn report(&self) -> &CompileReport {
-        &self.outcome.report
-    }
-
     /// Consumes the stage and returns the outcome.
     #[must_use]
     pub fn into_outcome(self) -> CompileOutcome {
@@ -711,6 +619,8 @@ fn check_fit(qubits: usize, chip: &Chip) -> Result<(), CompileError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compiler::EcmasConfig;
+    use crate::cut::CutInitStrategy;
     use crate::encoded::validate_encoded;
     use ecmas_circuit::benchmarks;
 
@@ -720,26 +630,33 @@ mod tests {
         let chip = Chip::min_viable(CodeModel::DoubleDefect, 10, 3).unwrap();
         let compiler = Ecmas::default();
         let one_shot = compiler.compile(&c, &chip).unwrap();
-        let staged = compiler.session(&c, &chip).unwrap().map().unwrap().schedule().unwrap();
-        assert_eq!(staged.encoded().events(), one_shot.events());
-        assert_eq!(staged.encoded().mapping(), one_shot.mapping());
-        assert_eq!(staged.report().cycles, one_shot.cycles());
+        let staged =
+            compiler.session(&c, &chip).unwrap().map().unwrap().schedule().unwrap().into_outcome();
+        assert_eq!(staged.encoded.events(), one_shot.events());
+        assert_eq!(staged.encoded.mapping(), one_shot.mapping());
+        assert_eq!(staged.report.cycles, one_shot.cycles());
     }
 
     #[test]
     fn report_is_populated() {
         let c = benchmarks::qft_n10();
         let chip = Chip::min_viable(CodeModel::DoubleDefect, 10, 3).unwrap();
-        let outcome =
-            Ecmas::default().session(&c, &chip).unwrap().map().unwrap().schedule().unwrap();
-        let report = outcome.report();
+        let outcome = Ecmas::default()
+            .session(&c, &chip)
+            .unwrap()
+            .map()
+            .unwrap()
+            .schedule()
+            .unwrap()
+            .into_outcome();
+        let report = &outcome.report;
         assert_eq!(report.algorithm, Algorithm::Limited);
         assert_eq!(report.capacity, 3);
         assert!(report.gpm >= 1);
         assert_eq!(report.placement_restarts, 8, "the default config's restarts");
         assert!(report.router.paths_found > 0);
-        assert_eq!(report.cycles, outcome.encoded().cycles());
-        assert_eq!(report.events, outcome.encoded().events().len());
+        assert_eq!(report.cycles, outcome.encoded.cycles());
+        assert_eq!(report.events, outcome.encoded.events().len());
         assert_eq!(report.bandwidth_adjust, BandwidthDecision::Disabled);
     }
 
@@ -770,80 +687,28 @@ mod tests {
         assert!(json.starts_with('{') && json.ends_with('}'));
     }
 
+    /// Table III's all-same cut initialization forces the 3α signature
+    /// on a chain: visibly worse than the pipeline's greedy bipartite
+    /// coloring, on the same mapping.
     #[test]
-    fn injected_mapping_is_validated_and_used() {
-        let c = benchmarks::ghz(4);
-        let chip = Chip::uniform(CodeModel::LatticeSurgery, 2, 2, 1, 3).unwrap();
-        let mapped = Ecmas::default().session(&c, &chip).unwrap().map().unwrap();
-
-        // Wrong length.
-        let err = mapped.clone().with_mapping(vec![0, 1, 2]).unwrap_err();
-        assert!(matches!(err, CompileError::InvalidMapping { .. }));
-        // Out of range.
-        let err = mapped.clone().with_mapping(vec![0, 1, 2, 4]).unwrap_err();
-        assert!(matches!(err, CompileError::InvalidMapping { .. }));
-        // Duplicate slot.
-        let err = mapped.clone().with_mapping(vec![0, 1, 1, 2]).unwrap_err();
-        assert!(matches!(err, CompileError::InvalidMapping { .. }));
-
-        let custom = mapped.with_mapping(vec![3, 2, 1, 0]).unwrap();
-        assert_eq!(custom.mapping(), &[3, 2, 1, 0]);
-        let outcome = custom.schedule().unwrap();
-        assert_eq!(outcome.encoded().mapping(), &[3, 2, 1, 0]);
-        assert_eq!(outcome.report().placement_restarts, 0, "injected mapping: no restarts");
-        validate_encoded(&c, outcome.encoded()).unwrap();
-    }
-
-    #[test]
-    fn injected_cuts_are_validated_and_used() {
+    fn all_same_cut_init_costs_cycles_on_a_chain() {
         let c = benchmarks::ghz(4);
         let dd = Chip::min_viable(CodeModel::DoubleDefect, 4, 3).unwrap();
-        let ls = Chip::min_viable(CodeModel::LatticeSurgery, 4, 3).unwrap();
-
-        let err = Ecmas::default()
-            .session(&c, &ls)
-            .unwrap()
-            .map()
-            .unwrap()
-            .with_cuts(vec![CutType::X; 4])
-            .unwrap_err();
-        assert_eq!(err, CompileError::CutTypesMismatch, "cuts are a double-defect concept");
-
-        let mapped = Ecmas::default().session(&c, &dd).unwrap().map().unwrap();
-        let err = mapped.clone().with_cuts(vec![CutType::X; 3]).unwrap_err();
-        assert_eq!(err, CompileError::CutTypesMismatch);
-
-        // All-same cuts force the 3α signature on a chain — visibly worse
-        // than the pipeline's greedy bipartite coloring.
-        let all_same = mapped.clone().with_cuts(vec![CutType::X; 4]).unwrap().schedule().unwrap();
-        let greedy = mapped.schedule().unwrap();
-        validate_encoded(&c, all_same.encoded()).unwrap();
-        assert!(all_same.report().cycles > greedy.report().cycles);
-    }
-
-    #[test]
-    fn injected_cuts_seed_the_resu_scheduler() {
-        // A bipartite chain: ReSu's free first-batch coloring needs no
-        // remap, but seeding it with all-same cuts forces one 3-cycle
-        // remap batch before the layers run.
-        let c = benchmarks::ghz(6);
-        let scheme = para_finding(&c.dag());
-        let chip = Chip::sufficient(CodeModel::DoubleDefect, 6, scheme.gpm().max(1), 3).unwrap();
-        let mapped = Ecmas::default().session(&c, &chip).unwrap().map().unwrap();
-
-        let free = mapped.clone().schedule_resu().unwrap();
-        assert_eq!(free.report().cut_modifications, 0, "free initial coloring");
-
-        let seeded =
-            mapped.with_cuts(vec![CutType::X; 6]).unwrap().schedule_resu().unwrap().into_outcome();
-        validate_encoded(&c, &seeded.encoded).unwrap();
-        assert_eq!(
-            seeded.encoded.initial_cuts(),
-            Some(&[CutType::X; 6][..]),
-            "the injected cuts are the schedule's initial cuts"
-        );
-        assert!(seeded.report.cut_modifications > 0, "all-same seed forces a remap");
-        assert_eq!(seeded.report.cycles, free.report().cycles + 3, "one remap batch: +3 cycles");
+        let map = |cut_init| {
+            Ecmas::new(EcmasConfig { cut_init, ..EcmasConfig::default() })
+                .session(&c, &dd)
+                .unwrap()
+                .map()
+                .unwrap()
+        };
+        let all_same = map(CutInitStrategy::AllSame);
+        assert_eq!(all_same.cuts(), Some(&[CutType::X; 4][..]));
+        let greedy = map(CutInitStrategy::GreedyBipartitePrefix);
+        assert_eq!(all_same.mapping(), greedy.mapping());
+        let all_same = all_same.schedule().unwrap().into_outcome();
+        let greedy = greedy.schedule().unwrap().into_outcome();
+        validate_encoded(&c, &all_same.encoded).unwrap();
+        assert!(all_same.report.cycles > greedy.report.cycles);
     }
 
     #[test]

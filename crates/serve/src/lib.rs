@@ -4,11 +4,12 @@
 //! downstream of it serves *traffic*. The centerpiece is
 //! [`CompileService`]: a persistent worker pool (sharded over cores)
 //! draining a bounded job queue with configurable [`Backpressure`].
-//! Submissions are [`CompileRequest`]s — circuit + chip + config
-//! overrides + optional deadline — and come back as [`JobHandle`]s
-//! supporting non-blocking poll, blocking wait, and cooperative
-//! cancellation. Built-in requests run the staged session pipeline with
-//! a cancel/deadline checkpoint at every stage boundary.
+//! Submissions are [`CompileRequest`]s — circuit + chip + optional
+//! deadline — and come back as [`JobHandle`]s supporting non-blocking
+//! poll, blocking wait, and cooperative cancellation. Built-in requests
+//! run the default staged session pipeline, with the paper's
+//! resource-adaptive choice of scheduler, and a cancel/deadline
+//! checkpoint at every stage boundary.
 //!
 //! [`compile_jobs`] is the batch entry point the experiment binaries and
 //! the examples fan out over: each [`BatchJob`] names its own compiler
@@ -66,8 +67,7 @@ pub use batch::{compile_jobs, BatchJob};
 pub use job::{JobError, JobHandle, JobId, JobStatus};
 pub use queue::Backpressure;
 pub use service::{
-    CompileRequest, CompileService, RetryStats, ScheduleMode, ServiceConfig, SubmitError,
-    SupervisorStats,
+    CompileRequest, CompileService, RetryStats, ServiceConfig, SubmitError, SupervisorStats,
 };
 // Fault-tolerance policy types, re-exported so service callers configure
 // chaos runs without naming the policy crate.

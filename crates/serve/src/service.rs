@@ -3,9 +3,8 @@
 //! [`CompileService`] is the long-running front end of the workspace: it
 //! owns `workers` OS threads that drain a bounded job queue, and hands
 //! every submission back as a [`JobHandle`]. Requests carry their own
-//! circuit, chip, config overrides, and optional deadline, so one service
-//! instance serves heterogeneous traffic — exactly what the `ecmasd`
-//! daemon needs. (Batch experiments use the plain scoped loop of
+//! circuit, chip, and optional deadline, so one service instance serves
+//! heterogeneous traffic — exactly what the `ecmasd` daemon needs. (Batch experiments use the plain scoped loop of
 //! [`compile_jobs`](crate::compile_jobs) instead.)
 //!
 //! Built-in [`CompileRequest`]s run the staged session pipeline
@@ -132,44 +131,16 @@ impl ServiceConfig {
     }
 }
 
-/// Which session-pipeline scheduler a built-in request runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum ScheduleMode {
-    /// The paper's resource-adaptive choice (capacity vs `ĝPM`).
-    Auto,
-    /// Algorithm 1, the limited-resources scheduler.
-    Limited,
-    /// Algorithm 2, Ecmas-ReSu.
-    ReSu,
-}
-
-impl ScheduleMode {
-    /// Stable lowercase label (used in cache keys and the daemon
-    /// protocol). Cache keys hash this string, so renaming a label
-    /// silently invalidates every cached result for that mode.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            ScheduleMode::Auto => "auto",
-            ScheduleMode::Limited => "limited",
-            ScheduleMode::ReSu => "resu",
-        }
-    }
-}
-
 #[derive(Clone)]
 enum Pipeline {
-    Ecmas { config: EcmasConfig, mode: ScheduleMode },
+    Ecmas,
     Custom(Arc<dyn Compiler + Send + Sync>),
 }
 
 impl std::fmt::Debug for Pipeline {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Pipeline::Ecmas { config, mode } => {
-                f.debug_struct("Ecmas").field("config", config).field("mode", mode).finish()
-            }
+            Pipeline::Ecmas => f.write_str("Ecmas"),
             Pipeline::Custom(c) => write!(f, "Custom({})", c.name()),
         }
     }
@@ -182,13 +153,13 @@ impl std::fmt::Debug for Pipeline {
 ///
 /// ```
 /// use std::time::Duration;
-/// use ecmas_serve::{CompileRequest, ScheduleMode};
+/// use ecmas_serve::CompileRequest;
 /// use ecmas_chip::{Chip, CodeModel};
 /// use ecmas_circuit::benchmarks::ghz;
 ///
 /// let chip = Chip::min_viable(CodeModel::LatticeSurgery, 9, 3)?;
 /// let request = CompileRequest::new(ghz(9), chip)
-///     .with_mode(ScheduleMode::Limited)
+///     .with_analyze(true)
 ///     .with_deadline(Duration::from_secs(5));
 /// assert_eq!(request.circuit().qubits(), 9);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -203,41 +174,12 @@ pub struct CompileRequest {
 }
 
 impl CompileRequest {
-    /// A request for the default Ecmas pipeline in [`ScheduleMode::Auto`],
-    /// with no deadline.
+    /// A request for the built-in pipeline, with no deadline: the
+    /// default [`Ecmas`] config and the paper's resource-adaptive choice
+    /// of scheduler (`Mapped::schedule_auto`).
     #[must_use]
     pub fn new(circuit: Circuit, chip: Chip) -> Self {
-        CompileRequest {
-            circuit,
-            chip,
-            pipeline: Pipeline::Ecmas { config: EcmasConfig::default(), mode: ScheduleMode::Auto },
-            deadline: None,
-            analyze: false,
-        }
-    }
-
-    /// Overrides the Ecmas pipeline configuration (ablation knobs).
-    /// Replaces any custom compiler set earlier.
-    #[must_use]
-    pub fn with_config(mut self, config: EcmasConfig) -> Self {
-        let mode = match self.pipeline {
-            Pipeline::Ecmas { mode, .. } => mode,
-            Pipeline::Custom(_) => ScheduleMode::Auto,
-        };
-        self.pipeline = Pipeline::Ecmas { config, mode };
-        self
-    }
-
-    /// Picks the scheduler the session pipeline runs. Replaces any custom
-    /// compiler set earlier.
-    #[must_use]
-    pub fn with_mode(mut self, mode: ScheduleMode) -> Self {
-        let config = match self.pipeline {
-            Pipeline::Ecmas { config, .. } => config,
-            Pipeline::Custom(_) => EcmasConfig::default(),
-        };
-        self.pipeline = Pipeline::Ecmas { config, mode };
-        self
+        CompileRequest { circuit, chip, pipeline: Pipeline::Ecmas, deadline: None, analyze: false }
     }
 
     /// Runs an arbitrary [`Compiler`] (e.g. a baseline) instead of the
@@ -673,11 +615,11 @@ impl OwnedJob {
     fn run(&self, ctl: &JobCtl<'_>) -> Result<CompileOutcome, JobError> {
         let CompileRequest { circuit, chip, pipeline, .. } = &self.request;
         let mut outcome = match pipeline {
-            Pipeline::Ecmas { config, mode } => {
+            Pipeline::Ecmas => {
                 if let Some(cache) = &self.cache {
-                    run_cached(cache, circuit, chip, *config, *mode, ctl)?
+                    run_cached(cache, circuit, chip, ctl)?
                 } else {
-                    run_stages(circuit, chip, *config, *mode, ctl)?
+                    run_stages(circuit, chip, ctl)?
                 }
             }
             Pipeline::Custom(compiler) => {
@@ -699,27 +641,21 @@ impl OwnedJob {
     }
 }
 
-/// The staged pipeline with a checkpoint (and fault-injection hook) at
-/// every stage boundary: a cancel or deadline lapse stops the job at the
-/// next boundary instead of after the whole compile.
+/// The built-in pipeline, `Ecmas::default()` with the resource-adaptive
+/// scheduler, with a checkpoint (and fault-injection hook) at every stage
+/// boundary: a cancel or deadline lapse stops the job at the next
+/// boundary instead of after the whole compile.
 fn run_stages(
     circuit: &Circuit,
     chip: &Chip,
-    config: EcmasConfig,
-    mode: ScheduleMode,
     ctl: &JobCtl<'_>,
 ) -> Result<CompileOutcome, JobError> {
     ctl.stage_boundary(0)?;
-    let profiled = Ecmas::new(config).session(circuit, chip)?;
+    let profiled = Ecmas::default().session(circuit, chip)?;
     ctl.stage_boundary(1)?;
     let mapped = profiled.map()?;
     ctl.stage_boundary(2)?;
-    let scheduled = match mode {
-        ScheduleMode::Auto => mapped.schedule_auto(),
-        ScheduleMode::Limited => mapped.schedule(),
-        ScheduleMode::ReSu => mapped.schedule_resu(),
-    }?;
-    Ok(scheduled.into_outcome())
+    Ok(mapped.schedule_auto()?.into_outcome())
 }
 
 /// The cached dispatch path: full-result lookup with in-flight
@@ -730,11 +666,11 @@ fn run_cached(
     cache: &Arc<CompileCache>,
     circuit: &Circuit,
     chip: &Chip,
-    config: EcmasConfig,
-    mode: ScheduleMode,
     ctl: &JobCtl<'_>,
 ) -> Result<CompileOutcome, JobError> {
-    let key = full_key(circuit, chip, &config, mode.label());
+    // The built-in pipeline's config and scheduler label stay in the
+    // key, so keys keep their values (`ecmas-cache` pins four).
+    let key = full_key(circuit, chip, &EcmasConfig::default(), "auto");
     ctl.maybe_poison(cache, key);
     loop {
         ctl.checkpoint()?;
@@ -745,7 +681,7 @@ fn run_cached(
                 return Ok(outcome);
             }
             Begin::Lead(lead) => {
-                match run_stages(circuit, chip, config, mode, ctl) {
+                match run_stages(circuit, chip, ctl) {
                     Ok(mut outcome) => {
                         outcome.report.cache = cache.info(CacheSource::Miss);
                         let shared = lead.complete(outcome);

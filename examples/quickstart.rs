@@ -44,8 +44,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
 
         // Stage 2 — map: the qubit → tile assignment (and, for double
-        // defect, the initial cut types) can be inspected or overridden
-        // here via `with_mapping` / `with_cuts`.
+        // defect, the initial cut types) can be inspected here; the
+        // `EcmasConfig` strategies choose them.
         let mapped = profiled.map()?;
         println!("qubit → tile slot: {:?}", mapped.mapping());
         if let Some(cuts) = mapped.cuts() {

@@ -8,8 +8,8 @@
 //! `tests/`.
 //!
 //! Start from [`Ecmas`] (the pipeline driver), [`Ecmas::session`] (the
-//! staged API: profile → map → schedule, with per-stage artifacts,
-//! overrides, and a structured [`CompileReport`] per run), and
+//! staged API: profile → map → schedule, with per-stage artifacts and a
+//! structured [`CompileReport`] per run), and
 //! [`EcmasConfig`] (every ablation knob of the paper's Tables II–V), or
 //! from the repo-level `README.md` for the map of the eight
 //! implementation crates. The [`Compiler`] trait is the interface every
@@ -80,6 +80,6 @@ pub use ecmas_serve as serve;
 
 pub use ecmas_serve::{
     compile_jobs, Backpressure, BatchJob, CompileRequest, CompileService, FaultConfig,
-    FaultSnapshot, JobError, JobHandle, JobId, JobStatus, RetryConfig, RetryStats, ScheduleMode,
-    ServiceConfig, SubmitError, SupervisorStats,
+    FaultSnapshot, JobError, JobHandle, JobId, JobStatus, RetryConfig, RetryStats, ServiceConfig,
+    SubmitError, SupervisorStats,
 };

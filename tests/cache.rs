@@ -2,12 +2,12 @@
 //! service layer: cached results must be bit-identical to cold compiles
 //! (the cache is an optimization, never an answer change), the resident
 //! byte total must respect the budget with real eviction, a miss must
-//! store exactly one entry, a schedule-only config change must miss, and
-//! a burst of identical jobs must coalesce into exactly one compile.
+//! store exactly one entry, and a burst of identical jobs must coalesce
+//! into exactly one compile.
 
 use ecmas::{
-    fingerprint_encoded, CacheSource, CompileOutcome, CompileRequest, CompileService, CutPolicy,
-    EcmasConfig, GateOrder, ScheduleMode, ServiceConfig,
+    fingerprint_encoded, para_finding, CacheSource, CompileOutcome, CompileRequest, CompileService,
+    Ecmas, ServiceConfig,
 };
 use ecmas_chip::{Chip, CodeModel};
 use ecmas_circuit::random;
@@ -51,49 +51,36 @@ fn canonical_report(outcome: &CompileOutcome) -> String {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Property: across random circuits, both code models, both explicit
-    /// schedule modes, randomized config knobs, and 1- or 4-worker
+    /// Property: across random circuits, both code models, min-viable
+    /// and sufficient chips (so both schedulers), and 1- or 4-worker
     /// pools, a cache-fronted service returns results bit-identical to
-    /// an uncached one — on the cold pass (miss) and the warm pass (hit).
+    /// `compile_auto` — on the cold pass (miss) and the warm pass (hit).
     #[test]
     fn cached_results_are_bit_identical_to_uncached(
         seed in 0u64..1000,
         pm in 1usize..5,
         workers_pick in 0usize..2,
         model_pick in 0u8..2,
-        mode_pick in 0u8..2,
-        // order (2) × cut policy (3), packed into one draw (the vendored
-        // proptest tuples cap at 6 strategies).
-        knobs in 0u8..6,
+        sufficient in 0u8..2,
     ) {
         let circuit = random::layered(12, 8, pm, seed);
         let model =
             if model_pick == 0 { CodeModel::DoubleDefect } else { CodeModel::LatticeSurgery };
-        let chip = Chip::min_viable(model, 12, 3).unwrap();
-        let mode = if mode_pick == 0 { ScheduleMode::Auto } else { ScheduleMode::Limited };
-        let config = EcmasConfig {
-            order: if knobs % 2 == 0 { GateOrder::Priority } else { GateOrder::CircuitOrder },
-            cut_policy: match (knobs / 2) % 3 {
-                0 => CutPolicy::Adaptive,
-                1 => CutPolicy::TimeFirst,
-                _ => CutPolicy::NeverModify,
-            },
-            ..EcmasConfig::default()
+        let chip = if sufficient == 0 {
+            Chip::min_viable(model, 12, 3).unwrap()
+        } else {
+            let gpm = para_finding(&circuit.dag()).gpm();
+            Chip::sufficient(model, 12, gpm.max(1), 3).unwrap()
         };
         let workers = [1usize, 4][workers_pick];
-        let request = || {
-            CompileRequest::new(circuit.clone(), chip.clone())
-                .with_config(config)
-                .with_mode(mode)
-        };
+        let request = || CompileRequest::new(circuit.clone(), chip.clone());
 
-        let uncached = service_with_cache(workers, 0);
-        let cold = uncached.submit(request()).unwrap().wait().unwrap();
-        prop_assert_eq!(cold.report.cache.source, CacheSource::Disabled);
+        let cold = Ecmas::default().compile_auto(&circuit, &chip).unwrap();
 
         let cached = service_with_cache(workers, 16 * 1024 * 1024);
         let first = cached.submit(request()).unwrap().wait().unwrap();
         let second = cached.submit(request()).unwrap().wait().unwrap();
+        prop_assert_eq!(first.report.cache.source, CacheSource::Miss);
         prop_assert_eq!(second.report.cache.source, CacheSource::Hit);
 
         for warm in [&first, &second] {
@@ -109,42 +96,6 @@ proptest! {
         prop_assert_eq!(stats.misses, 1);
         prop_assert_eq!(stats.hits, 1);
     }
-}
-
-/// The cache is keyed by the whole config: changing only schedule-stage
-/// knobs (`order`, `cut_policy`) is a miss, and its result is
-/// bit-identical to a cold compile under the new config.
-#[test]
-fn schedule_only_config_change_misses_and_matches_a_cold_compile() {
-    let circuit = random::layered(14, 10, 4, 0xCAFE);
-    let chip = Chip::min_viable(CodeModel::DoubleDefect, 14, 3).unwrap();
-    let config_a = EcmasConfig::default();
-    let config_b = EcmasConfig {
-        order: GateOrder::CircuitOrder,
-        cut_policy: CutPolicy::ChannelFirst,
-        ..config_a
-    };
-
-    let cached = service_with_cache(2, 16 * 1024 * 1024);
-    let submit = |config: EcmasConfig| {
-        let request = CompileRequest::new(circuit.clone(), chip.clone()).with_config(config);
-        cached.submit(request).unwrap().wait().unwrap()
-    };
-    assert_eq!(submit(config_a).report.cache.source, CacheSource::Miss);
-    let changed = submit(config_b);
-    assert_eq!(changed.report.cache.source, CacheSource::Miss);
-    let stats = cached.cache_stats().unwrap();
-    assert_eq!((stats.misses, stats.hits, stats.entries), (2, 0, 2), "{stats:?}");
-
-    let uncached = service_with_cache(2, 0);
-    let cold = uncached
-        .submit(CompileRequest::new(circuit.clone(), chip).with_config(config_b))
-        .unwrap()
-        .wait()
-        .unwrap();
-    assert_eq!(canonical_report(&changed), canonical_report(&cold));
-    assert_eq!(changed.encoded.events(), cold.encoded.events());
-    assert_eq!(fingerprint_encoded(&changed.encoded), fingerprint_encoded(&cold.encoded));
 }
 
 /// A miss stores one entry, its full result: N distinct circuits under a

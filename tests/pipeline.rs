@@ -86,7 +86,8 @@ fn lattice_surgery_resu_is_depth_optimal_on_the_suite() {
         let scheme = para_finding(&circuit.dag());
         let chip =
             Chip::sufficient(CodeModel::LatticeSurgery, circuit.qubits(), scheme.gpm(), 3).unwrap();
-        let enc = Ecmas::default().compile_resu(&circuit, &chip).unwrap();
+        let mapped = Ecmas::default().session(&circuit, &chip).unwrap().map().unwrap();
+        let enc = mapped.schedule_resu().unwrap().into_outcome().encoded;
         validate_encoded(&circuit, &enc).unwrap();
         assert_eq!(
             enc.cycles() as usize,
@@ -103,7 +104,8 @@ fn double_defect_resu_meets_the_approximation_bound() {
         let scheme = para_finding(&circuit.dag());
         let chip =
             Chip::sufficient(CodeModel::DoubleDefect, circuit.qubits(), scheme.gpm(), 3).unwrap();
-        let enc = Ecmas::default().compile_resu(&circuit, &chip).unwrap();
+        let mapped = Ecmas::default().session(&circuit, &chip).unwrap().map().unwrap();
+        let enc = mapped.schedule_resu().unwrap().into_outcome().encoded;
         validate_encoded(&circuit, &enc).unwrap();
         // Theorem 3: 5/2-approximation against the optimum (≥ α); allow
         // the +3 initial-remap slack.

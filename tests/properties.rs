@@ -74,7 +74,8 @@ proptest! {
         let scheme = para_finding(&circuit.dag());
         let chip =
             Chip::sufficient(CodeModel::LatticeSurgery, 16, scheme.gpm(), 3).unwrap();
-        let enc = Ecmas::default().compile_resu(&circuit, &chip).unwrap();
+        let mapped = Ecmas::default().session(&circuit, &chip).unwrap().map().unwrap();
+        let enc = mapped.schedule_resu().unwrap().into_outcome().encoded;
         prop_assert!(validate_encoded(&circuit, &enc).is_ok());
         prop_assert_eq!(enc.cycles() as usize, depth);
     }

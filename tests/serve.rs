@@ -7,10 +7,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
+use ecmas::session::Algorithm;
 use ecmas::{
     compile_jobs, validate_encoded, Backpressure, BatchJob, CompileError, CompileOutcome,
-    CompileRequest, CompileService, Compiler, Ecmas, JobError, JobStatus, ScheduleMode,
-    ServiceConfig,
+    CompileRequest, CompileService, Compiler, Ecmas, JobError, JobStatus, ServiceConfig,
 };
 use ecmas_chip::{Chip, CodeModel};
 use ecmas_circuit::random::{self, StressSpec, StressWorkload};
@@ -319,23 +319,30 @@ fn panics_are_contained_and_the_worker_survives() {
     healthy.wait().unwrap();
 }
 
-/// `ScheduleMode` is honored: ReSu through the service equals
-/// `compile_resu` directly, and a compile error surfaces as
+/// The service's one built-in pipeline makes the paper's
+/// resource-adaptive choice on both sides of Theorem 2: Algorithm 1 on a
+/// min-viable chip, Ecmas-ReSu on a sufficient one, each event for event
+/// what `compile_auto` gives. A compile error surfaces as
 /// `JobError::Compile`.
 #[test]
 fn schedule_modes_and_compile_errors_round_trip() {
     let circuit = benchmarks::dnn_n8();
-    let scheme = ecmas::para_finding(&circuit.dag());
-    let chip = Chip::sufficient(CodeModel::LatticeSurgery, 8, scheme.gpm(), 3).unwrap();
+    let gpm = ecmas::para_finding(&circuit.dag()).gpm();
     let service = service(2);
-    let outcome = service
-        .submit(CompileRequest::new(circuit.clone(), chip.clone()).with_mode(ScheduleMode::ReSu))
-        .unwrap()
-        .wait()
-        .unwrap();
-    let direct = Ecmas::default().compile_resu(&circuit, &chip).unwrap();
-    assert_eq!(outcome.encoded.events(), direct.events());
-    assert_eq!(outcome.encoded.cycles(), direct.cycles());
+    for (chip, algorithm) in [
+        (Chip::min_viable(CodeModel::LatticeSurgery, 8, 3).unwrap(), Algorithm::Limited),
+        (Chip::sufficient(CodeModel::LatticeSurgery, 8, gpm, 3).unwrap(), Algorithm::ReSu),
+    ] {
+        let outcome = service
+            .submit(CompileRequest::new(circuit.clone(), chip.clone()))
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert_eq!(outcome.report.algorithm, algorithm);
+        let direct = Ecmas::default().compile_auto(&circuit, &chip).unwrap();
+        assert_eq!(outcome.encoded.events(), direct.encoded.events());
+        assert_eq!(outcome.encoded.cycles(), direct.encoded.cycles());
+    }
 
     let tiny = Chip::uniform(CodeModel::LatticeSurgery, 2, 2, 1, 3).unwrap();
     let err = service

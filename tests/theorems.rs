@@ -106,7 +106,8 @@ proptest! {
         let scheme = para_finding(&circuit.dag());
         let chip =
             Chip::sufficient(CodeModel::DoubleDefect, 12, scheme.gpm(), 3).unwrap();
-        let enc = ecmas::Ecmas::default().compile_resu(&circuit, &chip).unwrap();
+        let mapped = ecmas::Ecmas::default().session(&circuit, &chip).unwrap().map().unwrap();
+        let enc = mapped.schedule_resu().unwrap().into_outcome().encoded;
         ecmas::validate_encoded(&circuit, &enc).unwrap();
         let bound = (5 * depth).div_ceil(2) + 3;
         prop_assert!(

@@ -229,6 +229,7 @@ fn ecmasc_json_lines_are_pinned() {
     let got = [
         run(&[good, "--json", "--analyze"]),
         run(&[good, "--json", "--model", "ls", "--chip", "4x", "--defects", "0,0"]),
+        run(&[good, "--json", "--fleet", "4x,min"]),
         run(&["lint", good, "--json"]),
         run(&["lint", "bad.qasm", "--json"]),
     ];
@@ -293,6 +294,7 @@ const STRESS_STREAMS: &[&str] = &[
 const ECMASC_LINES: &[&str] = &[
     "{\"file\":\"good \\\"q\\\".qasm\",\"qubits\":5,\"cnots\":3,\"depth\":2,\"model\":\"double defect\",\"chip\":{\"kind\":\"min\",\"tile_rows\":3,\"tile_cols\":3,\"bandwidth\":1,\"defects\":0,\"live_tiles\":9},\"report\":{\"algorithm\":\"resu\",\"cycles\":2,\"events\":3,\"cut_modifications\":0,\"gpm\":2,\"capacity\":3,\"placement_restarts\":8,\"bandwidth_adjust\":\"disabled\",\"timings_ms\":_,\"router\":{\"paths_found\":3,\"conflicts\":0,\"cells_expanded\":6,\"pruned_expansions\":13,\"path_cells\":9,\"peak_cycle_path_cells\":6,\"failed_searches\":0,\"cache_hits\":0,\"recolor_cells\":0},\"cache\":{\"source\":\"disabled\",\"hits\":0,\"misses\":0,\"evictions\":0,\"resident_bytes\":0,\"coalesced_waits\":0},\"resources\":{\"logical_qubits\":5,\"live_tiles\":9,\"physical_qubits\":5625,\"cycles\":2,\"space_time_volume\":10,\"channel_cells\":40,\"channel_mean_utilization_ppm\":112500,\"channel_peak_utilization_ppm\":150000,\"stage_cost\":{\"profile\":3,\"map\":72,\"schedule\":15}},\"diagnostics\":[{\"code\":\"W001\",\"severity\":\"warning\",\"message\":\"1 of 5 declared qubits are touched by no gate: 4\"},{\"code\":\"H002\",\"severity\":\"hint\",\"message\":\"critical-path lower bound 2 cycles, schedule Δ 2 (slack 0)\"}],\"attempts\":1,\"last_fault\":null}}",
     "{\"file\":\"good \\\"q\\\".qasm\",\"qubits\":5,\"cnots\":3,\"depth\":2,\"model\":\"lattice surgery\",\"chip\":{\"kind\":\"4x\",\"tile_rows\":3,\"tile_cols\":3,\"bandwidth\":2,\"defects\":1,\"live_tiles\":8},\"report\":{\"algorithm\":\"resu\",\"cycles\":2,\"events\":3,\"cut_modifications\":0,\"gpm\":2,\"capacity\":3,\"placement_restarts\":8,\"bandwidth_adjust\":\"disabled\",\"timings_ms\":_,\"router\":{\"paths_found\":3,\"conflicts\":0,\"cells_expanded\":9,\"pruned_expansions\":19,\"path_cells\":12,\"peak_cycle_path_cells\":8,\"failed_searches\":0,\"cache_hits\":0,\"recolor_cells\":0},\"cache\":{\"source\":\"disabled\",\"hits\":0,\"misses\":0,\"evictions\":0,\"resident_bytes\":0,\"coalesced_waits\":0},\"resources\":{\"logical_qubits\":5,\"live_tiles\":8,\"physical_qubits\":2178,\"cycles\":2,\"space_time_volume\":10,\"channel_cells\":112,\"channel_mean_utilization_ppm\":53571,\"channel_peak_utilization_ppm\":71428,\"stage_cost\":{\"profile\":3,\"map\":64,\"schedule\":21}},\"diagnostics\":[],\"attempts\":1,\"last_fault\":null}}",
+    "{\"file\":\"good \\\"q\\\".qasm\",\"qubits\":5,\"cnots\":3,\"depth\":2,\"model\":\"double defect\",\"chip\":{\"kind\":\"min\",\"tile_rows\":3,\"tile_cols\":3,\"bandwidth\":1,\"defects\":0,\"live_tiles\":9},\"report\":{\"algorithm\":\"resu\",\"cycles\":2,\"events\":3,\"cut_modifications\":0,\"gpm\":2,\"capacity\":3,\"placement_restarts\":8,\"bandwidth_adjust\":\"disabled\",\"timings_ms\":_,\"router\":{\"paths_found\":3,\"conflicts\":0,\"cells_expanded\":6,\"pruned_expansions\":13,\"path_cells\":9,\"peak_cycle_path_cells\":6,\"failed_searches\":0,\"cache_hits\":0,\"recolor_cells\":0},\"cache\":{\"source\":\"disabled\",\"hits\":0,\"misses\":0,\"evictions\":0,\"resident_bytes\":0,\"coalesced_waits\":0},\"resources\":{\"logical_qubits\":5,\"live_tiles\":9,\"physical_qubits\":5625,\"cycles\":2,\"space_time_volume\":10,\"channel_cells\":40,\"channel_mean_utilization_ppm\":112500,\"channel_peak_utilization_ppm\":150000,\"stage_cost\":{\"profile\":3,\"map\":72,\"schedule\":15}},\"diagnostics\":[],\"attempts\":1,\"last_fault\":null}}",
     "{\"file\":\"good \\\"q\\\".qasm\",\"diagnostics\":[{\"code\":\"W001\",\"severity\":\"warning\",\"message\":\"1 of 5 declared qubits are touched by no gate: 4\"}]}",
     "{\"file\":\"bad.qasm\",\"diagnostics\":[{\"code\":\"E010\",\"severity\":\"error\",\"message\":\"index 7 out of range for qreg `q[2]`\",\"span\":{\"line\":3,\"col\":11}}]}",
 ];

@@ -12,10 +12,6 @@
 //!    early reject (`E012`), dead qubits (`W001`), adjacent
 //!    self-cancelling CNOT pairs (`W002`), and communication-graph
 //!    structure (`W003` disconnected, `W004` degree hotspots).
-//!    [`lint_gates`] validates a raw gate list (`E011`) before a
-//!    `Circuit` is even constructed — `Circuit::try_cnot` rejects
-//!    out-of-range indices, so raw lists are the only place they can
-//!    appear.
 //! 3. **Schedule level** (post-compile) — re-exported from
 //!    `ecmas-core`: [`collect_violations`] gathers *every* legality
 //!    violation of an encoded schedule (not just the first, as the
@@ -40,30 +36,6 @@ pub use ecmas_core::encoded::{analyze_encoded, collect_violations};
 #[must_use]
 pub fn has_errors(diags: &[Diagnostic]) -> bool {
     diags.iter().any(Diagnostic::is_error)
-}
-
-/// Lints a raw CNOT gate list against a declared qubit count.
-///
-/// This is the only home for `E011`: [`Circuit`] construction already
-/// rejects out-of-range indices, so the check must run on the raw
-/// `(control, target)` pairs a caller holds *before* building one.
-/// One diagnostic per offending gate.
-#[must_use]
-pub fn lint_gates(qubits: usize, pairs: &[(usize, usize)]) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for (g, &(control, target)) in pairs.iter().enumerate() {
-        let bad = [control, target].into_iter().find(|&q| q >= qubits);
-        if let Some(q) = bad {
-            out.push(Diagnostic::new(
-                Code::QubitOutOfRange,
-                format!(
-                    "gate {g} (cnot {control},{target}) references qubit {q} \
-                     outside the declared width {qubits}"
-                ),
-            ));
-        }
-    }
-    out
 }
 
 /// Runs the circuit-level lints, optionally against a target chip.
@@ -269,15 +241,6 @@ mod tests {
 
     fn codes(diags: &[Diagnostic]) -> Vec<&'static str> {
         diags.iter().map(|d| d.code.as_str()).collect()
-    }
-
-    #[test]
-    fn raw_gate_list_out_of_range_is_e011() {
-        let diags = lint_gates(3, &[(0, 1), (2, 5), (7, 0)]);
-        assert_eq!(codes(&diags), ["E011", "E011"]);
-        assert!(diags[0].message.contains("qubit 5"));
-        assert!(has_errors(&diags));
-        assert!(lint_gates(3, &[(0, 1), (1, 2)]).is_empty());
     }
 
     #[test]

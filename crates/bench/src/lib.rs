@@ -64,25 +64,6 @@ pub fn sample_count() -> usize {
     std::env::var("ECMAS_SAMPLES").ok().and_then(|v| v.parse().ok()).unwrap_or(50)
 }
 
-/// Compiles through the workspace-wide [`Compiler`] trait — one code path
-/// for Ecmas and both baselines — and cross-checks the schedule with the
-/// independent validator.
-///
-/// # Panics
-///
-/// Panics if compilation fails or the schedule is invalid — the harness
-/// treats both as experiment-infrastructure bugs.
-#[must_use]
-pub fn run_compiler(compiler: &dyn Compiler, circuit: &Circuit, chip: &Chip) -> CompileOutcome {
-    let outcome = compiler
-        .compile_outcome(circuit, chip)
-        .unwrap_or_else(|e| panic!("{}: {} compile failed: {e}", circuit.name(), compiler.name()));
-    validate_encoded(circuit, &outcome.encoded).unwrap_or_else(|e| {
-        panic!("{}: invalid {} schedule: {e}", circuit.name(), compiler.name())
-    });
-    outcome
-}
-
 /// Fans a circuit group through [`compile_jobs`] (scoped threads, one
 /// per core), validates every schedule, and returns the summed
 /// cycles and summed per-circuit compile seconds (measured inside each
@@ -91,7 +72,8 @@ pub fn run_compiler(compiler: &dyn Compiler, circuit: &Circuit, chip: &Chip) -> 
 ///
 /// # Panics
 ///
-/// As [`run_compiler`].
+/// Panics if a compilation fails or a schedule is invalid — the harness
+/// treats both as experiment-infrastructure bugs.
 #[must_use]
 pub fn run_batch(compiler: &(dyn Compiler + Sync), group: &[Circuit], chip: &Chip) -> (u64, f64) {
     let jobs: Vec<BatchJob<'_>> =
@@ -107,17 +89,6 @@ pub fn run_batch(compiler: &(dyn Compiler + Sync), group: &[Circuit], chip: &Chi
         secs += outcome.report.timings.total().as_secs_f64();
     }
     (cycles, secs)
-}
-
-/// Compiles with Ecmas (paper defaults) and cross-checks the schedule with
-/// the independent validator.
-///
-/// # Panics
-///
-/// As [`run_compiler`].
-#[must_use]
-pub fn run_ecmas(circuit: &Circuit, chip: &Chip, config: EcmasConfig) -> u64 {
-    run_compiler(&Ecmas::new(config), circuit, chip).encoded.cycles()
 }
 
 /// One planned table cell: which compiler to run on which chip. The
@@ -170,12 +141,11 @@ fn row_shell(circuit: &Circuit, cells: Vec<(&'static str, u64)>) -> Row {
 /// of the whole suite into one heterogeneous service fan-out
 /// ([`compile_jobs`]): rows and columns compile concurrently across
 /// cores, every schedule is validated, and the assembled rows are
-/// bit-identical to the sequential per-row loop.
+/// bit-identical to compiling each cell on its own.
 ///
 /// # Panics
 ///
-/// As [`run_compiler`]: a failed compilation or invalid schedule is an
-/// experiment-infrastructure bug.
+/// As [`run_batch`].
 #[must_use]
 pub fn table_rows(suite: &[Circuit], plan: impl Fn(&Circuit) -> Vec<Cell>) -> Vec<Row> {
     let plans: Vec<Vec<Cell>> = suite.iter().map(&plan).collect();
@@ -213,16 +183,6 @@ pub fn table_rows(suite: &[Circuit], plan: impl Fn(&Circuit) -> Vec<Cell>) -> Ve
         .collect()
 }
 
-fn row_sequential(circuit: &Circuit, cells: &[Cell]) -> Row {
-    let measured = cells
-        .iter()
-        .map(|cell| {
-            (cell.label, run_compiler(&*cell.compiler, circuit, &cell.chip).encoded.cycles())
-        })
-        .collect();
-    row_shell(circuit, measured)
-}
-
 /// Table I plan: the full overview comparison for one circuit.
 ///
 /// # Panics
@@ -245,13 +205,6 @@ pub fn table1_plan(circuit: &Circuit) -> Vec<Cell> {
         Cell::new("Ecmas-ls Min", Ecmas::default(), ls_min),
         Cell::new("Ecmas-ls 4X", Ecmas::default(), ls_4x),
     ]
-}
-
-/// Table I: one row, compiled sequentially (the binaries fan whole
-/// tables out with [`table_rows`]).
-#[must_use]
-pub fn table1_row(circuit: &Circuit) -> Row {
-    row_sequential(circuit, &table1_plan(circuit))
 }
 
 fn location_plan(chip: Chip) -> Vec<Cell> {
@@ -293,12 +246,6 @@ pub fn table2_plan_congested(circuit: &Circuit) -> Vec<Cell> {
     location_plan(chip)
 }
 
-/// Table II: one row, compiled sequentially.
-#[must_use]
-pub fn table2_row(circuit: &Circuit) -> Row {
-    row_sequential(circuit, &table2_plan(circuit))
-}
-
 /// Table III plan: cut-type-initialization ablation (double defect, min
 /// chip).
 ///
@@ -322,12 +269,6 @@ pub fn table3_plan(circuit: &Circuit) -> Vec<Cell> {
         ),
         Cell::new("Ours", Ecmas::default(), chip),
     ]
-}
-
-/// Table III: one row, compiled sequentially.
-#[must_use]
-pub fn table3_row(circuit: &Circuit) -> Row {
-    row_sequential(circuit, &table3_plan(circuit))
 }
 
 fn order_plan(chip: Chip) -> Vec<Cell> {
@@ -361,12 +302,6 @@ pub fn table4_plan_congested(circuit: &Circuit) -> Vec<Cell> {
     order_plan(chip)
 }
 
-/// Table IV: one row, compiled sequentially.
-#[must_use]
-pub fn table4_row(circuit: &Circuit) -> Row {
-    row_sequential(circuit, &table4_plan(circuit))
-}
-
 /// Table V plan: cut-type-scheduling ablation (double defect, min chip).
 ///
 /// # Panics
@@ -381,12 +316,6 @@ pub fn table5_plan(circuit: &Circuit) -> Vec<Cell> {
         Cell::new("Time-first", Ecmas::new(with_policy(CutPolicy::TimeFirst)), chip.clone()),
         Cell::new("Ours", Ecmas::default(), chip),
     ]
-}
-
-/// Table V: one row, compiled sequentially.
-#[must_use]
-pub fn table5_row(circuit: &Circuit) -> Row {
-    row_sequential(circuit, &table5_plan(circuit))
 }
 
 /// The model's paper baseline as a trait object (AutoBraid for double
@@ -498,7 +427,7 @@ mod tests {
 
     #[test]
     fn table1_row_has_all_columns() {
-        let row = table1_row(&benchmarks::bv_n10());
+        let row = &table_rows(&[benchmarks::bv_n10()], table1_plan)[0];
         assert_eq!(row.cells.len(), 7);
         // BV is a serial star: AutoBraid = 3α, Ecmas = α on both models.
         assert_eq!(row.cells[0].1, 3 * row.alpha as u64);
@@ -508,11 +437,11 @@ mod tests {
 
     #[test]
     fn ablation_rows_have_expected_columns() {
-        let c = benchmarks::ghz(8);
-        assert_eq!(table2_row(&c).cells.len(), 3);
-        assert_eq!(table3_row(&c).cells.len(), 3);
-        assert_eq!(table4_row(&c).cells.len(), 2);
-        assert_eq!(table5_row(&c).cells.len(), 3);
+        let c = [benchmarks::ghz(8)];
+        assert_eq!(table_rows(&c, table2_plan)[0].cells.len(), 3);
+        assert_eq!(table_rows(&c, table3_plan)[0].cells.len(), 3);
+        assert_eq!(table_rows(&c, table4_plan)[0].cells.len(), 2);
+        assert_eq!(table_rows(&c, table5_plan)[0].cells.len(), 3);
     }
 
     #[test]
@@ -520,7 +449,7 @@ mod tests {
         // The paper's headline Table III example: greedy cut init is
         // optimal on ghz (path graph) while random/max-cut are not
         // guaranteed to be.
-        let row = table3_row(&benchmarks::ghz_state_n23());
+        let row = &table_rows(&[benchmarks::ghz_state_n23()], table3_plan)[0];
         let ours = row.cells[2].1;
         assert_eq!(ours, row.alpha as u64);
         assert!(row.cells[0].1 >= ours);
@@ -532,8 +461,10 @@ mod tests {
         let group = ecmas_circuit::random::test_group(10, 6, 2, 3, 42);
         let chip = Chip::min_viable(CodeModel::LatticeSurgery, 10, 3).unwrap();
         let (batch_cycles, batch_secs) = run_batch(&Ecmas::default(), &group, &chip);
-        let sequential: u64 =
-            group.iter().map(|c| run_ecmas(c, &chip, EcmasConfig::default())).sum();
+        let sequential: u64 = group
+            .iter()
+            .map(|c| Ecmas::default().compile_outcome(c, &chip).unwrap().encoded.cycles())
+            .sum();
         assert_eq!(batch_cycles, sequential, "batch must be bit-identical to sequential");
         assert!(batch_secs > 0.0);
         assert_eq!(baseline_for(CodeModel::DoubleDefect).name(), "autobraid");
@@ -543,18 +474,20 @@ mod tests {
     #[test]
     fn parallel_table_rows_match_the_sequential_rows() {
         let suite = vec![benchmarks::ghz(8), benchmarks::bv_n10(), benchmarks::ising_n10()];
-        let parallel = table_rows(&suite, table1_plan);
-        let sequential: Vec<Row> = suite.iter().map(table1_row).collect();
-        assert_eq!(parallel.len(), sequential.len());
-        for (par, seq) in parallel.iter().zip(&sequential) {
-            assert_eq!(par.name, seq.name);
-            assert_eq!(par.cells, seq.cells, "{}: service fan-out must not move a cell", par.name);
-        }
-        // The ablation plans drive the same machinery; spot-check one.
-        let parallel = table_rows(&suite, table5_plan);
-        let sequential: Vec<Row> = suite.iter().map(table5_row).collect();
-        for (par, seq) in parallel.iter().zip(&sequential) {
-            assert_eq!(par.cells, seq.cells);
+        // Table I, and one ablation plan as a spot check of the others.
+        for plan in [table1_plan, table5_plan] {
+            let rows = table_rows(&suite, plan);
+            assert_eq!(rows.len(), suite.len());
+            for (row, circuit) in rows.iter().zip(&suite) {
+                assert_eq!(row.name, circuit.name());
+                let cells = plan(circuit);
+                assert_eq!(row.cells.len(), cells.len());
+                for ((label, cycles), cell) in row.cells.iter().zip(&cells) {
+                    let alone = cell.compiler.compile_outcome(circuit, &cell.chip).unwrap();
+                    assert_eq!(*label, cell.label);
+                    assert_eq!(*cycles, alone.encoded.cycles(), "{}: {label}", row.name);
+                }
+            }
         }
     }
 

@@ -304,7 +304,7 @@ mod tests {
 
     use ecmas_chip::{Chip, CodeModel};
     use ecmas_circuit::Circuit;
-    use ecmas_core::compiler::{Ecmas, EcmasConfig};
+    use ecmas_core::compiler::Ecmas;
     use ecmas_core::session::Compiler;
 
     use crate::key::full_key;
@@ -314,9 +314,8 @@ mod tests {
         c.cnot(0, 1);
         c.cnot(2, 3);
         let chip = Chip::min_viable(CodeModel::LatticeSurgery, 4, 3).unwrap();
-        let cfg = EcmasConfig::default();
-        let out = Ecmas::new(cfg).compile_outcome(&c, &chip).unwrap();
-        (out, full_key(&c, &chip, &cfg, "limited"))
+        let out = Ecmas::default().compile_outcome(&c, &chip).unwrap();
+        (out, full_key(&c, &chip))
     }
 
     #[test]

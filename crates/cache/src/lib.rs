@@ -7,8 +7,8 @@
 //! repeated work cheap at two granularities:
 //!
 //! 1. **Full results** ([`full_key`]): a finished `CompileOutcome` keyed
-//!    by a platform-stable 128-bit hash of (circuit, chip, config,
-//!    schedule mode). A hit skips compilation entirely.
+//!    by a platform-stable 128-bit hash of (circuit, chip). A hit skips
+//!    compilation entirely.
 //! 2. **In-flight coalescing** ([`CompileCache::begin`]): N identical
 //!    concurrent jobs trigger one compile; the other N−1 park on the
 //!    leader's flight and share its result (or its error).
@@ -32,19 +32,18 @@
 //! use ecmas_chip::{Chip, CodeModel};
 //! use ecmas_circuit::Circuit;
 //! use ecmas_core::session::Compiler;
-//! use ecmas_core::{Ecmas, EcmasConfig};
+//! use ecmas_core::Ecmas;
 //!
 //! let mut circuit = Circuit::new(2);
 //! circuit.cnot(0, 1);
 //! let chip = Chip::min_viable(CodeModel::LatticeSurgery, 2, 3)?;
-//! let config = EcmasConfig::default();
 //!
 //! let cache = CompileCache::new(CacheConfig::default());
-//! let key = full_key(&circuit, &chip, &config, "limited");
+//! let key = full_key(&circuit, &chip);
 //! let outcome = match cache.begin(key) {
 //!     Begin::Hit(shared) => shared,
 //!     Begin::Lead(lead) => {
-//!         let fresh = Ecmas::new(config).compile_outcome(&circuit, &chip)?;
+//!         let fresh = Ecmas::default().compile_outcome(&circuit, &chip)?;
 //!         lead.complete(fresh)
 //!     }
 //!     Begin::Follow(follow) => unreachable!("nothing else is compiling"),

@@ -101,9 +101,9 @@ pub enum Code {
     ChannelOversubscribed,
     /// E010 — QASM source failed to lex or parse.
     QasmParse,
-    /// E011 — a gate references a qubit index outside the circuit's
-    /// declared width.
-    QubitOutOfRange,
+    // E011 (a raw gate list's out-of-range qubit) is retired: a QASM
+    // index out of range is an E010 parse error, and `Circuit` rejects
+    // one at construction.
     /// E012 — the circuit is wider than the chip has live tiles.
     WidthExceedsChip,
     /// W001 — a declared qubit is touched by no gate.
@@ -138,7 +138,6 @@ impl Code {
             Code::PathConflict => "E008",
             Code::ChannelOversubscribed => "E009",
             Code::QasmParse => "E010",
-            Code::QubitOutOfRange => "E011",
             Code::WidthExceedsChip => "E012",
             Code::UnusedQubit => "W001",
             Code::SelfCancellingCnots => "W002",
@@ -351,7 +350,6 @@ mod tests {
             Code::PathConflict,
             Code::ChannelOversubscribed,
             Code::QasmParse,
-            Code::QubitOutOfRange,
             Code::WidthExceedsChip,
             Code::UnusedQubit,
             Code::SelfCancellingCnots,

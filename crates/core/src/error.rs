@@ -39,14 +39,6 @@ pub enum CompileError {
     CutTypesMismatch,
     /// An underlying chip construction failed.
     Chip(ChipError),
-    /// Every candidate chip in a fleet was rejected: none had the live
-    /// capacity for the circuit, or every one that fit failed to compile.
-    FleetExhausted {
-        /// Candidate chips considered.
-        candidates: usize,
-        /// Logical qubits in the circuit.
-        qubits: usize,
-    },
 }
 
 impl fmt::Display for CompileError {
@@ -65,13 +57,6 @@ impl fmt::Display for CompileError {
                 write!(f, "initial cut types must be supplied exactly for the double-defect model")
             }
             CompileError::Chip(e) => write!(f, "chip error: {e}"),
-            CompileError::FleetExhausted { candidates, qubits } => {
-                write!(
-                    f,
-                    "no chip in a fleet of {candidates} candidates could \
-                     compile the {qubits}-qubit circuit"
-                )
-            }
         }
     }
 }

@@ -74,7 +74,7 @@ pub mod session;
 pub mod stable;
 pub mod viz;
 
-pub use compiler::{ChipFleet, Ecmas, EcmasConfig, FleetSelection};
+pub use compiler::{Ecmas, EcmasConfig};
 pub use cut::{CutInitStrategy, CutType};
 pub use diag::{diagnostics_to_json, Code, Diagnostic, Severity, Span};
 pub use encoded::{

@@ -17,8 +17,10 @@ use crate::diag::object;
 /// Deterministic per-stage cost model in abstract work units.
 ///
 /// These are *work* proxies, not wall times: they depend only on the
-/// job (circuit, chip, config), never on the machine, so they can be
-/// used to rank jobs for fleet selection and admission control.
+/// job (circuit, chip, config), never on the machine. They are reported
+/// and summed by the daemon's `stats`; nothing ranks or admits jobs by
+/// them (`ecmasc --fleet` ranks chips by physical qubits, and load
+/// shedding sums `CompileRequest::estimated_cost`).
 ///
 /// * `profile` — CNOT gates examined by Para-Finding.
 /// * `map` — placement restarts × live tile slots searched.

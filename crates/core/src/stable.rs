@@ -9,8 +9,8 @@
 //! * `tests/schedule_pins.rs` pins complete event schedules as
 //!   [`fingerprint_encoded`] values that must survive compiler rework;
 //! * `ecmas-cache` derives content-addressed compile-cache keys from
-//!   circuits, chips, and configs via the `write_*` helpers, and those
-//!   keys must agree across daemon restarts and machines.
+//!   circuits and chips via the `write_*` helpers, and those keys must
+//!   agree across daemon restarts and machines.
 //!
 //! The hash is *not* cryptographic. Cache keys mitigate collisions by
 //! combining two independent passes (different offset bases) into a
@@ -20,11 +20,7 @@
 use ecmas_chip::Chip;
 use ecmas_circuit::Circuit;
 
-use crate::compiler::EcmasConfig;
-use crate::cut::CutInitStrategy;
 use crate::encoded::{EncodedCircuit, EventKind};
-use crate::engine::{CutPolicy, GateOrder};
-use crate::mapping::LocationStrategy;
 
 /// The standard FNV-1a 64-bit offset basis.
 pub const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
@@ -191,54 +187,6 @@ pub fn write_chip(h: &mut StableHasher, chip: &Chip) {
     for slot in chip.defect_slots() {
         h.write_usize(slot);
     }
-}
-
-fn write_location(h: &mut StableHasher, location: LocationStrategy) {
-    match location {
-        LocationStrategy::Ecmas { restarts, seed } => {
-            h.write_u8(0);
-            h.write_usize(restarts);
-            h.write_u64(seed);
-        }
-        LocationStrategy::Partitioner { seed } => {
-            h.write_u8(1);
-            h.write_u64(seed);
-        }
-        LocationStrategy::Trivial => h.write_u8(2),
-    }
-}
-
-fn write_cut_init(h: &mut StableHasher, cut_init: CutInitStrategy) {
-    match cut_init {
-        CutInitStrategy::GreedyBipartitePrefix => h.write_u8(0),
-        CutInitStrategy::Random { seed } => {
-            h.write_u8(1);
-            h.write_u64(seed);
-        }
-        CutInitStrategy::MaxCut { seed } => {
-            h.write_u8(2);
-            h.write_u64(seed);
-        }
-        CutInitStrategy::AllSame => h.write_u8(3),
-    }
-}
-
-/// Mixes a complete [`EcmasConfig`] — every knob that can change the
-/// compiled schedule or its report: the location strategy, the cut-init
-/// strategy, the gate order and the cut policy, in that order.
-pub fn write_config(h: &mut StableHasher, config: &EcmasConfig) {
-    write_location(h, config.location);
-    write_cut_init(h, config.cut_init);
-    h.write_u8(match config.order {
-        GateOrder::Priority => 0,
-        GateOrder::CircuitOrder => 1,
-    });
-    h.write_u8(match config.cut_policy {
-        CutPolicy::Adaptive => 0,
-        CutPolicy::TimeFirst => 1,
-        CutPolicy::ChannelFirst => 2,
-        CutPolicy::NeverModify => 3,
-    });
 }
 
 #[cfg(test)]

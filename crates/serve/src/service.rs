@@ -61,7 +61,6 @@ use std::time::Duration;
 use ecmas_cache::{full_key, Begin, CacheStats, CompileCache, FollowStatus};
 use ecmas_chip::Chip;
 use ecmas_circuit::Circuit;
-use ecmas_core::compiler::EcmasConfig;
 use ecmas_core::session::{CacheSource, CompileOutcome, Compiler};
 use ecmas_core::Ecmas;
 use ecmas_faults::{
@@ -668,9 +667,7 @@ fn run_cached(
     chip: &Chip,
     ctl: &JobCtl<'_>,
 ) -> Result<CompileOutcome, JobError> {
-    // The built-in pipeline's config and scheduler label stay in the
-    // key, so keys keep their values (`ecmas-cache` pins four).
-    let key = full_key(circuit, chip, &EcmasConfig::default(), "auto");
+    let key = full_key(circuit, chip);
     ctl.maybe_poison(cache, key);
     loop {
         ctl.checkpoint()?;

@@ -6,8 +6,6 @@
 //!                     [--defects "1,2;3,0"] [--timeline N] [--json] [--analyze]
 //! ecmasc program.qasm --fleet min,4x,congested [--model dd|ls] [--json]
 //! ecmasc lint program.qasm [--model dd|ls] [--chip …] [--json]
-//! ecmasc --jobs list.txt [--workers N] [--repeat N] [--cache-mb M]
-//!        [--model …] [--chip …] [--defects …] [--analyze]
 //! ```
 //!
 //! By default the resource-adaptive pipeline runs (`Ecmas::compile_auto`:
@@ -20,11 +18,11 @@
 //!
 //! `--defects "r,c;r,c"` marks tile slots dead before compiling — the
 //! compiler places and routes around them. Coordinates outside the chip
-//! are rejected up front. `--fleet a,b,…` instead hands the compiler a
-//! list of candidate chips (the same names `--chip` takes) and lets it
-//! pick the cheapest one — fewest physical qubits — that compiles the
-//! circuit (`Ecmas::compile_auto_fleet`); it conflicts with `--chip` and
-//! `--defects`, which pin a single target.
+//! are rejected up front. `--fleet a,b,…` instead lists candidate chips
+//! (the same names `--chip` takes) and compiles on the cheapest one —
+//! fewest physical qubits, ties in list order — on which `compile_auto`
+//! succeeds; it conflicts with `--chip` and `--defects`, which pin a
+//! single target.
 //!
 //! `ecmasc lint <file>` runs the static analyzer without compiling:
 //! QASM parse errors surface as `E010` diagnostics with line/column
@@ -36,22 +34,16 @@
 //! schedule and embeds every finding in the report's `"diagnostics"`
 //! array (also printed, one per line, in human mode).
 //!
-//! `--jobs <file>` switches to the service path: every non-blank,
-//! non-`#` line of the file is a QASM path, all of them are submitted to
-//! an `ecmas-serve` `CompileService` (`--workers` threads, one per core
-//! by default), and one `--json`-shaped line per job is printed in
-//! submission order. `--repeat N` submits the whole list N times and
-//! `--cache-mb M` fronts the service with the content-addressed compile
-//! cache, so repeated paths come back as cache hits (visible in each
-//! report's `"cache"` object). For a long-running stdin-driven service,
-//! see `ecmasd`.
+//! `ecmasc` compiles one file. Streams of jobs go to `ecmasd`, the
+//! front end of the compile service: one `{"op":"submit","file":…}`
+//! line per job, with `--workers` and `--cache-mb` on its command line.
 
 use std::process::ExitCode;
 
 use ecmas::serve::daemon::{parse_defect_spec, ChipKind};
 use ecmas::{
     analyze_encoded, diagnostics_to_json, has_errors, lint_circuit, lint_qasm, validate_encoded,
-    viz, ChipFleet, CompileRequest, CompileService, Ecmas, ServiceConfig,
+    viz, Ecmas,
 };
 use ecmas_chip::{Chip, CodeModel};
 use ecmas_circuit::Circuit;
@@ -65,12 +57,8 @@ struct Args {
     fleet: Vec<ChipKind>,
     timeline: u64,
     json: bool,
-    jobs: bool,
     lint: bool,
     analyze: bool,
-    workers: usize,
-    repeat: usize,
-    cache_bytes: u64,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -82,12 +70,8 @@ fn parse_args() -> Result<Args, String> {
     let mut fleet = Vec::new();
     let mut timeline = 0;
     let mut json = false;
-    let mut jobs = false;
     let mut lint = false;
     let mut analyze = false;
-    let mut workers = 0usize;
-    let mut repeat = 1usize;
-    let mut cache_bytes = 0u64;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--model" => {
@@ -132,48 +116,16 @@ fn parse_args() -> Result<Args, String> {
             }
             "--json" => json = true,
             "--analyze" => analyze = true,
-            "lint" if !lint && path.is_none() && !jobs => lint = true,
-            "--jobs" => {
-                if path.is_some() {
-                    return Err("--jobs conflicts with a positional input file".into());
-                }
-                jobs = true;
-                let v = args.next().ok_or("missing value for --jobs")?;
-                path = Some(v);
-            }
-            "--workers" => {
-                workers = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("missing/invalid value for --workers")?;
-            }
-            "--repeat" => {
-                repeat = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n: &usize| n > 0)
-                    .ok_or("missing/invalid value for --repeat (want a positive count)")?;
-            }
-            "--cache-mb" => {
-                let mb: u64 = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("missing/invalid value for --cache-mb")?;
-                cache_bytes = mb
-                    .checked_mul(1024 * 1024)
-                    .ok_or_else(|| format!("--cache-mb {mb} overflows the byte count"))?;
-            }
+            "lint" if !lint && path.is_none() => lint = true,
             "--help" | "-h" => {
                 return Err("usage: ecmasc <file.qasm> [--model dd|ls] \
                             [--chip min|4x|congested|sufficient] [--defects \"r,c;r,c\"] \
                             [--timeline N] [--json] [--analyze] | \
                             ecmasc <file.qasm> --fleet min,4x,… [--model …] [--json] | \
-                            ecmasc lint <file.qasm> [--model …] [--chip …] [--json] | \
-                            ecmasc --jobs <list.txt> [--workers N] [--repeat N] [--cache-mb M] \
-                            [--model …] [--chip …] [--defects …] [--analyze]"
+                            ecmasc lint <file.qasm> [--model …] [--chip …] [--json]"
                     .into());
             }
-            other if path.is_none() && !jobs && !other.starts_with('-') => {
+            other if path.is_none() && !other.starts_with('-') => {
                 path = Some(other.to_string());
             }
             other => return Err(format!("unexpected argument {other:?}")),
@@ -187,12 +139,6 @@ fn parse_args() -> Result<Args, String> {
         if !defects.is_empty() {
             return Err("--fleet conflicts with --defects (masks pin one target)".into());
         }
-        if jobs {
-            return Err("--fleet conflicts with --jobs".into());
-        }
-    }
-    if lint && jobs {
-        return Err("lint conflicts with --jobs (lint one file at a time)".into());
     }
     if lint && !fleet.is_empty() {
         return Err("lint conflicts with --fleet (lint targets one chip)".into());
@@ -205,12 +151,8 @@ fn parse_args() -> Result<Args, String> {
         fleet,
         timeline,
         json,
-        jobs,
         lint,
         analyze,
-        workers,
-        repeat,
-        cache_bytes,
     })
 }
 
@@ -293,46 +235,10 @@ fn run_lint(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `--jobs`: fan a file of QASM paths through the compile service.
-fn run_jobs(args: &Args) -> Result<(), String> {
-    let list = std::fs::read_to_string(&args.path)
-        .map_err(|e| format!("cannot read {}: {e}", args.path))?;
-    let paths: Vec<&str> =
-        list.lines().map(str::trim).filter(|l| !l.is_empty() && !l.starts_with('#')).collect();
-    let service = CompileService::new(ServiceConfig {
-        workers: args.workers,
-        cache_bytes: args.cache_bytes,
-        ..ServiceConfig::default()
-    });
-    let mut submitted = Vec::new();
-    for _ in 0..args.repeat {
-        for path in &paths {
-            let circuit = load_circuit(path)?;
-            let chip = build_chip(args, &circuit)?;
-            let handle = service
-                .submit(
-                    CompileRequest::new(circuit.clone(), chip.clone()).with_analyze(args.analyze),
-                )
-                .map_err(|e| e.to_string())?;
-            submitted.push((*path, circuit, chip, handle));
-        }
-    }
-    for (path, circuit, chip, handle) in submitted {
-        let outcome = handle.wait().map_err(|e| format!("{path}: {e}"))?;
-        validate_encoded(&circuit, &outcome.encoded)
-            .map_err(|e| format!("internal: invalid schedule for {path}: {e}"))?;
-        println!("{}", json_line(path, &circuit, args.chip, &chip, &outcome.report.to_json()));
-    }
-    Ok(())
-}
-
 fn run() -> Result<(), String> {
     let args = parse_args()?;
     if args.lint {
         return run_lint(&args);
-    }
-    if args.jobs {
-        return run_jobs(&args);
     }
     let circuit = load_circuit(&args.path)?;
     if !args.json {
@@ -365,20 +271,32 @@ fn run() -> Result<(), String> {
             .iter()
             .map(|kind| kind.build(args.model, &circuit).map_err(|e| e.to_string()))
             .collect::<Result<Vec<_>, _>>()?;
-        let selection = Ecmas::default()
-            .compile_auto_fleet(&circuit, &ChipFleet::new(candidates.clone()))
-            .map_err(|e| e.to_string())?;
-        let kind = args.fleet[selection.chip_index];
-        let chip = candidates[selection.chip_index].clone();
+        let mut by_cost: Vec<usize> = (0..candidates.len()).collect();
+        by_cost.sort_by_key(|&i| candidates[i].physical_qubits());
+        // A chip too small for the circuit fails its fit check before
+        // profiling, so trying each candidate in turn costs nothing there.
+        let (index, outcome) = by_cost
+            .into_iter()
+            .find_map(|i| {
+                Ecmas::default().compile_auto(&circuit, &candidates[i]).ok().map(|o| (i, o))
+            })
+            .ok_or_else(|| {
+                format!(
+                    "no chip in a fleet of {} candidates could compile the {}-qubit circuit",
+                    candidates.len(),
+                    circuit.qubits()
+                )
+            })?;
+        let kind = args.fleet[index];
         if !args.json {
             eprintln!(
                 "fleet: selected candidate {} of {} ({})",
-                selection.chip_index + 1,
+                index + 1,
                 candidates.len(),
                 kind.label(),
             );
         }
-        (kind, chip, selection.outcome)
+        (kind, candidates[index].clone(), outcome)
     };
     validate_encoded(&circuit, &outcome.encoded)
         .map_err(|e| format!("internal: invalid schedule: {e}"))?;

@@ -54,10 +54,10 @@ pub use ecmas_core::{
 pub use ecmas_core::{
     analyze_encoded, collect_violations, diagnostics_to_json, fingerprint_encoded, para_finding,
     schedule_limited, schedule_sufficient, validate_encoded, Algorithm, CacheInfo, CacheSource,
-    ChipFleet, Code, CompileError, CompileOutcome, CompileReport, Compiler, CutInitStrategy,
-    CutPolicy, CutType, Diagnostic, Ecmas, EcmasConfig, EncodedCircuit, Event, EventKind,
-    ExecutionScheme, FleetSelection, GateOrder, LocationStrategy, ResourceEstimate, ScheduleConfig,
-    Severity, Span, StableHasher, StageCost, ValidateError,
+    Code, CompileError, CompileOutcome, CompileReport, Compiler, CutInitStrategy, CutPolicy,
+    CutType, Diagnostic, Ecmas, EcmasConfig, EncodedCircuit, Event, EventKind, ExecutionScheme,
+    GateOrder, LocationStrategy, ResourceEstimate, ScheduleConfig, Severity, Span, StableHasher,
+    StageCost, ValidateError,
 };
 
 /// The static-analysis layer (`ecmas-analyze`), re-exported whole:
@@ -65,7 +65,7 @@ pub use ecmas_core::{
 /// registry (see `ecmas_analyze` for the code table).
 pub use ecmas_analyze as analyze;
 
-pub use ecmas_analyze::{has_errors, lint_circuit, lint_gates, lint_qasm};
+pub use ecmas_analyze::{has_errors, lint_circuit, lint_qasm};
 
 /// The compile-cache layer (`ecmas-cache`), re-exported whole:
 /// content-addressed keys, the byte-budgeted LRU, and in-flight

@@ -173,17 +173,6 @@ impl CompileCache {
         Begin::Lead(LeadGuard { cache: Arc::clone(self), key, flight, resolved: false })
     }
 
-    /// Chaos hook: drops the resident entry for `key`, if any. In-flight
-    /// coalescing is untouched — followers of a live leader keep their
-    /// flight and the leader's `complete` republishes the entry. The
-    /// service's fault-injection layer uses this to force a recompile
-    /// that must reproduce the poisoned entry bit-for-bit; it is also a
-    /// correct (if blunt) invalidation primitive. Returns whether an
-    /// entry was dropped.
-    pub fn poison(&self, key: CompileKey) -> bool {
-        self.lock().lru.remove(&key)
-    }
-
     /// A point-in-time snapshot of the counters.
     #[must_use]
     pub fn stats(&self) -> CacheStats {

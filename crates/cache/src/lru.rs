@@ -96,17 +96,6 @@ impl<V> Lru<V> {
         true
     }
 
-    /// Removes `key` outright (not counted as an eviction). Returns
-    /// whether an entry was present.
-    pub(crate) fn remove(&mut self, key: &CompileKey) -> bool {
-        if let Some(&idx) = self.map.get(key) {
-            self.remove_index(idx, false);
-            true
-        } else {
-            false
-        }
-    }
-
     fn remove_index(&mut self, idx: usize, count_eviction: bool) {
         self.unlink(idx);
         self.map.remove(&self.nodes[idx].key);

@@ -235,14 +235,6 @@ pub struct CompileReport {
     /// The analyzer only observes — populating this never changes the
     /// schedule or its fingerprint.
     pub diagnostics: Vec<Diagnostic>,
-    /// Service attempts this result took (1 = succeeded first try).
-    /// Only the fault-tolerant compile service retries, so direct
-    /// compilation always reports 1. Retried results are bit-identical
-    /// to first-try results in everything but this provenance pair.
-    pub attempts: u32,
-    /// Provenance of the last transient failure the service retried
-    /// away (`None` when the job succeeded on its first attempt).
-    pub last_fault: Option<String>,
 }
 
 impl CompileReport {
@@ -252,7 +244,7 @@ impl CompileReport {
     pub fn to_json(&self) -> String {
         let ms = |d: Duration| format!("{:.3}", d.as_secs_f64() * 1e3);
         let (t, r, c) = (&self.timings, &self.router, &self.cache);
-        let json = object()
+        object()
             .str("algorithm", self.algorithm.label())
             .field("cycles", self.cycles)
             .field("events", self.events)
@@ -294,12 +286,7 @@ impl CompileReport {
             )
             .field("resources", self.resources.to_json())
             .field("diagnostics", diagnostics_to_json(&self.diagnostics))
-            .field("attempts", self.attempts);
-        match &self.last_fault {
-            Some(fault) => json.str("last_fault", fault),
-            None => json.field("last_fault", "null"),
-        }
-        .to_string()
+            .to_string()
     }
 }
 
@@ -316,8 +303,8 @@ impl CompileOutcome {
     /// The outcome of a direct compilation of `circuit` for the target
     /// `chip`: `scheduled` is the scheduler's result, and the report's
     /// capacity and [`ResourceEstimate`] are computed against `chip`. No
-    /// cache, analyzer or retry was involved, so the report carries
-    /// [`CacheInfo::disabled`], no diagnostics and one attempt.
+    /// cache or analyzer was involved, so the report carries
+    /// [`CacheInfo::disabled`] and no diagnostics.
     #[must_use]
     pub fn direct(
         algorithm: Algorithm,
@@ -350,8 +337,6 @@ impl CompileOutcome {
             cache: CacheInfo::disabled(),
             resources,
             diagnostics: Vec::new(),
-            attempts: 1,
-            last_fault: None,
         };
         CompileOutcome { encoded, report }
     }

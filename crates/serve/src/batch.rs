@@ -8,9 +8,9 @@
 //! workspace is deterministic and jobs share nothing.
 //!
 //! The loop shares no machinery with [`CompileService`](crate::CompileService):
-//! a batch job has no deadline, cannot be cancelled, is never shed and
-//! runs no fault hooks, so it needs none of the service's queue, slots or
-//! retry loop. A compiler panic propagates to the caller.
+//! a batch job has no deadline, cannot be cancelled and is never shed,
+//! so it needs none of the service's queue or slots. A compiler panic
+//! propagates to the caller.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

@@ -475,10 +475,6 @@ impl Daemon {
         let tally = self.tally();
         let cache = self.service.cache_stats();
         let c = cache.unwrap_or_default();
-        let sup = self.service.supervisor_stats();
-        let faults = self.service.fault_stats();
-        let f = faults.unwrap_or_default();
-        let retries = self.service.retry_stats();
         let (r, d) = (&self.totals, &self.diag_totals);
         object()
             .str("op", "stats")
@@ -500,28 +496,6 @@ impl Daemon {
                     .field("resident_bytes", c.resident_bytes)
                     .field("coalesced_waits", c.coalesced_waits)
                     .field("entries", c.entries),
-            )
-            .field(
-                "supervisor",
-                object()
-                    .field("workers", sup.workers)
-                    .field("spawned", sup.spawned)
-                    .field("panics", sup.panics)
-                    .field("respawns", sup.respawns)
-                    .field("requeued", sup.requeued),
-            )
-            .field(
-                "faults",
-                object()
-                    .field("enabled", faults.is_some())
-                    .field("spurious_errors", f.spurious_errors)
-                    .field("panics", f.panics)
-                    .field("latencies", f.latencies)
-                    .field("poisoned", f.poisoned),
-            )
-            .field(
-                "retries",
-                object().field("spent", retries.spent).field("budget", retries.budget),
             )
             .field("shed", self.service.shed_count())
             .field("draining", self.service.is_draining())

@@ -9,7 +9,7 @@
 
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -53,14 +53,6 @@ pub enum JobError {
         /// The panic payload, stringified.
         message: String,
     },
-    /// A transient fault (injected by a chaos fault plan, or an
-    /// infrastructure hiccup) failed this job. Surfaced only once the
-    /// service's retry policy is exhausted — transient failures with
-    /// retry headroom re-run invisibly.
-    Faulted {
-        /// Where the fault fired (e.g. `"stage 1 (attempt 2)"`).
-        site: String,
-    },
 }
 
 impl fmt::Display for JobError {
@@ -72,7 +64,6 @@ impl fmt::Display for JobError {
             }
             JobError::Cancelled => write!(f, "job cancelled"),
             JobError::Panicked { message } => write!(f, "compiler panicked: {message}"),
-            JobError::Faulted { site } => write!(f, "transient fault at {site}"),
         }
     }
 }
@@ -110,11 +101,6 @@ pub(crate) struct Slot {
     /// The request's estimated cost, claimed against the service's
     /// shed budget at admission and released when the job settles.
     cost: u64,
-    /// How many times a worker has picked this job up. Normally 1;
-    /// higher when a supervised worker died at pickup and the job was
-    /// requeued. Keys the `WorkerPickup` fault site so a requeued job
-    /// cannot be re-killed forever.
-    deliveries: AtomicU32,
 }
 
 impl Slot {
@@ -126,29 +112,11 @@ impl Slot {
             deadline: budget.and_then(|b| Instant::now().checked_add(b)),
             budget,
             cost,
-            deliveries: AtomicU32::new(0),
         }
     }
 
     pub(crate) fn cost(&self) -> u64 {
         self.cost
-    }
-
-    /// The 0-based delivery counter: called once per worker pickup.
-    pub(crate) fn next_delivery(&self) -> u32 {
-        self.deliveries.fetch_add(1, Ordering::AcqRel)
-    }
-
-    /// Between retry attempts: is anyone still waiting for this result?
-    /// Like [`checkpoint`](Self::checkpoint) but also fails when a
-    /// deadline-waiter already claimed the outcome (the slot is
-    /// `Finished` while the worker still runs).
-    pub(crate) fn still_wanted(&self) -> Result<(), JobError> {
-        self.checkpoint()?;
-        if matches!(*self.state.lock().expect("job lock"), State::Finished(_)) {
-            return Err(JobError::Cancelled);
-        }
-        Ok(())
     }
 
     /// Cancel/deadline check, used both when a worker picks the job up and

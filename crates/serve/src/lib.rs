@@ -66,9 +66,4 @@ pub mod service;
 pub use batch::{compile_jobs, BatchJob};
 pub use job::{JobError, JobHandle, JobId, JobStatus};
 pub use queue::Backpressure;
-pub use service::{
-    CompileRequest, CompileService, RetryStats, ServiceConfig, SubmitError, SupervisorStats,
-};
-// Fault-tolerance policy types, re-exported so service callers configure
-// chaos runs without naming the policy crate.
-pub use ecmas_faults::{FaultConfig, FaultSnapshot, RetryConfig};
+pub use service::{CompileRequest, CompileService, ServiceConfig, SubmitError};

@@ -95,27 +95,6 @@ impl<T> JobQueue<T> {
         }
     }
 
-    /// Puts a dequeued item back at the *front* of the queue, bypassing
-    /// the capacity bound (the item already held a slot when it was first
-    /// admitted; transient over-capacity here beats losing the job). Used
-    /// by the supervisor to re-deliver a job whose worker died before
-    /// running it. Fails only when the queue is closed — the caller must
-    /// then settle the job itself.
-    pub(crate) fn requeue(&self, item: T) -> Result<(), PushError<T>> {
-        let mut inner = self.inner.lock().expect("queue lock");
-        if inner.closed {
-            return Err(PushError::Closed(item));
-        }
-        inner.items.push_front(item);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Whether [`close`](Self::close) has been called.
-    pub(crate) fn is_closed(&self) -> bool {
-        self.inner.lock().expect("queue lock").closed
-    }
-
     /// Closes the queue: no further pushes; pops drain what is left.
     pub(crate) fn close(&self) {
         let mut inner = self.inner.lock().expect("queue lock");

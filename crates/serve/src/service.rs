@@ -27,34 +27,27 @@
 //! report, minus wall-clock timings and the `report.cache` provenance
 //! block) to a cold compile.
 //!
-//! # Fault tolerance
+//! # Failure handling
 //!
-//! The service is built to survive production failure modes, and to let
-//! chaos harnesses *prove* it does:
-//!
-//! - **Fault injection** ([`ServiceConfig::faults`]): a seeded
-//!   [`FaultPlan`] from `ecmas-faults` fires at queue admission, cache
-//!   lookup, every stage boundary, and worker pickup. With faults off
-//!   (the default) every hook is an `Option` check on a `None`.
-//! - **Retry** ([`ServiceConfig::retry`]): transient failures (injected
-//!   faults, and panics while a fault plan is active) re-run on the same
-//!   worker with exponential, deterministically-jittered backoff, up to
-//!   `max_attempts` and a service-wide retry budget. Retried results are
-//!   bit-identical to first-try results; `report.attempts` and
-//!   `report.last_fault` carry the provenance.
-//! - **Supervision**: a worker thread that dies mid-pickup requeues its
-//!   job and is respawned, so pool capacity never degrades. Counters are
-//!   exposed via [`CompileService::supervisor_stats`].
+//! - **Panic containment**: a compiler panic is caught on the worker and
+//!   surfaces as [`JobError::Panicked`]; the worker goes on to the next
+//!   job, so one bad compile cannot take the pool (or the queue behind
+//!   it) down.
+//! - **Cancellation and deadlines** ([`JobHandle::cancel`],
+//!   [`CompileRequest::with_deadline`]): checked at pickup and at every
+//!   stage boundary of the built-in pipeline.
+//! - **Backpressure** ([`ServiceConfig::backpressure`]): a full queue
+//!   blocks the submitter or hands the request back.
 //! - **Load shedding** ([`ServiceConfig::shed_cost_budget`]): when the
 //!   aggregate estimated cost of accepted-but-unfinished jobs exceeds
 //!   the budget, submissions are shed with
 //!   [`SubmitError::Overloaded`] and a `retry_after_ms` hint.
 //! - **Graceful drain** ([`CompileService::drain`]): stop admitting,
-//!   finish everything in flight, keep serving results.
+//!   wait until every accepted job has settled, keep serving results.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -63,18 +56,15 @@ use ecmas_chip::Chip;
 use ecmas_circuit::Circuit;
 use ecmas_core::session::{CacheSource, CompileOutcome, Compiler};
 use ecmas_core::Ecmas;
-use ecmas_faults::{
-    Fault, FaultConfig, FaultPlan, FaultSite, FaultSnapshot, RetryConfig, RetryPolicy,
-};
 
-use crate::job::{JobError, JobHandle, JobId, Slot};
+use crate::job::{JobError, JobHandle, Slot};
 use crate::queue::{Backpressure, JobQueue, PushError};
 
 /// How long a coalesced follower parks before running its own
 /// cancellation/deadline checkpoint and parking again.
 const COALESCE_POLL: Duration = Duration::from_millis(25);
 
-/// Sizing, backpressure, and fault-tolerance policy of a
+/// Sizing, backpressure, caching and load-shedding policy of a
 /// [`CompileService`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ServiceConfig {
@@ -90,13 +80,6 @@ pub struct ServiceConfig {
     /// default) disables caching entirely. Requests that run a custom
     /// compiler ([`CompileRequest::with_compiler`]) bypass the cache.
     pub cache_bytes: u64,
-    /// Seeded fault injection for chaos testing; `None` (the default)
-    /// disables every injection site.
-    pub faults: Option<FaultConfig>,
-    /// Retry policy for transiently-failed jobs (injected faults, and
-    /// panics while a fault plan is active). The default allows 3
-    /// attempts; set `max_attempts: 1` to disable retries.
-    pub retry: RetryConfig,
     /// Load-shedding budget: when the summed
     /// [`CompileRequest::estimated_cost`] of accepted-but-unfinished
     /// jobs would exceed this, new submissions are shed with
@@ -111,8 +94,6 @@ impl Default for ServiceConfig {
             queue_capacity: 0,
             backpressure: Backpressure::Block,
             cache_bytes: 0,
-            faults: None,
-            retry: RetryConfig::default(),
             shed_cost_budget: 0,
         }
     }
@@ -125,7 +106,8 @@ impl ServiceConfig {
         } else {
             self.workers
         };
-        let capacity = if self.queue_capacity == 0 { 4 * workers } else { self.queue_capacity };
+        let capacity =
+            if self.queue_capacity == 0 { workers.saturating_mul(4) } else { self.queue_capacity };
         (workers, capacity)
     }
 }
@@ -267,115 +249,12 @@ impl std::fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-/// Checkpoint and fault-hook access handed to running jobs.
-struct JobCtl<'a> {
-    slot: &'a Slot,
-    faults: Option<&'a FaultPlan>,
-    job: JobId,
-    attempt: u32,
-}
-
-impl JobCtl<'_> {
-    fn checkpoint(&self) -> Result<(), JobError> {
-        self.slot.checkpoint()
-    }
-
-    /// The staged pipeline's per-boundary hook: the plain checkpoint,
-    /// plus the `Stage` fault-injection site. With no fault plan this is
-    /// exactly `checkpoint` — the zero-cost-when-off guarantee the
-    /// `service/stress_100_jobs_faults_off` bench row pins.
-    fn stage_boundary(&self, stage: u8) -> Result<(), JobError> {
-        self.checkpoint()?;
-        if let Some(plan) = self.faults {
-            let site = FaultSite::Stage { job: self.job, attempt: self.attempt, stage };
-            if let Some(fault) = plan.decide(site) {
-                plan.record(fault);
-                match fault {
-                    Fault::Latency(d) => std::thread::sleep(d),
-                    Fault::SpuriousError => {
-                        return Err(JobError::Faulted {
-                            site: format!("stage {stage} (attempt {})", self.attempt),
-                        });
-                    }
-                    Fault::Panic => panic!(
-                        "injected fault: stage {stage} (job {} attempt {})",
-                        self.job, self.attempt
-                    ),
-                    Fault::PoisonCache => {}
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The `CacheLookup` fault site: drop the resident full-result entry
-    /// for `key` so this attempt recompiles (and must still produce a
-    /// bit-identical result).
-    fn maybe_poison(&self, cache: &CompileCache, key: ecmas_cache::CompileKey) {
-        if let Some(plan) = self.faults {
-            let site = FaultSite::CacheLookup { job: self.job, attempt: self.attempt };
-            if let Some(fault @ Fault::PoisonCache) = plan.decide(site) {
-                plan.record(fault);
-                cache.poison(key);
-            }
-        }
-    }
-}
-
-/// Worker-pool supervision state: the live thread handles plus lifetime
-/// counters. Respawns happen from a dying worker's drop guard; the
-/// shutdown path joins `handles` repeatedly until no replacement appears.
-struct Supervisor {
-    handles: Mutex<Vec<JoinHandle<()>>>,
-    spawned: AtomicU64,
-    panics: AtomicU64,
-    respawns: AtomicU64,
-}
-
-impl Supervisor {
-    fn new() -> Self {
-        Supervisor {
-            handles: Mutex::new(Vec::new()),
-            spawned: AtomicU64::new(0),
-            panics: AtomicU64::new(0),
-            respawns: AtomicU64::new(0),
-        }
-    }
-}
-
-/// A point-in-time snapshot of worker supervision counters
-/// ([`CompileService::supervisor_stats`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SupervisorStats {
-    /// Worker threads the pool is configured to keep alive.
-    pub workers: usize,
-    /// Threads spawned over the service's lifetime (initial + respawns).
-    pub spawned: u64,
-    /// Worker threads that died to a panic.
-    pub panics: u64,
-    /// Replacement workers spawned after a panic.
-    pub respawns: u64,
-    /// Jobs handed back to the queue by a dying worker.
-    pub requeued: u64,
-}
-
-/// Service-wide retry counters ([`CompileService::retry_stats`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RetryStats {
-    /// Retry-budget tokens consumed so far.
-    pub spent: u64,
-    /// The configured service-wide budget.
-    pub budget: u64,
-}
-
-/// Shared state between submitters and workers: the queue plus id counter
-/// plus the fault-tolerance policy objects.
+/// Shared state between submitters and workers: the queue plus the
+/// admission counters.
 struct ServiceCore {
-    queue: JobQueue<(JobId, Arc<Slot>, OwnedJob)>,
+    queue: JobQueue<(Arc<Slot>, OwnedJob)>,
     backpressure: Backpressure,
     next_id: AtomicU64,
-    faults: Option<FaultPlan>,
-    retry: RetryPolicy,
     /// Summed [`CompileRequest::estimated_cost`] of accepted jobs that
     /// have not yet settled; `0` cost per job when shedding is off.
     pending_cost: AtomicU64,
@@ -383,39 +262,20 @@ struct ServiceCore {
     shed_cost_budget: u64,
     /// Submissions shed by admission control.
     shed: AtomicU64,
-    /// Jobs a worker has picked up but not yet settled.
-    inflight: AtomicUsize,
-    /// Jobs handed back to the queue by a dying worker.
-    requeued: AtomicU64,
-    /// Set by [`begin_drain`](Self::begin_drain): reject new work.
+    /// Jobs admitted (or being admitted) that have not yet settled.
+    unsettled: AtomicUsize,
+    /// Set by [`CompileService::drain`]: reject new work.
     draining: AtomicBool,
 }
 
 impl ServiceCore {
-    fn new(
-        capacity: usize,
-        backpressure: Backpressure,
-        faults: Option<FaultConfig>,
-        retry: RetryConfig,
-        shed_cost_budget: u64,
-    ) -> Self {
-        ServiceCore {
-            queue: JobQueue::new(capacity),
-            backpressure,
-            next_id: AtomicU64::new(1),
-            faults: faults.filter(FaultConfig::enabled).map(FaultPlan::new),
-            retry: RetryPolicy::new(retry),
-            pending_cost: AtomicU64::new(0),
-            shed_cost_budget,
-            shed: AtomicU64::new(0),
-            inflight: AtomicUsize::new(0),
-            requeued: AtomicU64::new(0),
-            draining: AtomicBool::new(false),
-        }
-    }
-
     fn submit(&self, job: OwnedJob) -> Result<JobHandle, SubmitError> {
-        if self.draining.load(Ordering::Acquire) {
+        // Count the job before reading the drain flag, which `drain`
+        // raises before reading the count: with both sides `SeqCst`,
+        // either this submit sees the flag or `drain` waits for the job.
+        self.unsettled.fetch_add(1, Ordering::SeqCst);
+        if self.draining.load(Ordering::SeqCst) {
+            self.release(0);
             return Err(SubmitError::Draining(Box::new(job.request)));
         }
         let mut cost = 0;
@@ -426,7 +286,7 @@ impl ServiceCore {
             // sneaking under the bar together.
             let prev = self.pending_cost.fetch_add(cost, Ordering::AcqRel);
             if prev.saturating_add(cost) > self.shed_cost_budget {
-                self.pending_cost.fetch_sub(cost, Ordering::AcqRel);
+                self.release(cost);
                 self.shed.fetch_add(1, Ordering::Relaxed);
                 // Coarse hint: scale with the backlog the request would
                 // have waited behind.
@@ -438,157 +298,44 @@ impl ServiceCore {
             }
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        if let Some(plan) = &self.faults {
-            // Admission faults are latency-only: a spurious rejection
-            // here would lose the job from the caller's perspective,
-            // which the chaos acceptance run forbids.
-            if let Some(fault @ Fault::Latency(d)) = plan.decide(FaultSite::Admission { job: id }) {
-                plan.record(fault);
-                std::thread::sleep(d);
-            }
-        }
         let slot = Arc::new(Slot::new(job.request.deadline, cost));
-        match self.queue.push((id, Arc::clone(&slot), job), self.backpressure) {
+        match self.queue.push((Arc::clone(&slot), job), self.backpressure) {
             Ok(()) => Ok(JobHandle::new(id, slot)),
-            Err(PushError::Full((_, _, job))) => {
-                self.pending_cost.fetch_sub(cost, Ordering::AcqRel);
+            Err(PushError::Full((_, job))) => {
+                self.release(cost);
                 Err(SubmitError::Saturated(Box::new(job.request)))
             }
             Err(PushError::Closed(_)) => unreachable!("queue closes only on shutdown/drop"),
         }
     }
 
-    /// Whether `error` should be retried rather than surfaced. Injected
-    /// spurious errors always are; panics only while a fault plan is
-    /// active (a panic from a deterministic compiler would just repeat).
-    fn transient(&self, error: &JobError) -> bool {
-        match error {
-            JobError::Faulted { .. } => true,
-            JobError::Panicked { .. } => self.faults.is_some(),
-            _ => false,
-        }
-    }
-
-    fn fault_seed(&self) -> u64 {
-        self.faults.as_ref().map_or(0x9bad_cafe, |p| p.config().seed)
-    }
-
-    /// A job settled (result stored, or skipped): release its cost claim.
-    fn settle(&self, slot: &Slot) {
+    /// A job settled, or its admission was refused: drop it from the
+    /// unsettled count and release its cost claim.
+    fn release(&self, cost: u64) {
         if self.shed_cost_budget > 0 {
-            self.pending_cost.fetch_sub(slot.cost(), Ordering::AcqRel);
+            self.pending_cost.fetch_sub(cost, Ordering::AcqRel);
         }
-    }
-
-    fn begin_drain(&self) {
-        self.draining.store(true, Ordering::Release);
-    }
-
-    fn is_draining(&self) -> bool {
-        self.draining.load(Ordering::Acquire)
-    }
-
-    fn close(&self) {
-        self.queue.close();
-    }
-
-    fn queued(&self) -> usize {
-        self.queue.len()
-    }
-
-    fn inflight(&self) -> usize {
-        self.inflight.load(Ordering::Acquire)
-    }
-
-    fn pending_cost(&self) -> u64 {
-        self.pending_cost.load(Ordering::Acquire)
+        self.unsettled.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
 /// One worker: drain the queue until it closes. Cancelled or expired jobs
 /// are skipped at pickup; compiler panics are caught so one bad compile
-/// cannot take a worker (or the queue behind it) down. Transient failures
-/// retry in place, per the core's [`RetryPolicy`]. The one deliberate
-/// exception: an injected `WorkerPickup` fault requeues the job and kills
-/// the worker thread itself — that is the supervision path under test.
+/// cannot take a worker (or the queue behind it) down.
 fn worker_loop(core: &ServiceCore) {
-    while let Some((id, slot, job)) = core.queue.pop() {
-        let delivery = slot.next_delivery();
-        // Cap pickup kills per job: the decision is keyed on the delivery
-        // counter so a requeued job normally escapes, but at
-        // `--fault-percent 100` every delivery would fire and the job
-        // would ping-pong between dying workers forever.
-        const MAX_PICKUP_KILLS: u32 = 3;
-        if let (Some(plan), true) = (&core.faults, delivery < MAX_PICKUP_KILLS) {
-            let site = FaultSite::WorkerPickup { job: id, delivery };
-            if let Some(fault @ Fault::Panic) = plan.decide(site) {
-                plan.record(fault);
-                // Hand the job back before dying so it is never lost; a
-                // closed queue means shutdown, so settle it as faulted
-                // instead of requeueing into the void.
-                match core.queue.requeue((id, slot, job)) {
-                    Ok(()) => {
-                        core.requeued.fetch_add(1, Ordering::AcqRel);
-                    }
-                    Err(PushError::Closed((_, slot, _)) | PushError::Full((_, slot, _))) => {
-                        slot.finish(Err(JobError::Faulted {
-                            site: format!("worker_pickup (delivery {delivery})"),
-                        }));
-                        core.settle(&slot);
-                    }
-                }
-                panic!("injected fault: worker pickup (job {id} delivery {delivery})");
-            }
-        }
-        core.inflight.fetch_add(1, Ordering::AcqRel);
-        let result = run_attempts(core, id, &slot, &job);
-        slot.finish(result);
-        core.settle(&slot);
-        core.inflight.fetch_sub(1, Ordering::AcqRel);
+    while let Some((slot, job)) = core.queue.pop() {
+        slot.finish(run_job(&slot, &job));
+        core.release(slot.cost());
     }
 }
 
-/// The per-job attempt loop: run the job, and while failures are
-/// transient, the job is still wanted, and the retry policy grants a
-/// token, back off deterministically and run it again. Retried successes
-/// are stamped with their attempt count and last-fault provenance.
-fn run_attempts(
-    core: &ServiceCore,
-    id: JobId,
-    slot: &Arc<Slot>,
-    job: &OwnedJob,
-) -> Result<CompileOutcome, JobError> {
+fn run_job(slot: &Slot, job: &OwnedJob) -> Result<CompileOutcome, JobError> {
     slot.begin()?;
-    let mut attempt: u32 = 1;
-    let mut last_fault: Option<String> = None;
-    loop {
-        let ctl = JobCtl { slot, faults: core.faults.as_ref(), job: id, attempt };
-        let result = match catch_unwind(AssertUnwindSafe(|| job.run(&ctl))) {
-            Ok(result) => result,
-            // `&*panic`, not `&panic`: a `&Box<dyn Any>` would itself
-            // unsize into the `dyn Any` and hide the payload behind a
-            // second indirection.
-            Err(panic) => Err(JobError::Panicked { message: panic_message(&*panic) }),
-        };
-        match result {
-            Ok(mut outcome) => {
-                outcome.report.attempts = attempt;
-                outcome.report.last_fault = last_fault;
-                return Ok(outcome);
-            }
-            Err(error) => {
-                let retry = core.transient(&error)
-                    && slot.still_wanted().is_ok()
-                    && core.retry.try_retry(attempt);
-                if !retry {
-                    return Err(error);
-                }
-                last_fault = Some(error.to_string());
-                std::thread::sleep(core.retry.backoff(core.fault_seed(), id, attempt));
-                attempt += 1;
-            }
-        }
-    }
+    catch_unwind(AssertUnwindSafe(|| job.run(slot)))
+        // `&*panic`, not `&panic`: a `&Box<dyn Any>` would itself unsize
+        // into the `dyn Any` and hide the payload behind a second
+        // indirection.
+        .unwrap_or_else(|panic| Err(JobError::Panicked { message: panic_message(&*panic) }))
 }
 
 fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
@@ -609,22 +356,20 @@ struct OwnedJob {
 }
 
 impl OwnedJob {
-    /// One attempt at the job. It borrows the job so that a
-    /// transiently-failed attempt can be retried in place.
-    fn run(&self, ctl: &JobCtl<'_>) -> Result<CompileOutcome, JobError> {
+    fn run(&self, slot: &Slot) -> Result<CompileOutcome, JobError> {
         let CompileRequest { circuit, chip, pipeline, .. } = &self.request;
         let mut outcome = match pipeline {
             Pipeline::Ecmas => {
                 if let Some(cache) = &self.cache {
-                    run_cached(cache, circuit, chip, ctl)?
+                    run_cached(cache, circuit, chip, slot)?
                 } else {
-                    run_stages(circuit, chip, ctl)?
+                    run_stages(circuit, chip, slot)?
                 }
             }
             Pipeline::Custom(compiler) => {
                 // Custom compilers bypass the cache: their identity is an
                 // opaque trait object the content hash cannot see.
-                ctl.checkpoint()?;
+                slot.checkpoint()?;
                 compiler.compile_outcome(circuit, chip)?
             }
         };
@@ -641,19 +386,15 @@ impl OwnedJob {
 }
 
 /// The built-in pipeline, `Ecmas::default()` with the resource-adaptive
-/// scheduler, with a checkpoint (and fault-injection hook) at every stage
-/// boundary: a cancel or deadline lapse stops the job at the next
-/// boundary instead of after the whole compile.
-fn run_stages(
-    circuit: &Circuit,
-    chip: &Chip,
-    ctl: &JobCtl<'_>,
-) -> Result<CompileOutcome, JobError> {
-    ctl.stage_boundary(0)?;
+/// scheduler, with a checkpoint at every stage boundary: a cancel or
+/// deadline lapse stops the job at the next boundary instead of after
+/// the whole compile.
+fn run_stages(circuit: &Circuit, chip: &Chip, slot: &Slot) -> Result<CompileOutcome, JobError> {
+    slot.checkpoint()?;
     let profiled = Ecmas::default().session(circuit, chip)?;
-    ctl.stage_boundary(1)?;
+    slot.checkpoint()?;
     let mapped = profiled.map()?;
-    ctl.stage_boundary(2)?;
+    slot.checkpoint()?;
     Ok(mapped.schedule_auto()?.into_outcome())
 }
 
@@ -665,12 +406,11 @@ fn run_cached(
     cache: &Arc<CompileCache>,
     circuit: &Circuit,
     chip: &Chip,
-    ctl: &JobCtl<'_>,
+    slot: &Slot,
 ) -> Result<CompileOutcome, JobError> {
     let key = full_key(circuit, chip);
-    ctl.maybe_poison(cache, key);
     loop {
-        ctl.checkpoint()?;
+        slot.checkpoint()?;
         match cache.begin(key) {
             Begin::Hit(shared) => {
                 let mut outcome = (*shared).clone();
@@ -678,7 +418,7 @@ fn run_cached(
                 return Ok(outcome);
             }
             Begin::Lead(lead) => {
-                match run_stages(circuit, chip, ctl) {
+                match run_stages(circuit, chip, slot) {
                     Ok(mut outcome) => {
                         outcome.report.cache = cache.info(CacheSource::Miss);
                         let shared = lead.complete(outcome);
@@ -688,8 +428,7 @@ fn run_cached(
                         lead.fail(error.clone());
                         return Err(JobError::Compile(error));
                     }
-                    // Cancelled / deadline / fault / panic-adjacent:
-                    // dropping the guard abandons the flight and wakes
+                    // Cancelled / deadline / panic: dropping the guard abandons the flight and wakes
                     // the followers, whose next poll elects a new leader.
                     Err(other) => return Err(other),
                 }
@@ -703,7 +442,7 @@ fn run_cached(
                     }
                     FollowStatus::Ready(Err(error)) => return Err(JobError::Compile(error)),
                     FollowStatus::Abandoned => break,
-                    FollowStatus::Pending => ctl.checkpoint()?,
+                    FollowStatus::Pending => slot.checkpoint()?,
                 }
             },
         }
@@ -734,47 +473,7 @@ fn run_cached(
 pub struct CompileService {
     core: Arc<ServiceCore>,
     cache: Option<Arc<CompileCache>>,
-    worker_count: usize,
-    supervisor: Arc<Supervisor>,
-}
-
-/// Spawn one worker thread and register its handle with the supervisor.
-/// The thread carries a [`RespawnGuard`]: if it dies to a panic while the
-/// queue is still open, the guard spawns a replacement, so pool capacity
-/// never degrades.
-fn spawn_worker(core: &Arc<ServiceCore>, supervisor: &Arc<Supervisor>) {
-    let generation = supervisor.spawned.fetch_add(1, Ordering::AcqRel);
-    let thread_core = Arc::clone(core);
-    let thread_sup = Arc::clone(supervisor);
-    let handle = std::thread::Builder::new()
-        .name(format!("ecmas-serve-{generation}"))
-        .spawn(move || {
-            let _guard = RespawnGuard { core: thread_core.clone(), supervisor: thread_sup };
-            worker_loop(&thread_core);
-        })
-        .expect("spawn service worker");
-    supervisor.handles.lock().expect("supervisor lock").push(handle);
-}
-
-struct RespawnGuard {
-    core: Arc<ServiceCore>,
-    supervisor: Arc<Supervisor>,
-}
-
-impl Drop for RespawnGuard {
-    fn drop(&mut self) {
-        if !std::thread::panicking() {
-            return;
-        }
-        self.supervisor.panics.fetch_add(1, Ordering::AcqRel);
-        // No respawn once the queue is closed: shutdown's join loop
-        // would chase replacements forever. A replacement spawned just
-        // before close() is harmless — it drains and exits cleanly.
-        if !self.core.queue.is_closed() {
-            self.supervisor.respawns.fetch_add(1, Ordering::AcqRel);
-            spawn_worker(&self.core, &self.supervisor);
-        }
-    }
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl CompileService {
@@ -786,21 +485,29 @@ impl CompileService {
     #[must_use]
     pub fn new(config: ServiceConfig) -> Self {
         let (workers, capacity) = config.resolved();
-        let core = Arc::new(ServiceCore::new(
-            capacity,
-            config.backpressure,
-            config.faults,
-            config.retry,
-            config.shed_cost_budget,
-        ));
+        let core = Arc::new(ServiceCore {
+            queue: JobQueue::new(capacity),
+            backpressure: config.backpressure,
+            next_id: AtomicU64::new(1),
+            pending_cost: AtomicU64::new(0),
+            shed_cost_budget: config.shed_cost_budget,
+            shed: AtomicU64::new(0),
+            unsettled: AtomicUsize::new(0),
+            draining: AtomicBool::new(false),
+        });
         let cache = (config.cache_bytes > 0).then(|| {
             CompileCache::new(ecmas_cache::CacheConfig { byte_budget: config.cache_bytes })
         });
-        let supervisor = Arc::new(Supervisor::new());
-        for _ in 0..workers {
-            spawn_worker(&core, &supervisor);
-        }
-        CompileService { core, cache, worker_count: workers, supervisor }
+        let workers = (0..workers)
+            .map(|i| {
+                let core = Arc::clone(&core);
+                std::thread::Builder::new()
+                    .name(format!("ecmas-serve-{i}"))
+                    .spawn(move || worker_loop(&core))
+                    .expect("spawn service worker")
+            })
+            .collect();
+        CompileService { core, cache, workers }
     }
 
     /// Submits a request; returns immediately with the job's handle
@@ -824,31 +531,6 @@ impl CompileService {
         self.cache.as_ref().map(|c| c.stats())
     }
 
-    /// Worker supervision counters: threads spawned, panics seen,
-    /// replacements spawned, jobs requeued by dying workers.
-    #[must_use]
-    pub fn supervisor_stats(&self) -> SupervisorStats {
-        SupervisorStats {
-            workers: self.worker_count,
-            spawned: self.supervisor.spawned.load(Ordering::Acquire),
-            panics: self.supervisor.panics.load(Ordering::Acquire),
-            respawns: self.supervisor.respawns.load(Ordering::Acquire),
-            requeued: self.core.requeued.load(Ordering::Acquire),
-        }
-    }
-
-    /// Injected-fault counters, or `None` when no fault plan is active.
-    #[must_use]
-    pub fn fault_stats(&self) -> Option<FaultSnapshot> {
-        self.core.faults.as_ref().map(FaultPlan::snapshot)
-    }
-
-    /// Service-wide retry-budget counters.
-    #[must_use]
-    pub fn retry_stats(&self) -> RetryStats {
-        RetryStats { spent: self.core.retry.spent(), budget: self.core.retry.config().budget }
-    }
-
     /// Submissions shed by admission control so far.
     #[must_use]
     pub fn shed_count(&self) -> u64 {
@@ -859,26 +541,25 @@ impl CompileService {
     /// when shedding is disabled).
     #[must_use]
     pub fn pending_cost(&self) -> u64 {
-        self.core.pending_cost()
+        self.core.pending_cost.load(Ordering::Acquire)
     }
 
     /// Jobs accepted but not yet picked up by a worker.
     #[must_use]
     pub fn queued(&self) -> usize {
-        self.core.queued()
+        self.core.queue.len()
     }
 
     /// Worker threads in the pool.
     #[must_use]
     pub fn workers(&self) -> usize {
-        self.worker_count
+        self.workers.len()
     }
 
-    /// Whether [`drain`](Self::drain) (or a prior `begin_drain`) has
-    /// stopped admission.
+    /// Whether [`drain`](Self::drain) has stopped admission.
     #[must_use]
     pub fn is_draining(&self) -> bool {
-        self.core.is_draining()
+        self.core.draining.load(Ordering::Acquire)
     }
 
     /// Graceful drain: stop admitting new work (submissions return
@@ -886,8 +567,8 @@ impl CompileService {
     /// settled. The workers stay alive and results stay claimable — only
     /// admission is gone. Idempotent.
     pub fn drain(&self) {
-        self.core.begin_drain();
-        while self.core.queued() > 0 || self.core.inflight() > 0 {
+        self.core.draining.store(true, Ordering::SeqCst);
+        while self.core.unsettled.load(Ordering::SeqCst) > 0 {
             std::thread::sleep(Duration::from_millis(2));
         }
     }
@@ -901,21 +582,9 @@ impl CompileService {
 
 impl Drop for CompileService {
     fn drop(&mut self) {
-        self.core.close();
-        // Join until no handle remains: a panicking worker pushes its
-        // replacement's handle before its own join returns, so repeated
-        // drains observe every generation.
-        loop {
-            let drained: Vec<JoinHandle<()>> = {
-                let mut handles = self.supervisor.handles.lock().expect("supervisor lock");
-                handles.drain(..).collect()
-            };
-            if drained.is_empty() {
-                break;
-            }
-            for worker in drained {
-                let _ = worker.join();
-            }
+        self.core.queue.close();
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
         }
     }
 }

@@ -4,18 +4,14 @@
 //! ```sh
 //! ecmasd [--model dd|ls] [--chip min|4x|congested|sufficient]
 //!        [--workers N] [--queue N] [--reject] [--cache-mb M]
-//!        [--fault-percent P] [--fault-seed S] [--retry-attempts N]
-//!        [--retry-budget N] [--shed-budget C]
+//!        [--shed-budget C]
 //! ```
 //!
-//! The chaos knobs: `--fault-percent`/`--fault-seed` arm the seeded
-//! fault-injection plan (spurious stage errors, injected panics,
-//! latency, poisoned cache entries — see `ecmas-faults`);
-//! `--retry-attempts`/`--retry-budget` bound the transparent retries
-//! that heal them; `--shed-budget` turns on admission control (submits
-//! beyond the aggregate cost budget get an `overloaded` error with a
-//! `retry_after_ms` hint). Stdin lines beyond 1 MiB are refused with a
-//! structured error without ever being buffered.
+//! `--workers` takes at most `MAX_WORKERS` (1024; `0`, the default,
+//! means one per core). `--shed-budget` turns on admission control
+//! (submits beyond the aggregate cost budget get an `overloaded` error
+//! with a `retry_after_ms` hint). Stdin lines beyond 1 MiB are refused
+//! with a structured error without ever being buffered.
 //!
 //! One request object per input line (`submit` / `status` / `cancel` /
 //! `result` / `drain` / `stats` — see `ecmas_serve::daemon` for the
@@ -60,6 +56,10 @@ use ecmas::serve::Backpressure;
 use ecmas_chip::CodeModel;
 use ecmas_circuit::random::StressSpec;
 
+/// The most worker threads `--workers` may ask for: each is an OS
+/// thread, and an unchecked count would also size the default queue.
+const MAX_WORKERS: usize = 1024;
+
 struct Args {
     options: DaemonOptions,
     emit_stress: Option<usize>,
@@ -102,7 +102,11 @@ fn parse_args() -> Result<Args, String> {
                 })?;
             }
             "--workers" => {
-                options.service.workers = parse_num(&value(&mut args, "--workers")?, "--workers")?;
+                let workers = parse_num(&value(&mut args, "--workers")?, "--workers")?;
+                if workers > MAX_WORKERS {
+                    return Err(format!("--workers {workers} exceeds the limit of {MAX_WORKERS}"));
+                }
+                options.service.workers = workers;
             }
             "--queue" => {
                 options.service.queue_capacity =
@@ -114,34 +118,6 @@ fn parse_args() -> Result<Args, String> {
                 options.service.cache_bytes = mb
                     .checked_mul(1024 * 1024)
                     .ok_or_else(|| format!("--cache-mb {mb} overflows the byte count"))?;
-            }
-            "--fault-percent" => {
-                let percent: u8 =
-                    parse_num(&value(&mut args, "--fault-percent")?, "--fault-percent")?;
-                if percent > 100 {
-                    return Err("--fault-percent must be 0..=100".into());
-                }
-                let mut config = options.service.faults.unwrap_or_default();
-                config.percent = percent;
-                options.service.faults = Some(config);
-            }
-            "--fault-seed" => {
-                let fault_seed: u64 =
-                    parse_num(&value(&mut args, "--fault-seed")?, "--fault-seed")?;
-                let mut config = options.service.faults.unwrap_or_default();
-                config.seed = fault_seed;
-                options.service.faults = Some(config);
-            }
-            "--retry-attempts" => {
-                options.service.retry.max_attempts =
-                    parse_num(&value(&mut args, "--retry-attempts")?, "--retry-attempts")?;
-                if options.service.retry.max_attempts == 0 {
-                    return Err("--retry-attempts must be at least 1".into());
-                }
-            }
-            "--retry-budget" => {
-                options.service.retry.budget =
-                    parse_num(&value(&mut args, "--retry-budget")?, "--retry-budget")?;
             }
             "--shed-budget" => {
                 options.service.shed_cost_budget =
@@ -182,8 +158,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 return Err("usage: ecmasd [--model dd|ls] \
                             [--chip min|4x|congested|sufficient] [--workers N] [--queue N] \
-                            [--reject] [--cache-mb M] [--fault-percent P] [--fault-seed S] \
-                            [--retry-attempts N] [--retry-budget N] [--shed-budget C] \
+                            [--reject] [--cache-mb M] [--shed-budget C] \
                             | ecmasd --emit-stress N [--seed S] \
                             [--qubits-max Q] [--depth-max D] [--dup-percent P] \
                             [--defect-percent P] [--cancel-every K] [--deadline-ms MS]"

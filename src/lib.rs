@@ -79,7 +79,6 @@ pub use ecmas_cache::{CacheConfig, CacheStats, CompileCache, CompileKey};
 pub use ecmas_serve as serve;
 
 pub use ecmas_serve::{
-    compile_jobs, Backpressure, BatchJob, CompileRequest, CompileService, FaultConfig,
-    FaultSnapshot, JobError, JobHandle, JobId, JobStatus, RetryConfig, RetryStats, ServiceConfig,
-    SubmitError, SupervisorStats,
+    compile_jobs, Backpressure, BatchJob, CompileRequest, CompileService, JobError, JobHandle,
+    JobId, JobStatus, ServiceConfig, SubmitError,
 };

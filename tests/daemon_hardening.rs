@@ -3,14 +3,23 @@
 //! types, unknown ops, oversized lines — must always produce a
 //! structured `error` response (never a panic, never silence), and the
 //! daemon must keep serving real work afterwards and drain cleanly. The
-//! daemon's `--cache-mb` flag gets the same treatment: a value too large
-//! for a byte count is a usage error, not a panic.
+//! daemon's `--cache-mb` and `--workers` flags get the same treatment: a
+//! value too large for a byte count or a thread pool is a usage error,
+//! not a panic.
 
 use ecmas::serve::daemon::{ChipKind, Daemon, DaemonOptions, MAX_LINE_BYTES};
 use ecmas::serve::json::{self, Value};
 use ecmas::ServiceConfig;
 use ecmas_chip::CodeModel;
-use ecmas_faults::splitmix64;
+
+/// splitmix64, the mixer that seeds the garbage corpus.
+fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = x;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
 
 fn daemon() -> Daemon {
     Daemon::new(DaemonOptions {
@@ -163,4 +172,25 @@ fn overflowing_cache_mb_is_a_usage_error() {
     // an empty stdin, and drains cleanly.
     let out = run(&["--cache-mb", &largest]);
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+}
+
+/// `--workers` past the daemon's thread limit is a usage error naming
+/// the flag. At 2^62 and 2^63 the default queue size, `4 × workers`,
+/// used to wrap to 0 and panic before any thread was spawned. (Other
+/// huge counts wrap to a nonzero queue, so a daemon without the limit
+/// would start spawning threads; they are not run here.)
+#[test]
+fn oversized_workers_is_a_usage_error() {
+    use std::process::{Command, Stdio};
+    for workers in [1u64 << 62, 1u64 << 63] {
+        let out = Command::new(env!("CARGO_BIN_EXE_ecmasd"))
+            .args(["--workers", &workers.to_string()])
+            .stdin(Stdio::null())
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        assert!(stderr.contains("--workers"), "the message names the flag: {stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
 }

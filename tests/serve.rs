@@ -1,16 +1,19 @@
 //! Integration tests for the `ecmas-serve` service layer: worker-count
 //! determinism, cooperative cancellation, structured deadline errors,
-//! backpressure, panic containment, and the property that service
-//! results are bit-identical to driving the compiler directly.
+//! backpressure, panic containment, load shedding, graceful drain, a
+//! coalescing follower whose leader is cancelled or expires, and the
+//! property that service results are bit-identical to driving the
+//! compiler directly.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use ecmas::session::Algorithm;
 use ecmas::{
     compile_jobs, validate_encoded, Backpressure, BatchJob, CompileError, CompileOutcome,
     CompileRequest, CompileService, Compiler, Ecmas, JobError, JobStatus, ServiceConfig,
+    SubmitError,
 };
 use ecmas_chip::{Chip, CodeModel};
 use ecmas_circuit::random::{self, StressSpec, StressWorkload};
@@ -44,6 +47,18 @@ impl GatedCompiler {
         *self.released.lock().unwrap() = true;
         self.releases.notify_all();
     }
+
+    fn wait_entered(&self, n: usize) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while self.entered.load(Ordering::SeqCst) < n {
+            assert!(Instant::now() < deadline, "worker never entered the gate");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+}
+
+fn lattice_chip(circuit: &Circuit) -> Chip {
+    Chip::min_viable(CodeModel::LatticeSurgery, circuit.qubits(), 3).unwrap()
 }
 
 impl Compiler for GatedCompiler {
@@ -397,6 +412,152 @@ fn batch_surfaces_per_circuit_errors_in_order() {
     assert!(results[2].is_ok());
     // And the trivial empty batch.
     assert!(compile_jobs(&[]).is_empty());
+}
+
+/// Admission control: with one job's worth of cost budget claimed by an
+/// in-flight job, the next submission is shed with a typed `Overloaded`
+/// carrying a backoff hint and the untouched request; once the in-flight
+/// job settles, the same request is admitted again.
+#[test]
+fn load_shedding_sheds_over_budget_and_recovers() {
+    let gate = GatedCompiler::new();
+    let circuit = benchmarks::ghz(6);
+    let chip = lattice_chip(&circuit);
+    let request = || CompileRequest::new(circuit.clone(), chip.clone()).with_compiler(gate.clone());
+    let cost = request().estimated_cost();
+    assert!(cost > 0);
+
+    let service = CompileService::new(ServiceConfig {
+        workers: 1,
+        queue_capacity: 4,
+        shed_cost_budget: cost, // exactly one job's worth
+        ..ServiceConfig::default()
+    });
+
+    let first = service.submit(request()).unwrap();
+    gate.wait_entered(1);
+    assert_eq!(service.pending_cost(), cost);
+
+    match service.submit(request()) {
+        Err(SubmitError::Overloaded { request, retry_after_ms }) => {
+            assert!(retry_after_ms > 0, "the hint scales with the backlog");
+            assert_eq!(request.circuit().qubits(), 6, "the request comes back untouched");
+        }
+        other => panic!("an over-budget submit must shed: {other:?}"),
+    }
+    assert_eq!(service.shed_count(), 1);
+    assert_eq!(service.pending_cost(), cost, "a shed submit leaves no cost claim behind");
+
+    gate.release();
+    first.wait().unwrap();
+    // The claim is released when the job settles (just after the result
+    // is published), so poll briefly.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while service.pending_cost() > 0 {
+        assert!(Instant::now() < deadline, "settling must release the cost claim");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    service.submit(request()).unwrap().wait().unwrap();
+}
+
+/// Graceful drain: in-flight work runs to completion, new submissions are
+/// refused with the typed `Draining` error, and `drain` returns only when
+/// the service is empty.
+#[test]
+fn drain_finishes_inflight_and_refuses_new_submissions() {
+    let gate = GatedCompiler::new();
+    let circuit = benchmarks::ghz(6);
+    let chip = lattice_chip(&circuit);
+    let service = CompileService::new(ServiceConfig { workers: 1, ..ServiceConfig::default() });
+
+    let inflight = service
+        .submit(CompileRequest::new(circuit.clone(), chip.clone()).with_compiler(gate.clone()))
+        .unwrap();
+    gate.wait_entered(1);
+
+    std::thread::scope(|scope| {
+        let drainer = scope.spawn(|| service.drain());
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !service.is_draining() {
+            assert!(Instant::now() < deadline, "drain must raise the flag");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        match service.submit(CompileRequest::new(circuit.clone(), chip.clone())) {
+            Err(SubmitError::Draining(_)) => {}
+            other => panic!("a draining service must refuse new work: {other:?}"),
+        }
+        gate.release();
+        drainer.join().unwrap();
+    });
+
+    inflight.wait().unwrap();
+    assert_eq!(service.queued(), 0);
+    assert!(service.is_draining());
+}
+
+/// Coalescing leader abandonment, cancellation and deadline variants:
+/// whatever happens to the first identical job — cancelled mid-compile,
+/// or timed out at a stage boundary — the second must reach a terminal
+/// successful answer. (Timing decides whether the second job ever
+/// actually follows the doomed flight; either way it must never hang,
+/// which is exactly the regression this guards.)
+#[test]
+fn cancelled_or_expired_leader_never_strands_followers() {
+    let circuit = benchmarks::qft_n10();
+
+    // Cancelled leader.
+    let service = CompileService::new(ServiceConfig {
+        workers: 2,
+        cache_bytes: 8 * 1024 * 1024,
+        ..ServiceConfig::default()
+    });
+    let chip = lattice_chip(&circuit);
+    let leader = service.submit(CompileRequest::new(circuit.clone(), chip.clone())).unwrap();
+    let follower = service.submit(CompileRequest::new(circuit.clone(), chip.clone())).unwrap();
+    leader.cancel();
+    follower.wait().expect("follower of a cancelled leader must still complete");
+
+    // Expired-deadline leader (a fresh service so the cache is cold and
+    // the first job really leads a flight).
+    let service = CompileService::new(ServiceConfig {
+        workers: 2,
+        cache_bytes: 8 * 1024 * 1024,
+        ..ServiceConfig::default()
+    });
+    let leader = service.submit(
+        CompileRequest::new(circuit.clone(), chip.clone()).with_deadline(Duration::from_nanos(1)),
+    );
+    let follower = service.submit(CompileRequest::new(circuit.clone(), chip.clone())).unwrap();
+    match leader.unwrap().wait() {
+        Err(JobError::DeadlineExceeded { .. }) => {}
+        Ok(_) => panic!("a 1ns deadline cannot be met"),
+        Err(other) => panic!("expected a deadline error: {other:?}"),
+    }
+    follower.wait().expect("follower of an expired leader must still complete");
+}
+
+/// `drain` returns only once every accepted job has settled: with one
+/// worker and a queue of small jobs, each handle reads `Finished` the
+/// moment `drain` returns, including the job the worker has just popped.
+#[test]
+fn drain_returns_only_after_every_accepted_job_settles() {
+    let service = CompileService::new(ServiceConfig {
+        workers: 1,
+        queue_capacity: 64,
+        ..ServiceConfig::default()
+    });
+    let circuit = benchmarks::ghz(4);
+    let chip = lattice_chip(&circuit);
+    let handles: Vec<_> = (0..48)
+        .map(|_| service.submit(CompileRequest::new(circuit.clone(), chip.clone())).unwrap())
+        .collect();
+    service.drain();
+    for (i, handle) in handles.iter().enumerate() {
+        assert_eq!(handle.status(), JobStatus::Finished, "job {i} had not settled");
+    }
+    for handle in handles {
+        handle.wait().unwrap();
+    }
 }
 
 proptest! {
